@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -242,12 +243,18 @@ def report_rankone_rigidity(spec, shifts, sets, N) -> dict:
     }
 
 
-def report_skew_correlate(sys_: SkewSystem, A, eps, eps2, m) -> dict:
-    bv = skew.skew_correlation(A, eps, eps2, m, sys_)
+def _skew_header(sys_: SkewSystem) -> dict:
     return {
         "system": "mathew-nadkarni" if sys_.cocycle is None else "custom-cocycle",
         "atom_level": sys_.K,
         "cutoff": sys_.L,
+    }
+
+
+def report_skew_correlate(sys_: SkewSystem, A, eps, eps2, m) -> dict:
+    bv = skew.skew_correlation(A, eps, eps2, m, sys_)
+    return {
+        **_skew_header(sys_),
         "interval": f"{A.numerator}/2^{A.level}",
         "eps": eps,
         "eps_prime": eps2,
@@ -267,9 +274,7 @@ def report_skew_spectrum(sys_: SkewSystem, g_name, fiber, window) -> dict:
     pos = {r["n"]: (r["value"], r["error_bound"]) for r in rows if r["n"] >= 0}
     corr = CorrelationSequence(pos, source=f"{g_name}:{fiber}")
     report = {
-        "system": "mathew-nadkarni",
-        "atom_level": sys_.K,
-        "cutoff": sys_.L,
+        **_skew_header(sys_),
         "function": f"{g_name}:{fiber}",
         "window": window,
         "coefficients": rows,
@@ -283,9 +288,7 @@ def report_skew_spectrum(sys_: SkewSystem, g_name, fiber, window) -> dict:
 def report_skew_rigidity(sys_: SkewSystem, A, eps, k_lo, k_hi) -> dict:
     seq = skew.rigidity_sequence(A, eps, range(k_lo, k_hi + 1), sys_)
     return {
-        "system": "mathew-nadkarni",
-        "atom_level": sys_.K,
-        "cutoff": sys_.L,
+        **_skew_header(sys_),
         "interval": f"{A.numerator}/2^{A.level}",
         "eps": eps,
         "k_range": [k_lo, k_hi],
@@ -331,6 +334,7 @@ def report_spectral_translate(corr, times, j_window) -> dict:
 
 def report_spectral_beurling(coeffs: WeakLimitCoefficients, n_max: int) -> dict:
     rep = spectral.beurling_check(coeffs, n_max)
+    final = rep.partial_sums[-1] if rep.partial_sums else None
     return {
         "support": {str(k): v for k, v in sorted(coeffs.support.items())},
         "tail": coeffs.tail.kind,
@@ -339,7 +343,8 @@ def report_spectral_beurling(coeffs: WeakLimitCoefficients, n_max: int) -> dict:
         "verdict": rep.verdict,
         "tail_exponent_fit": rep.tail_exponent_fit,
         "partial_sum_count": len(rep.partial_sums),
-        "final_partial_sum": rep.partial_sums[-1] if rep.partial_sums else None,
+        # an eventually-zero tail drives the sum to -inf, which JSON cannot carry
+        "final_partial_sum": "-inf" if final == -math.inf else final,
         "notes": rep.notes,
     }
 
@@ -363,7 +368,7 @@ def report_spectral_certify(coeffs, n_max, nonpower) -> dict:
 def _emit(report: dict, args) -> None:
     report = _jsonify(report)
     payload = {"config": _jsonify(_config_record(args)), "report": report}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -593,7 +598,7 @@ def main(argv=None) -> int:
         args.func(args)
     except Exception as exc:  # noqa: BLE001 - error record must name the module error
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
         return 1
     return 0
 

@@ -2,31 +2,41 @@
 
 The von Neumann-Kakutani adding machine T translates each band
 [1 - 2^-n, 1 - 2^-(n+1)) onto [2^-(n+1), 2^-n); in binary it is "add one
-with carry from the left".  The working partition consists of the 2^K
-dyadic atoms of level K.  T maps atoms onto atoms, and in tower order
-(atom t sits at tower position bitreverse_K(t)) it is exactly the cyclic
-successor, so T^m on atoms is an index shift by m modulo 2^K.
+with carry from the left".  Reading the binary digits of x in reverse
+gives its tower position z, a 2-adic integer, and T becomes z -> z + 1.
+The dyadic interval [num/2^l, (num+1)/2^l) is the residue class
+z = bitreverse_l(num) mod 2^l, with Haar mass 2^-l.
 
 The fiber cocycle phi takes the value 0 on
 [1 - 2^-n, 1 - 2^-n + 2^-(n+2)) and 1 on the remaining half of each band.
-phi is constant on every level-K atom except the top two (the band K-1
-atom, which phi splits in half, and the final atom [1 - 2^-K, 1), where
-the bands accumulate).  A Birkhoff window of length m <= 2^(K-4) reads
-each of those dirty atoms at most once, and each read splits the mass of
-the starting atom into exactly equal parity halves with a common target
-atom, so correlations of atom-unions remain exact: a window with one
-dirty read contributes exactly half its mass to each parity.  The region
-[1 - 2^-L, 1) is still charged to the error bound of correlation values,
-since the cocycle's discontinuities accumulate at 1.
+In tower positions it is the regular paperfolding sequence,
+phi(z) = fold(z + 1), where fold(n) is the bit just above the lowest set
+bit of n.  Every query reduces to the signed mass
+
+    D(a, l, m) = integral over z = a mod 2^l of (-1)^(phi(z) + ... + phi(z+m-1)).
+
+Odd n contribute bit 1 of n to the Birkhoff sum and even n = 2n'
+contribute fold(n'), so one binary digit of z is peeled off per step:
+D(a, l, m) = +-1/2 D(a >> 1, l - 1, ((a & 1) + m) >> 1).  Each query
+touches O(log m) residue classes and every value is an exact dyadic
+rational; the classes on which phi is undetermined at the given
+resolution carry equal mass of each parity and contribute 0.  A
+user-supplied `DyadicStep` cocycle of level c is periodic with period
+2^c in tower positions, so D is a sum over the residues mod 2^max(c, l).
 
 The skew product acts on [0,1) x Z2 by T_phi(x, g) = (Tx, phi(x) + g)
-with the uniform fiber measure (mass 1/2 per fiber point).
+with the uniform fiber measure (mass 1/2 per fiber point).  The atom
+level K and the cutoff L of a `SkewSystem` fix the query windows,
+2^(K-4) for correlations and 2^(L-4) for spectral coefficients; no table
+of atoms is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -150,6 +160,11 @@ FIRST_DIGIT_SIGN = DyadicStep(1, (1.0, -1.0))
 CONSTANT_ONE = DyadicStep(0, (1.0,))
 
 
+def _bit_reverse(num: int, level: int) -> int:
+    """Tower position of the level-`level` dyadic with numerator `num`."""
+    return int(format(num, f"0{level}b")[::-1], 2) if level else 0
+
+
 def _bit_reverse_permutation(K: int) -> np.ndarray:
     u = np.arange(2**K, dtype=np.int64)
     r = np.zeros_like(u)
@@ -158,8 +173,39 @@ def _bit_reverse_permutation(K: int) -> np.ndarray:
     return r
 
 
+def _fold(n: int) -> int:
+    """Regular paperfolding letter: the bit just above the lowest set bit."""
+    return (n >> (n & -n).bit_length()) & 1
+
+
+def _band_mass(a: int, l: int, m: int) -> Fraction:
+    """D(a, l, m) for the band cocycle phi(z) = fold(z + 1)."""
+    memo: dict[tuple[int, int, int], Fraction] = {}
+
+    def D(a: int, l: int, m: int) -> Fraction:
+        if m == 0:
+            return Fraction(1, 2**l)
+        key = (a, l, m)
+        if key not in memo:
+            if l < 2:  # the digit step reads z mod 4
+                memo[key] = sum((D(a + (k << l), 2, m) for k in range(1 << (2 - l))), Fraction(0))
+            elif m == 1:
+                n = (a + 1) % 2**l
+                # fold(z + 1) reads bit l of z when 2^(l-1) divides z + 1
+                undetermined = n % 2 ** (l - 1) == 0
+                memo[key] = Fraction(0) if undetermined else Fraction((-1) ** _fold(n), 2**l)
+            else:
+                # n in (z, z + m]: odd n add bit 1 of n (one per n = 3 mod 4),
+                # even n = 2n' add fold(n') with n' in (z >> 1, (z + m) >> 1]
+                flips = ((a + m + 1) >> 2) - ((a + 1) >> 2)
+                memo[key] = (-1) ** flips * D(a >> 1, l - 1, ((a & 1) + m) >> 1) / 2
+        return memo[key]
+
+    return D(a, l, m)
+
+
 class SkewSystem:
-    """Exact atom-level model of the skew product at partition level K.
+    """The skew product queried at atom level K with cutoff L.
 
     Z2 fibers only; the cocycle is either the built-in band cocycle or a
     user dyadic step function with values in {0, 1} and breakpoints of
@@ -179,44 +225,18 @@ class SkewSystem:
                 raise ValueError("cocycle breakpoints finer than the atoms")
             if any(v not in (0.0, 1.0) for v in cocycle.values):
                 raise ValueError("cocycle values must lie in {0, 1}")
+            # prefix sums of one period of the cocycle in tower order
+            period = [int(cocycle.values[_bit_reverse(j, cocycle.level)])
+                      for j in range(2**cocycle.level)]
+            self._period_prefix = [0, *accumulate(period)]
         self.K = atom_level
         self.L = boundary_cutoff
         self.cocycle = cocycle
-        self._built = False
 
-    # -- lazy tables ---------------------------------------------------
-
-    def _build(self) -> None:
-        if self._built:
-            return
-        K = self.K
-        M = 2**K
-        rev = _bit_reverse_permutation(K)
-        t = np.arange(M, dtype=np.int64)
-        if self.cocycle is None:
-            # band index: atom t lies in band n = K - bitlength(2^K - 1 - t)
-            z = (M - 1 - t).astype(np.float64)
-            n = np.zeros(M, dtype=np.int64)
-            nz = z > 0
-            n[nz] = K - np.frexp(z[nz])[1]
-            n[~nz] = K
-            band_start = M - (1 << np.minimum(K - n, K))
-            half = 1 << np.maximum(K - n - 2, 0)
-            phi = ((t - band_start) >= half).astype(np.int64)
-            dirty_atoms = np.array([M - 2, M - 1], dtype=np.int64)
-            phi[dirty_atoms] = 0  # excluded from sums; handled as mass splits
-        else:
-            shift = K - self.cocycle.level
-            phi = np.asarray(self.cocycle.values, dtype=np.int64)[t >> shift]
-            dirty_atoms = np.array([], dtype=np.int64)
-        self._phi_atom = phi
-        self._rev = rev  # involution: atom <-> tower position
-        phi_tower = phi[rev]
-        self._cum = np.concatenate(([0], np.cumsum(phi_tower)))
-        self._dirty_idx = np.sort(rev[dirty_atoms]) if len(dirty_atoms) else dirty_atoms
-        self._idx_all = np.arange(M, dtype=np.int64)
-        self._g_cache: dict[tuple, np.ndarray] = {}
-        self._built = True
+    @cached_property
+    def _rev(self) -> np.ndarray:
+        """Involution atom <-> tower position on the level-K atoms."""
+        return _bit_reverse_permutation(self.K)
 
     @property
     def atom_count(self) -> int:
@@ -229,46 +249,6 @@ class SkewSystem:
     def max_window(self) -> int:
         return 2 ** (self.K - 4)
 
-    # -- per-window machinery -------------------------------------------
-
-    def _window_parity_and_dirty(self, idx: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Parity of the clean Birkhoff reads and dirty-read counts over
-        the tower-order windows [idx, idx + m)."""
-        self._build()
-        M = self.atom_count
-        P = self._cum
-        j = idx + m
-        wrapped = j > M
-        jc = np.where(wrapped, j - M, j)
-        sums = P[jc] - P[idx] + np.where(wrapped, P[M], 0)
-        dirty = np.zeros(len(idx), dtype=np.int64)
-        for D in self._dirty_idx:
-            dirty += ((D - idx) % M) < m
-        return (sums & 1).astype(np.int64), dirty
-
-    def _full_window_signs(self, m: int) -> np.ndarray:
-        """(-1)^parity over the windows [i, i + m) for every tower index,
-        with 0 at indices whose window has an unresolvable read.  Built
-        from cumulative-sum slices; no gathers."""
-        self._build()
-        M = self.atom_count
-        P = self._cum
-        sums = np.empty(M, dtype=np.int64)
-        if m == 0:
-            sums.fill(0)
-        else:
-            sums[: M - m] = P[m:M] - P[: M - m]
-            sums[M - m :] = (P[M] - P[M - m : M]) + P[:m]
-        signs = (1.0 - 2.0 * (sums & 1)).astype(np.float64)
-        for D in self._dirty_idx:
-            lo = int(D) - m + 1
-            if lo < 0:
-                signs[lo + M :] = 0.0
-                signs[: int(D) + 1] = 0.0
-            else:
-                signs[lo : int(D) + 1] = 0.0
-        return signs
-
     def atom_indices(self, interval: DyadicInterval) -> np.ndarray:
         if interval.level > self.K:
             raise ValueError("interval finer than the atom partition")
@@ -276,12 +256,19 @@ class SkewSystem:
         start = interval.numerator << (self.K - interval.level)
         return np.arange(start, start + count, dtype=np.int64)
 
-    def region_overlap(self, interval: DyadicInterval) -> Fraction:
-        """Mass of the interval inside the boundary region [1 - 2^-L, 1)."""
-        start = interval.numerator << (self.K - interval.level)
-        stop = start + (1 << (self.K - interval.level))
-        region_start = self.atom_count - (1 << (self.K - self.L))
-        return max(0, stop - max(start, region_start)) * self.atom_width
+    def _signed_mass(self, a: int, l: int, m: int) -> Fraction:
+        """D(a, l, m): the integral of (-1)^phi_m over the tower class a mod 2^l."""
+        if self.cocycle is None:
+            return _band_mass(a, l, m)
+        P = self._period_prefix
+        C = len(P) - 1
+
+        def phi_sum(N: int) -> int:  # phi(0) + ... + phi(N - 1)
+            return (N // C) * P[C] + P[N % C]
+
+        top = max(self.cocycle.level, l)
+        total = sum((-1) ** (phi_sum(r + m) - phi_sum(r)) for r in range(a, 2**top, 2**l))
+        return Fraction(total, 2**top)
 
 
 def cocycle_sum(atom: DyadicInterval, m: int, sys: SkewSystem) -> int | Boundary:
@@ -296,25 +283,20 @@ def cocycle_sum(atom: DyadicInterval, m: int, sys: SkewSystem) -> int | Boundary
         raise ValueError("m must be nonnegative")
     if m > sys.max_window():
         raise IndexTooLarge(f"window {m} exceeds 2^(K-4) = {sys.max_window()}")
-    if m == 0:
-        return 0
-    sys._build()
-    idx = np.array([sys._rev[atom.numerator]], dtype=np.int64)
-    parity, dirty = sys._window_parity_and_dirty(idx, m)
-    if dirty[0] > 0:
+    D = sys._signed_mass(_bit_reverse(atom.numerator, sys.K), sys.K, m)
+    if D == 0:
         return BOUNDARY
-    return int(parity[0])
+    return 0 if D > 0 else 1
 
 
 def skew_correlation(
     A: DyadicInterval, eps: int, eps2: int, m: int, sys: SkewSystem
 ) -> BoundedValue:
-    """mu x h ( T_phi^m (A x {eps}) cap (A x {eps2}) ), exact atom count.
+    """mu x h ( T_phi^m (A x {eps}) cap (A x {eps2}) ), exact.
 
-    Atoms whose window contains exactly one unresolvable cocycle read
-    contribute exactly half their fiber mass to each parity; windows with
-    two such reads (impossible for m <= 2^(K-4)) and the boundary region
-    intersected with A are charged to the error bound.
+    T^m maps the tower class of A into itself exactly when 2^level(A)
+    divides m; the fiber parities then split the mass |A|/2 by the
+    signed mass D of A.
     """
     if eps not in (0, 1) or eps2 not in (0, 1):
         raise ValueError("fiber points must be 0 or 1")
@@ -322,26 +304,13 @@ def skew_correlation(
         raise ValueError("m must be nonnegative")
     if m > sys.max_window():
         raise IndexTooLarge(f"shift {m} exceeds 2^(K-4) = {sys.max_window()}")
-    sys._build()
-    w = float(sys.atom_width)
-    atoms = sys.atom_indices(A)
-    if m == 0:
-        value = len(atoms) * w / 2 if eps == eps2 else 0.0
-        return BoundedValue(value=value, error_bound=0.0, exact=True)
-    M = sys.atom_count
-    idx = sys._rev[atoms]
-    target_atoms = sys._rev[(idx + m) % M]
-    shift = sys.K - A.level
-    in_A = (target_atoms >> shift) == A.numerator
-    parity, dirty = sys._window_parity_and_dirty(idx, m)
-    match = ((eps + parity) % 2) == eps2
-    clean = dirty == 0
-    split = dirty == 1
-    bad = dirty >= 2
-    value = w / 2 * (np.count_nonzero(clean & match & in_A)
-                     + 0.5 * np.count_nonzero(split & in_A))
-    eb = float(sys.region_overlap(A)) / 2 + w / 2 * int(np.count_nonzero(bad))
-    return BoundedValue(value=float(value), error_bound=eb, exact=False)
+    if A.level > sys.K:
+        raise ValueError("interval finer than the atom partition")
+    value = Fraction(0)
+    if m % 2**A.level == 0:
+        D = sys._signed_mass(_bit_reverse(A.numerator, A.level), A.level, m)
+        value = (A.width + D if eps == eps2 else A.width - D) / 4
+    return BoundedValue(value=float(value), error_bound=0.0, exact=True)
 
 
 @dataclass(frozen=True)
@@ -352,51 +321,31 @@ class SpectralCoefficient:
     function_tag: str
 
 
-def _g_tower(sys: SkewSystem, g: DyadicStep) -> np.ndarray:
-    if g.level > sys.K:
-        raise ValueError("step function finer than the atom partition")
-    sys._build()
-    key = (g.level, g.values)
-    cached = sys._g_cache.get(key)
-    if cached is None:
-        garr = np.asarray(g.values, dtype=np.float64)[sys._idx_all >> (sys.K - g.level)]
-        cached = garr[sys._rev]
-        if len(sys._g_cache) < 16:
-            sys._g_cache[key] = cached
-    return cached
-
-
 def spectral_coefficient(
     g: DyadicStep, fiber: str, n: int, sys: SkewSystem
 ) -> SpectralCoefficient:
     """<U^n f, f> for f = g (x) 1 or f = g (x) chi, chi(g) = (-1)^g.
 
-    For g (x) 1 this is the base-odometer correlation of g (exact).  For
-    g (x) chi the fiber character turns the Birkhoff parity into a sign:
-    sum over atoms of width * g(T^n x) g(x) * (-1)^{phi_n(x)}; atoms with
-    one unresolvable read contribute exactly 0 (their sign mass cancels).
+    For g (x) 1 this is the base-odometer correlation of g.  For g (x) chi
+    the fiber character turns the Birkhoff parity into a sign, so each
+    tower class r of g contributes g(r) g(r + n) D(r, level(g), n).
+    Pairing x with T^-n x reads the same windows, so c(-n) = c(n).
     """
     if fiber not in ("one", "chi"):
         raise ValueError("fiber must be 'one' or 'chi'")
     limit = 2 ** (sys.L - 4)
     if abs(n) > limit:
         raise IndexTooLarge(f"|n| must be <= 2^(L-4) = {limit}")
-    sys._build()
+    if g.level > sys.K:
+        raise ValueError("step function finer than the atom partition")
     tag = "g(x)1" if fiber == "one" else "g(x)chi"
-    w = float(sys.atom_width)
-    G = _g_tower(sys, g)
-    m = abs(n)
-    # n >= 0 pairs x with T^n x (forward windows); n < 0 pairs x with
-    # T^-m x, whose Birkhoff window starts m steps back in tower order.
-    prod = G * np.roll(G, -m if n >= 0 else m)
-    if fiber == "one":
-        value = w * float(prod.sum())
-        return SpectralCoefficient(index=n, value=value, error_bound=0.0, function_tag=tag)
-    signs = sys._full_window_signs(m)
-    if n < 0:
-        signs = np.roll(signs, m)  # window of index i starts at i - m
-    value = w * float((prod * signs).sum())
-    return SpectralCoefficient(index=n, value=value, error_bound=0.0, function_tag=tag)
+    m, G = abs(n), 2**g.level
+    tower = [Fraction(g.values[_bit_reverse(r, g.level)]) for r in range(G)]
+    value = Fraction(0)
+    for r in range(G):
+        weight = Fraction(1, G) if fiber == "one" else sys._signed_mass(r, g.level, m)
+        value += tower[r] * tower[(r + m) % G] * weight
+    return SpectralCoefficient(index=n, value=float(value), error_bound=0.0, function_tag=tag)
 
 
 def rigidity_sequence(

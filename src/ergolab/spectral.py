@@ -35,6 +35,7 @@ __all__ = [
     "SpectralReport",
     "WindowTooSmall",
     "InvalidTail",
+    "IndexGap",
     "spectral_report",
     "wiener_discrete_mass",
     "rajchman_probe",
@@ -58,6 +59,10 @@ class InvalidTail(SpectralError):
     pass
 
 
+class IndexGap(SpectralError):
+    pass
+
+
 @dataclass
 class CorrelationSequence:
     """sigma_hat values on a symmetric index window, with error bounds."""
@@ -71,6 +76,10 @@ class CorrelationSequence:
             raise ValueError("sequence must include n = 0")
         if self.values[0][0] <= 0:
             raise ValueError("sigma_hat(0) must be positive")
+        missing = next((n for n in range(min(self.values), max(self.values))
+                        if n not in self.values), None)
+        if missing is not None:
+            raise IndexGap(f"no value for index n = {missing}")
 
     @property
     def window(self) -> int:

@@ -159,15 +159,7 @@ def is_primitive(sub: Substitution) -> bool:
     Powers up to the Wielandt bound k^2 - 2k + 2 suffice; positivity
     patterns are tracked with boolean matrices so entries cannot overflow.
     """
-    k = sub.alphabet_size
-    pattern = (composition_matrix(sub) > 0).astype(np.uint8)
-    bound = k * k - 2 * k + 2
-    P = pattern.copy()
-    for _ in range(bound):
-        if P.all():
-            return True
-        P = ((P @ pattern) > 0).astype(np.uint8)
-    return bool(P.all())
+    return _matrix_is_primitive(composition_matrix(sub))
 
 
 def _matrix_is_primitive(M: np.ndarray) -> bool:

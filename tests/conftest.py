@@ -6,14 +6,10 @@ from ergolab.skew import SkewSystem
 @pytest.fixture(scope="session")
 def mn_system() -> SkewSystem:
     """The default working system (K=20, L=16), shared across tests."""
-    sys_ = SkewSystem(atom_level=20, boundary_cutoff=16)
-    sys_._build()
-    return sys_
+    return SkewSystem(atom_level=20, boundary_cutoff=16)
 
 
 @pytest.fixture(scope="session")
 def mn_small() -> SkewSystem:
     """A small system (K=12, L=8) for brute-force comparisons."""
-    sys_ = SkewSystem(atom_level=12, boundary_cutoff=8)
-    sys_._build()
-    return sys_
+    return SkewSystem(atom_level=12, boundary_cutoff=8)

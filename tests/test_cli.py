@@ -4,13 +4,23 @@ import sys
 
 import pytest
 
-from ergolab.cli import main
+from ergolab.cli import main, report_skew_rigidity, report_skew_spectrum
+from ergolab.skew import DyadicInterval, DyadicStep, SkewSystem
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN and +-Infinity, which are not JSON."""
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_heights_report(capsys):
@@ -178,17 +188,38 @@ def test_spectral_beurling_and_certify(tmp_path, capsys):
     }))
     code, out = run_cli(["spectral", "beurling", "--coeffs", str(coeffs)], capsys)
     assert code == 0
-    assert json.loads(out)["report"]["verdict"] == "holds"
+    report = strict_loads(out)["report"]
+    assert report["verdict"] == "holds"
+    assert report["final_partial_sum"] == "-inf"
     code, out = run_cli(["spectral", "certify", "--coeffs", str(coeffs)], capsys)
     assert code == 0
-    report = json.loads(out)["report"]
+    report = strict_loads(out)["report"]
     assert report["verdict"] == "singular"
     assert report["alpha_lower_bound"] == pytest.approx(0.3333)
     # voiding the weak-limit assertion voids the certificate
     code, out = run_cli(
         ["spectral", "certify", "--coeffs", str(coeffs), "--limit-is-power"], capsys
     )
-    assert json.loads(out)["report"]["verdict"] == "no certificate"
+    assert strict_loads(out)["report"]["verdict"] == "no certificate"
+
+
+def test_spectral_csv_gap_is_named_error(tmp_path, capsys):
+    csv_path = tmp_path / "gap.csv"
+    rows = ["n,value,error_bound"]
+    rows += [f"{n},{1.0 if n == 0 else 0.0},0.0" for n in range(65) if n != 7]
+    csv_path.write_text("\n".join(rows) + "\n")
+    code, out = run_cli(["spectral", "wiener", "--input", str(csv_path)], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "IndexGap"
+    assert "7" in error["message"]
+
+
+def test_skew_reports_label_custom_cocycle():
+    sys_ = SkewSystem(10, 10, DyadicStep(1, (0, 1)))
+    assert report_skew_rigidity(sys_, DyadicInterval(0, 0), 0, 2, 4)["system"] == "custom-cocycle"
+    assert report_skew_spectrum(sys_, "one", "chi", 4)["system"] == "custom-cocycle"
+    assert report_skew_spectrum(SkewSystem(10, 9), "one", "chi", 4)["system"] == "mathew-nadkarni"
 
 
 def test_error_record_preserves_module_error(capsys):

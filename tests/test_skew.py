@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.skew import (
     BOUNDARY,
@@ -12,6 +14,7 @@ from ergolab.skew import (
     DyadicStep,
     IndexTooLarge,
     SkewSystem,
+    _fold,
     cocycle_sum,
     mn_cocycle,
     odometer_map,
@@ -90,7 +93,7 @@ def test_tower_order_is_bit_reversal(mn_small):
 def test_phi_matches_scalar_cocycle(mn_small):
     K = mn_small.K
     for t in range(0, 2**K - 2, 7):
-        assert mn_small._phi_atom[t] == mn_cocycle(F(t, 2**K))
+        assert _fold(int(mn_small._rev[t]) + 1) == mn_cocycle(F(t, 2**K))
 
 
 # -- cocycle sums -----------------------------------------------------------------
@@ -170,6 +173,39 @@ def test_correlation_brute_force_oracle(mn_small):
                 value += F(1, 4 * M)
         got = skew_correlation(A, eps, eps2, m, mn_small)
         assert got.value == pytest.approx(float(value), abs=1e-12), (A, eps, eps2, m)
+
+
+@st.composite
+def custom_correlation_cases(draw):
+    K = 8
+    c = draw(st.integers(1, 3))
+    values = tuple(draw(st.lists(st.integers(0, 1), min_size=2**c, max_size=2**c)))
+    lev = draw(st.integers(0, 4))
+    A = DyadicInterval(draw(st.integers(0, 2**lev - 1)), lev)
+    eps, eps2 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    m = draw(st.integers(1, 2 ** (K - 4)))
+    return K, DyadicStep(c, values), A, eps, eps2, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(custom_correlation_cases())
+def test_custom_cocycle_correlation_oracle(case):
+    # exact sum over the level-K atoms of A, each iterated with the odometer
+    # and the cocycle read off every visited point
+    K, cocycle, A, eps, eps2, m = case
+    M = 2**K
+    lo = A.numerator << (K - A.level)
+    hi = lo + (1 << (K - A.level))
+    value = F(0)
+    for t in range(lo, hi):
+        x, total = F(t, M), 0
+        for _ in range(m):
+            total += int(cocycle.values[int(x * 2**cocycle.level)])
+            x = odometer_map(x)
+        if lo <= int(x * M) < hi and (eps + total) % 2 == eps2:
+            value += F(1, 2 * M)
+    got = skew_correlation(A, eps, eps2, m, SkewSystem(K, K, cocycle=cocycle))
+    assert got.value == float(value) and got.error_bound == 0.0
 
 
 def test_correlation_fiber_mass_vs_base(mn_small):
