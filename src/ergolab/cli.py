@@ -129,17 +129,16 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
     if not primitive:
         return report
     data = substitution.perron(M, tol=tol)
-    pair = substitution.pair_substitution(sub)
-    freqs = substitution.block_frequencies(sub, tol=tol)
-    rig = substitution.rigidity_constant(sub, tol=tol)
+    freqs = substitution.block_frequencies(sub, tol=tol)  # keys in block-alphabet order
+    rig = substitution._rigidity_from(freqs, data)
     report.update(
         {
             "theta": data.theta,
             "letter_frequencies": data.letter_freq.tolist(),
             "perron_residual": data.residual,
             "letter_limit_norms": [float(np.abs(v).sum()) for v in data.letter_limits],
-            "block_alphabet": [substitution.word_to_str(b) for b in pair.block_alphabet],
-            "block_frequencies": {substitution.word_to_str(b): f for b, f in sorted(freqs.items())},
+            "block_alphabet": [substitution.word_to_str(b) for b in freqs],
+            "block_frequencies": {substitution.word_to_str(b): f for b, f in freqs.items()},
             "marginal_check": {
                 str(a): sum(f for (x, _), f in freqs.items() if x == a)
                 for a in range(sub.alphabet_size)
@@ -166,9 +165,10 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
             ),
         }
     if prefix_len:
+        prefix = substitution.fixed_point_prefix(sub, prefix_len)
         checks = {}
-        for b, f in sorted(freqs.items()):
-            emp = substitution.empirical_correlation(sub, b, 0, prefix_len)
+        for b, f in freqs.items():
+            emp = substitution.prefix_correlation(prefix, b, 0)
             checks[substitution.word_to_str(b)] = {
                 "empirical": emp,
                 "eigenvector": f,
@@ -267,12 +267,12 @@ def report_skew_correlate(sys_: SkewSystem, A, eps, eps2, m) -> dict:
 
 def report_skew_spectrum(sys_: SkewSystem, g_name, fiber, window) -> dict:
     g = _G_PRESETS[g_name]
-    rows = []
-    for n in range(-window, window + 1):
-        c = skew.spectral_coefficient(g, fiber, n, sys_)
-        rows.append({"n": n, "value": c.value, "error_bound": c.error_bound})
-    pos = {r["n"]: (r["value"], r["error_bound"]) for r in rows if r["n"] >= 0}
-    corr = CorrelationSequence(pos, source=f"{g_name}:{fiber}")
+    # c(-n) = c(n) exactly, so each |n| is computed once
+    coeffs = [skew.spectral_coefficient(g, fiber, n, sys_) for n in range(window + 1)]
+    rows = [{"n": n, "value": coeffs[abs(n)].value, "error_bound": coeffs[abs(n)].error_bound}
+            for n in range(-window, window + 1)]
+    corr = CorrelationSequence({c.index: (c.value, c.error_bound) for c in coeffs},
+                               source=f"{g_name}:{fiber}")
     report = {
         **_skew_header(sys_),
         "function": f"{g_name}:{fiber}",

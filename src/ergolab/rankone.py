@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -261,23 +262,17 @@ class _PairCountEngine:
         return total
 
 
-_ENGINE_CACHE: dict[tuple, _PairCountEngine] = {}
-_ENGINE_CACHE_MAX = 256
-
-
 def _engine(spec: RankOneSpec, k: int, levels_a: Sequence[int], levels_b: Sequence[int]) -> _PairCountEngine:
     # pair counts are invariant under joint translation of both level sets
     shift = min(min(levels_a), min(levels_b))
     a = tuple(sorted(l - shift for l in levels_a))
     b = tuple(sorted(l - shift for l in levels_b))
-    key = (spec.stages, k, a, b)
-    eng = _ENGINE_CACHE.get(key)
-    if eng is None:
-        if len(_ENGINE_CACHE) >= _ENGINE_CACHE_MAX:
-            _ENGINE_CACHE.clear()
-        eng = _PairCountEngine(spec, k, a, b)
-        _ENGINE_CACHE[key] = eng
-    return eng
+    return _cached_engine(spec.stages, k, a, b)
+
+
+@lru_cache(maxsize=256)
+def _cached_engine(stages: tuple, k: int, a: tuple[int, ...], b: tuple[int, ...]) -> _PairCountEngine:
+    return _PairCountEngine(RankOneSpec(stages), k, a, b)
 
 
 def _check_level_set(spec: RankOneSpec, A: LevelSet, N: int, hs: Sequence[int]) -> None:

@@ -178,30 +178,26 @@ def _fold(n: int) -> int:
     return (n >> (n & -n).bit_length()) & 1
 
 
-def _band_mass(a: int, l: int, m: int) -> Fraction:
-    """D(a, l, m) for the band cocycle phi(z) = fold(z + 1)."""
-    memo: dict[tuple[int, int, int], Fraction] = {}
-
-    def D(a: int, l: int, m: int) -> Fraction:
-        if m == 0:
-            return Fraction(1, 2**l)
-        key = (a, l, m)
-        if key not in memo:
-            if l < 2:  # the digit step reads z mod 4
-                memo[key] = sum((D(a + (k << l), 2, m) for k in range(1 << (2 - l))), Fraction(0))
-            elif m == 1:
-                n = (a + 1) % 2**l
-                # fold(z + 1) reads bit l of z when 2^(l-1) divides z + 1
-                undetermined = n % 2 ** (l - 1) == 0
-                memo[key] = Fraction(0) if undetermined else Fraction((-1) ** _fold(n), 2**l)
-            else:
-                # n in (z, z + m]: odd n add bit 1 of n (one per n = 3 mod 4),
-                # even n = 2n' add fold(n') with n' in (z >> 1, (z + m) >> 1]
-                flips = ((a + m + 1) >> 2) - ((a + 1) >> 2)
-                memo[key] = (-1) ** flips * D(a >> 1, l - 1, ((a & 1) + m) >> 1) / 2
-        return memo[key]
-
-    return D(a, l, m)
+def _band_mass(a: int, l: int, m: int, memo: dict) -> Fraction:
+    """D(a, l, m) for the band cocycle phi(z) = fold(z + 1), memoized in `memo`."""
+    if m == 0:
+        return Fraction(1, 2**l)
+    key = (a, l, m)
+    if key not in memo:
+        if l < 2:  # the digit step reads z mod 4
+            memo[key] = sum((_band_mass(a + (k << l), 2, m, memo) for k in range(1 << (2 - l))),
+                            Fraction(0))
+        elif m == 1:
+            n = (a + 1) % 2**l
+            # fold(z + 1) reads bit l of z when 2^(l-1) divides z + 1
+            undetermined = n % 2 ** (l - 1) == 0
+            memo[key] = Fraction(0) if undetermined else Fraction((-1) ** _fold(n), 2**l)
+        else:
+            # n in (z, z + m]: odd n add bit 1 of n (one per n = 3 mod 4),
+            # even n = 2n' add fold(n') with n' in (z >> 1, (z + m) >> 1]
+            flips = ((a + m + 1) >> 2) - ((a + 1) >> 2)
+            memo[key] = (-1) ** flips * _band_mass(a >> 1, l - 1, ((a & 1) + m) >> 1, memo) / 2
+    return memo[key]
 
 
 class SkewSystem:
@@ -242,10 +238,6 @@ class SkewSystem:
     def atom_count(self) -> int:
         return 2**self.K
 
-    @property
-    def atom_width(self) -> Fraction:
-        return Fraction(1, 2**self.K)
-
     def max_window(self) -> int:
         return 2 ** (self.K - 4)
 
@@ -256,10 +248,13 @@ class SkewSystem:
         start = interval.numerator << (self.K - interval.level)
         return np.arange(start, start + count, dtype=np.int64)
 
-    def _signed_mass(self, a: int, l: int, m: int) -> Fraction:
-        """D(a, l, m): the integral of (-1)^phi_m over the tower class a mod 2^l."""
+    def _signed_mass(self, a: int, l: int, m: int, memo: dict | None = None) -> Fraction:
+        """D(a, l, m): the integral of (-1)^phi_m over the tower class a mod 2^l.
+
+        Calls that pass one `memo` share the band recursion's values.
+        """
         if self.cocycle is None:
-            return _band_mass(a, l, m)
+            return _band_mass(a, l, m, {} if memo is None else memo)
         P = self._period_prefix
         C = len(P) - 1
 
@@ -342,8 +337,9 @@ def spectral_coefficient(
     m, G = abs(n), 2**g.level
     tower = [Fraction(g.values[_bit_reverse(r, g.level)]) for r in range(G)]
     value = Fraction(0)
+    memo: dict = {}  # the classes of g meet at the same coarser classes
     for r in range(G):
-        weight = Fraction(1, G) if fiber == "one" else sys._signed_mass(r, g.level, m)
+        weight = Fraction(1, G) if fiber == "one" else sys._signed_mass(r, g.level, m, memo)
         value += tower[r] * tower[(r + m) % G] * weight
     return SpectralCoefficient(index=n, value=float(value), error_bound=0.0, function_tag=tag)
 

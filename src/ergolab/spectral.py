@@ -32,11 +32,9 @@ __all__ = [
     "RajchmanStats",
     "TranslationEstimate",
     "CertificateReport",
-    "SpectralReport",
     "WindowTooSmall",
     "InvalidTail",
     "IndexGap",
-    "spectral_report",
     "wiener_discrete_mass",
     "rajchman_probe",
     "translation_probe",
@@ -108,14 +106,6 @@ class CorrelationSequence:
                 vals[n] = (v, e)
         return cls(vals, source=source if source is not None else path)
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "value", "error_bound"])
-            for n in sorted(self.values):
-                v, e = self.values[n]
-                writer.writerow([n, repr(v), repr(e)])
-
 
 def wiener_discrete_mass(corr: CorrelationSequence, N: int | None = None) -> float:
     """Cesaro average (1/N) sum_{n=1..N} |sigma_hat(n)|^2.
@@ -127,6 +117,8 @@ def wiener_discrete_mass(corr: CorrelationSequence, N: int | None = None) -> flo
         N = corr.window
     if N < 32:
         raise WindowTooSmall("need a window of at least 32 coefficients")
+    if N > corr.window:
+        raise WindowTooSmall(f"N = {N} exceeds the window {corr.window}")
     total = 0.0
     for n in range(1, N + 1):
         total += corr.value(n) ** 2
@@ -184,6 +176,9 @@ def translation_probe(
     need = max(times) + j_window
     if need > corr.window:
         raise WindowTooSmall(f"window {corr.window} too small for max time + j_window = {need}")
+    low = min(times) - j_window
+    if low < min(corr.values):
+        raise WindowTooSmall(f"no value below n = {min(corr.values)} for min time - j_window = {low}")
     out: dict[int, TranslationEstimate] = {}
     for j in range(-j_window, j_window + 1):
         seq = [corr.value(n + j) for n in times]
@@ -424,40 +419,6 @@ class CertificateReport:
     beurling: BeurlingReport
     nonpower_asserted: bool
     notes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Aggregation record over one correlation sequence."""
-
-    wiener_mass: float
-    wiener_half_window: float
-    rajchman: RajchmanStats
-    translation: dict[int, TranslationEstimate] | None
-    certificate: "CertificateReport | None"
-
-
-def spectral_report(
-    corr: CorrelationSequence,
-    times: Sequence[int] | None = None,
-    j_window: int = 3,
-    coeffs: WeakLimitCoefficients | None = None,
-    n_max: int = 600,
-    limit_is_nonpower: bool = True,
-) -> SpectralReport:
-    """Bundle the probes for one sequence (plus an optional certificate)."""
-    W = corr.window
-    return SpectralReport(
-        wiener_mass=wiener_discrete_mass(corr),
-        wiener_half_window=wiener_discrete_mass(corr, max(32, W // 2)),
-        rajchman=rajchman_probe(corr),
-        translation=translation_probe(corr, times, j_window) if times else None,
-        certificate=(
-            singularity_certificate(coeffs, n_max, limit_is_nonpower=limit_is_nonpower)
-            if coeffs is not None
-            else None
-        ),
-    )
 
 
 def singularity_certificate(

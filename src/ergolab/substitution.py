@@ -6,7 +6,9 @@ substitution is primitive (some power maps every letter to a word
 containing every letter), the associated subshift is uniquely ergodic and
 all frequency questions reduce to Perron-Frobenius data of the
 composition matrix M, whose entry (i, j) counts occurrences of letter i
-in the image of letter j:
+in the image of letter j.  The data come from one eigen-decomposition
+of M and one of its transpose, and are accepted only when the residual
+||M right - theta right||_inf is at most tol * max(1, theta):
 
   * letter frequencies  = l1-normalized right Perron eigenvector of M,
   * per-letter limits   v(a) = lim M^n e_a / theta^n, realized here as
@@ -84,10 +86,6 @@ class Substitution:
         for s in word:
             out.extend(self.images[s])
         return tuple(out)
-
-    @property
-    def is_constant_length(self) -> bool:
-        return len({len(w) for w in self.images}) == 1
 
     @property
     def is_fixed_point_capable(self) -> bool:
@@ -184,41 +182,36 @@ class PerronData:
     residual: float
 
 
-def _power_iterate(M: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair by power iteration from the uniform vector.
+def _dominant_eigenvector(A: np.ndarray) -> tuple[float, np.ndarray]:
+    """Eigenvalue of largest modulus and its eigenvector, normalized to sum 1.
 
-    Stops once the residual ||Mv - theta v||_inf drops below tol.
+    For a primitive matrix that eigenvalue is simple and real, and its
+    eigenvector has entries of one sign.
     """
-    k = M.shape[0]
-    A = M.astype(float)
-    v = np.full(k, 1.0 / k)
-    theta = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        theta = float(w.sum())  # v has l1-norm 1 and positive entries
-        if theta <= 0:
-            raise NoConvergence("iteration collapsed to the zero vector")
-        v = w / theta
-        residual = float(np.abs(A @ v - theta * v).max())
-        if residual <= tol * max(1.0, theta):
-            return theta, v
-    raise NoConvergence(f"power iteration did not reach tol={tol}")
+    eigvals, eigvecs = np.linalg.eig(A)
+    i = int(np.argmax(np.abs(eigvals)))
+    v = eigvecs[:, i].real
+    return float(eigvals[i].real), v / v.sum()
 
 
-def perron(M: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> PerronData:
+def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
     """Perron-Frobenius data of a primitive nonnegative integer matrix.
 
-    The right eigenvector is normalized to l1-sum 1 (letter frequencies);
-    the left eigenvector is scaled so that left . right = 1, which makes
-    v(a) = left[a] * right the limit of M^n e_a / theta^n.  For
-    constant-column-sum matrices (constant-length substitutions) theta is
-    the exact integer column sum.
+    theta and the right eigenvector come from one eigen-decomposition of
+    M, the left eigenvector from one of M.T.  The right eigenvector is
+    normalized to l1-sum 1 (letter frequencies); the left eigenvector is
+    scaled so that left . right = 1, which makes v(a) = left[a] * right the
+    limit of M^n e_a / theta^n.  For constant-column-sum matrices
+    (constant-length substitutions) theta is the exact integer column sum.
+    NoConvergence is raised when the residual ||M right - theta right||_inf
+    exceeds tol * max(1, theta), or when a vector is not strictly positive.
     """
     M = np.asarray(M)
     if not _matrix_is_primitive(M):
         raise NotPrimitive("matrix has no entrywise-positive power")
-    theta, right = _power_iterate(M, tol, max_iter)
-    _, left_raw = _power_iterate(M.T, tol, max_iter)
+    A = M.astype(float)
+    theta, right = _dominant_eigenvector(A)
+    _, left_raw = _dominant_eigenvector(A.T)
 
     col_sums = M.sum(axis=0)
     if np.all(col_sums == col_sums[0]):
@@ -227,7 +220,9 @@ def perron(M: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> PerronDa
     left = left_raw / float(left_raw @ right)
     letter_freq = right.copy()  # already l1-normalized
     limits = tuple(left[a] * right for a in range(M.shape[0]))
-    residual = float(np.abs(M.astype(float) @ right - theta * right).max())
+    residual = float(np.abs(A @ right - theta * right).max())
+    if residual > tol * max(1.0, theta):
+        raise NoConvergence(f"Perron residual {residual:.3e} exceeds tol={tol}")
     if right.min() <= 0 or left.min() <= 0:
         raise NoConvergence("eigenvector failed strict positivity")
     return PerronData(theta, right, left, letter_freq, limits, residual)
@@ -335,38 +330,44 @@ def rigidity_constant(sub: Substitution, tol: float = 1e-12) -> RigidityConstant
     Blocks (aa) absent from the language contribute frequency 0; ties are
     broken toward the smallest letter.
     """
-    if not is_primitive(sub):
-        raise NotPrimitive("rigidity constant requires primitivity")
     freqs = block_frequencies(sub, tol=tol)
-    diag = [freqs.get((a, a), 0.0) for a in range(sub.alphabet_size)]
+    return _rigidity_from(freqs, perron(composition_matrix(sub), tol=tol))
+
+
+def _rigidity_from(freqs: dict[Block, float], data: PerronData) -> RigidityConstant:
+    """The rigidity constant from the 2-block frequencies and the Perron data of M."""
+    diag = [freqs.get((a, a), 0.0) for a in range(len(data.right_vec))]
     r = max(diag)
     witness = diag.index(r)
-    data = perron(composition_matrix(sub), tol=tol)
     rho = float(np.abs(data.letter_limits[witness]).sum())
     return RigidityConstant(r=r, rho=rho, alpha=r * rho, witness_letter=witness)
+
+
+def prefix_correlation(prefix: np.ndarray, block: Iterable[int], shift: int) -> float:
+    """Fraction of prefix positions carrying `block` at both p and p+shift.
+
+    At shift 0 it is the empirical frequency of the block itself.
+    """
+    block = _as_word(block)
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
+    n = len(prefix)
+    L = len(block)
+    if n <= shift + L:
+        raise PrefixTooShort(f"need prefix_len > shift + block length = {shift + L}")
+    occ = np.ones(n - L + 1, dtype=bool)
+    for off, sym in enumerate(block):
+        occ &= prefix[off : n - L + 1 + off] == sym
+    limit = n - shift - L
+    hits = occ[:limit] & occ[shift : shift + limit]
+    return float(hits.sum()) / limit
 
 
 def empirical_correlation(
     sub: Substitution, block: Iterable[int], shift: int, prefix_len: int
 ) -> float:
-    """Fraction of prefix positions carrying `block` at both p and p+shift.
+    """`prefix_correlation` on the first `prefix_len` symbols of the fixed point.
 
-    Brute-force counterpart of the eigenvector frequencies: at shift 0 it
-    is the empirical frequency of the block itself.
+    Brute-force counterpart of the eigenvector frequencies.
     """
-    block = _as_word(block)
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    if prefix_len <= shift + len(block):
-        raise PrefixTooShort(
-            f"need prefix_len > shift + block length = {shift + len(block)}"
-        )
-    arr = fixed_point_prefix(sub, prefix_len)
-    L = len(block)
-    n = prefix_len
-    occ = np.ones(n - L + 1, dtype=bool)
-    for off, sym in enumerate(block):
-        occ &= arr[off : n - L + 1 + off] == sym
-    limit = n - shift - L
-    hits = occ[:limit] & occ[shift : shift + limit]
-    return float(hits.sum()) / limit
+    return prefix_correlation(fixed_point_prefix(sub, prefix_len), block, shift)

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from ergolab.cli import main, report_skew_rigidity, report_skew_spectrum
+from ergolab.cli import main, report_skew_rigidity, report_skew_spectrum, report_subst_analyze
 from ergolab.skew import DyadicInterval, DyadicStep, SkewSystem
+from ergolab.substitution import RUDIN_SHAPIRO, THREE_LETTER, empirical_correlation
 
 
 def run_cli(args, capsys):
@@ -57,6 +58,16 @@ def test_subst_analyze_three_letter_reference_comparison(capsys):
     assert comp["discrepancy_flagged"] is True
     assert comp["reference_alpha"] == pytest.approx(3.104979673e-8)
     assert comp["computed_alpha"] == report["rigidity_constant"]["alpha"]
+
+
+def test_subst_analyze_empirical_check_matches_empirical_correlation():
+    for sub in (RUDIN_SHAPIRO, THREE_LETTER):
+        report = report_subst_analyze(sub, 1e-12, 3000)
+        rows = report["empirical_check"]["blocks"]
+        assert list(rows) == report["block_alphabet"]
+        for name, row in rows.items():
+            block = tuple(int(c) for c in name)
+            assert row["empirical"] == empirical_correlation(sub, block, 0, 3000)
 
 
 def test_subst_file_input(tmp_path, capsys):
@@ -213,6 +224,34 @@ def test_spectral_csv_gap_is_named_error(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "IndexGap"
     assert "7" in error["message"]
+
+
+def _write_series(path, indices):
+    rows = ["n,value,error_bound"] + [f"{n},{1.0 if n == 0 else 0.5},0.0" for n in indices]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_spectral_wiener_window_beyond_data_is_named_error(tmp_path, capsys):
+    csv_path = tmp_path / "short.csv"
+    _write_series(csv_path, range(-64, 65))
+    code, out = run_cli(["spectral", "wiener", "--input", str(csv_path), "--window", "100"], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "WindowTooSmall"
+    assert "64" in error["message"]
+
+
+def test_spectral_translate_below_data_is_named_error(tmp_path, capsys):
+    csv_path = tmp_path / "one_sided.csv"
+    _write_series(csv_path, range(65))
+    code, out = run_cli(
+        ["spectral", "translate", "--input", str(csv_path), "--times", "1,2,3", "--j-window", "3"],
+        capsys,
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "WindowTooSmall"
+    assert "-2" in error["message"]
 
 
 def test_skew_reports_label_custom_cocycle():

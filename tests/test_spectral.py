@@ -14,7 +14,6 @@ from ergolab.spectral import (
     beurling_check,
     rajchman_probe,
     singularity_certificate,
-    spectral_report,
     translation_probe,
     wiener_discrete_mass,
 )
@@ -39,6 +38,8 @@ def test_wiener_convex_combination(lam):
 def test_wiener_window_guard():
     with pytest.raises(WindowTooSmall):
         wiener_discrete_mass(synthetic(0.5, window=16))
+    with pytest.raises(WindowTooSmall):
+        wiener_discrete_mass(synthetic(0.5, window=64), 100)
 
 
 # -- Rajchman probe ----------------------------------------------------------------
@@ -46,6 +47,7 @@ def test_wiener_window_guard():
 
 def test_rajchman_extremes():
     assert rajchman_probe(synthetic(0.0)).outer_quartile_max == 0.0
+    assert rajchman_probe(synthetic(0.5)).outer_quartile_max == 0.5
     assert rajchman_probe(synthetic(1.0)).outer_quartile_max == 1.0
 
 
@@ -70,6 +72,8 @@ def test_translation_probe_dirac_and_lebesgue():
     leb = translation_probe(synthetic(0.0, window=300), times, 3)
     for est in leb.values():
         assert est.limit == 0.0
+    mixed = translation_probe(synthetic(0.5, window=128), [16, 32, 64], 2)
+    assert mixed[0].limit == 0.5
 
 
 def test_translation_probe_alternating_eigenvalue():
@@ -97,6 +101,9 @@ def test_translation_probe_recovers_planted_coefficients():
 def test_translation_probe_window_guard():
     with pytest.raises(WindowTooSmall):
         translation_probe(synthetic(0.5, window=64), [128], 2)
+    one_sided = CorrelationSequence.from_pairs([(n, 1.0) for n in range(65)])
+    with pytest.raises(WindowTooSmall):
+        translation_probe(one_sided, [1, 2, 3], 3)
 
 
 # -- coefficient sets -------------------------------------------------------------------
@@ -195,22 +202,6 @@ def test_beurling_verdict_invariances(scale, shift):
             {k + shift: a for k, a in base.support.items()}, base.tail
         )
         assert beurling_check(translated).verdict == want
-
-
-# -- aggregation report ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
-def test_spectral_report_bundles_probes(lam):
-    corr = synthetic(lam, window=128)
-    rep = spectral_report(corr, times=[16, 32, 64], j_window=2, coeffs=ONE_SIDED)
-    # Wiener mass never exceeds sigma_hat(0)^2
-    assert 0.0 <= rep.wiener_mass <= corr.value(0) ** 2 + 1e-12
-    assert rep.rajchman.outer_quartile_max == lam
-    assert rep.translation[0].limit == lam
-    assert rep.certificate.verdict == "singular"
-    plain = spectral_report(corr)
-    assert plain.translation is None and plain.certificate is None
 
 
 # -- certificate -------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergolab.substitution import (
@@ -138,6 +138,36 @@ def test_letter_limits_match_iterative_oracle():
         P = np.linalg.matrix_power(M, n) / data.theta**n
         for a, v in enumerate(data.letter_limits):
             assert np.allclose(P[:, a], v, atol=1e-6), (sub.name, a)
+
+
+@st.composite
+def primitive_substitutions(draw):
+    k = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(2, 4))] * k
+    else:
+        lengths = draw(st.lists(st.integers(2, 4), min_size=k, max_size=k))
+    images = tuple(
+        tuple(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))) for n in lengths
+    )
+    sub = Substitution(k, images)
+    assume(is_primitive(sub))
+    return sub
+
+
+@settings(max_examples=60, deadline=None)
+@given(primitive_substitutions())
+def test_perron_residual_and_limits_on_random_substitutions(sub):
+    tol = 1e-12
+    M = composition_matrix(sub).astype(float)
+    data = perron(composition_matrix(sub), tol=tol)
+    residual = np.abs(M @ data.right_vec - data.theta * data.right_vec).max()
+    assert residual <= tol * max(1.0, data.theta)
+    # M^n e_a / theta^n; |lambda_2| / theta reaches ~0.985 in this family,
+    # so n = 2^14 leaves a truncation error far below the tolerance
+    P = np.linalg.matrix_power(M / data.theta, 2**14)
+    for a, v in enumerate(data.letter_limits):
+        assert np.allclose(P[:, a], v, atol=1e-6), (sub.images, a)
 
 
 def test_perron_constant_length_limit_norms_are_one():
