@@ -397,6 +397,8 @@ def _cmd_subst_analyze(args):
 
 def _cmd_subst_correlate(args):
     sub = load_substitution(args.system)
+    if args.prefix_len > MAX_WINDOW:
+        raise ParseError(f"prefix length capped at {MAX_WINDOW}")
     _emit(report_subst_correlate(sub, _parse_block(args.block), args.shift, args.prefix_len), args)
 
 

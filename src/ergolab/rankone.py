@@ -9,7 +9,8 @@ j-th copy, so heights satisfy
 
 Level widths are 1 / prod(p_i) as exact rationals; mass is left
 unnormalized (total mass may exceed 1) because correlation ratios are
-normalization-invariant.
+normalization-invariant.  A `RankOneSpec` computes its heights and its
+per-stage level widths once, on first use, and every query reads them.
 
 Correlations mu(T^m A cap A) for a union A of stage-k levels are pure
 combinatorics of the stage-N column word: a stage-k level l occupies the
@@ -21,17 +22,22 @@ copies inside the stage-N column.  Pair counts
 over the stage-j word obey a recursion across one cutting stage (copies
 of the stage-(j-1) word sit at known offsets, spacer runs carry no
 occurrences), which this module evaluates with exact integers and
-memoization; no column word is ever materialized.  Points whose m-step
-image leaves the stage-N column are charged wholly to the error bound
-m * level_width, which vanishes as N grows.
+memoization, visiting only the copy-offset differences D that keep
+|delta - D| inside the stage-(j-1) word; no column word is ever
+materialized.  Points whose m-step image leaves the stage-N column are
+charged wholly to the error bound m * level_width, which vanishes as N
+grows.  Pair counts and set measures are invariant under translating a
+level set, so `rigidity_scan` evaluates one bound per translation class
+of its sets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -97,6 +103,24 @@ class RankOneSpec:
     def num_stages(self) -> int:
         return len(self.stages)
 
+    @cached_property
+    def stage_heights(self) -> tuple[int, ...]:
+        """h_0 = 1 and one height per stage, computed once per schedule."""
+        hs = [1]
+        for p, spacers in self.stages:
+            hs.append(p * hs[-1] + sum(spacers))
+        return tuple(hs)
+
+    @cached_property
+    def stage_widths(self) -> tuple[Fraction, ...]:
+        """Level width 1 / (p_0 ... p_{N-1}) of the stage-N tower, for each N."""
+        widths = [Fraction(1)]
+        copies = 1
+        for p, _ in self.stages:
+            copies *= p
+            widths.append(Fraction(1, copies))
+        return tuple(widths)
+
     @classmethod
     def from_lines(cls, lines: Iterable[str], name: str | None = None) -> "RankOneSpec":
         """Parse the `p: a_1 a_2 ... a_p` one-line-per-stage format."""
@@ -142,19 +166,13 @@ def historical_chacon_spec(K: int) -> RankOneSpec:
 
 def heights(spec: RankOneSpec) -> list[int]:
     """h_0 = 1 and one value per constructed stage (exact integers)."""
-    hs = [1]
-    for p, spacers in spec.stages:
-        hs.append(p * hs[-1] + sum(spacers))
-    return hs
+    return list(spec.stage_heights)
 
 
 def level_width(spec: RankOneSpec, N: int) -> Fraction:
     if N < 0 or N > spec.num_stages:
         raise StageOutOfRange(f"stage {N} outside 0..{spec.num_stages}")
-    w = Fraction(1)
-    for p, _ in spec.stages[:N]:
-        w /= p
-    return w
+    return spec.stage_widths[N]
 
 
 @dataclass(frozen=True)
@@ -231,13 +249,13 @@ class _PairCountEngine:
     def __init__(self, spec: RankOneSpec, k: int, levels_a: Sequence[int], levels_b: Sequence[int]):
         self.spec = spec
         self.k = k
-        self.hs = heights(spec)
-        self.offsets = _stage_offsets(spec, self.hs)
-        # offset-difference multisets per stage, for collapsing copy pairs
-        self.delta_multisets: list[tuple[tuple[int, int], ...]] = []
-        for c in self.offsets:
-            ctr = Counter(ct - cr for cr in c for ct in c)
-            self.delta_multisets.append(tuple(sorted(ctr.items())))
+        self.hs = spec.stage_heights
+        # offset-difference multisets per stage, for collapsing copy pairs:
+        # the sorted differences D and, in parallel, their multiplicities
+        self.delta_multisets: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for c in _stage_offsets(spec, self.hs):
+            ctr = sorted(Counter(ct - cr for cr in c for ct in c).items())
+            self.delta_multisets.append((tuple(d for d, _ in ctr), tuple(n for _, n in ctr)))
         base = Counter(b - a for a in levels_a for b in levels_b)
         self._memo: dict[tuple[int, int], int] = {
             (k, d): int(c) for d, c in base.items()
@@ -252,12 +270,14 @@ class _PairCountEngine:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        total = 0
         h_prev = self.hs[j - 1]
-        for D, mult in self.delta_multisets[j - 1]:
-            d2 = delta - D
-            if -h_prev < d2 < h_prev:
-                total += mult * self.count(j - 1, d2)
+        ds, mults = self.delta_multisets[j - 1]
+        # only differences with |delta - D| < h_prev meet the stage-(j-1) word
+        lo = bisect_right(ds, delta - h_prev)
+        hi = bisect_left(ds, delta + h_prev, lo)
+        total = 0
+        for i in range(lo, hi):
+            total += mults[i] * self.count(j - 1, delta - ds[i])
         self._memo[key] = total
         return total
 
@@ -301,7 +321,7 @@ def correlation_count(
     """#{positions x : trace(x) in A, trace(x+m) in B} in the stage-N word."""
     if A.stage != B.stage:
         raise ValueError("cross-correlation requires a common set stage")
-    hs = heights(spec)
+    hs = spec.stage_heights
     _check_level_set(spec, A, N, hs)
     _check_level_set(spec, B, N, hs)
     eng = _engine(spec, A.stage, A.levels, B.levels)
@@ -312,11 +332,11 @@ def level_correlation(spec: RankOneSpec, N: int, A: LevelSet, m: int) -> Bounded
     """mu(T^m A cap A) with the in-tower count exact and the top window
     (positions whose m-step image leaves stage-N knowledge) charged to
     error_bound = m * level_width."""
-    hs = heights(spec)
+    hs = spec.stage_heights
     _check_level_set(spec, A, N, hs)
     if m < 0 or m >= hs[N]:
         raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
-    w = level_width(spec, N)
+    w = spec.stage_widths[N]
     if m == 0:
         mass = occurrence_count(spec, N, A) * w
         return BoundedValue(value=float(mass), error_bound=0.0, exact=True)
@@ -363,7 +383,7 @@ def weak_limit_estimate(
         raise ValueError("need 0 <= n_start <= n_stop")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    hs = heights(spec)
+    hs = spec.stage_heights
     N = n_stop + margin
     if N > spec.num_stages:
         raise StageOutOfRange(
@@ -400,7 +420,10 @@ def rigidity_scan(
     """Certified rigidity lower bound witnessed by the given shifts/sets.
 
     Returns min over sets of max over shifts of (value - error)/mu(A);
-    every shift must be positive (m = 0 would trivially certify 1).
+    every shift must be positive (m = 0 would trivially certify 1).  Both
+    value and mu(A) are invariant under translating A's levels, so the
+    bound is evaluated once per class (stage, levels - min(levels)); every
+    set is still checked against its tower.
     """
     if N is None:
         N = spec.num_stages
@@ -408,12 +431,16 @@ def rigidity_scan(
         raise ValueError("need at least one shift and one set")
     if any(m <= 0 for m in shifts):
         raise ShiftOutOfRange("rigidity shifts must be positive")
-    worst = float("inf")
+    bounds: dict[tuple[int, tuple[int, ...]], float] = {}
     for A in sets:
+        key = (A.stage, tuple(l - A.levels[0] for l in A.levels))
+        if key in bounds:
+            _check_level_set(spec, A, N, spec.stage_heights)
+            continue
         mu = float(level_measure(spec, N, A))
         best = -float("inf")
         for m in shifts:
             bv = level_correlation(spec, N, A, m)
             best = max(best, (bv.value - bv.error_bound) / mu)
-        worst = min(worst, best)
-    return worst
+        bounds[key] = best
+    return min(bounds.values())

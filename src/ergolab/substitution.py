@@ -234,17 +234,20 @@ def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
         raise ValueError("length must be positive")
     if not sub.is_fixed_point_capable:
         raise NotFixedPointCapable("image of 0 must start with 0 and grow")
-    w: list[int] = [0]
+    lens = np.array([len(img) for img in sub.images], dtype=np.int64)
+    flat = np.array([s for img in sub.images for s in img], dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    w = np.zeros(1, dtype=np.int64)
     while len(w) < length:
-        nxt: list[int] = []
-        for s in w:
-            nxt.extend(sub.images[s])
-            if len(nxt) >= length:
-                break
-        if len(nxt) <= len(w):
+        ends = np.cumsum(lens[w])
+        # expand only up to the first letter whose image reaches `length`
+        used = int(np.searchsorted(ends, length)) + 1
+        w, ends = w[:used], ends[:used]
+        if ends[-1] <= len(w):
             raise NotFixedPointCapable("prefix stopped growing")
-        w = nxt
-    return np.asarray(w[:length], dtype=np.int64)
+        sizes = lens[w]
+        w = flat[np.repeat(starts[w] - (ends - sizes), sizes) + np.arange(ends[-1])]
+    return w[:length]
 
 
 def word_to_str(word: Iterable[int]) -> str:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ergolab
 from ergolab.cli import main, report_skew_rigidity, report_skew_spectrum, report_subst_analyze
 from ergolab.skew import DyadicInterval, DyadicStep, SkewSystem
 from ergolab.substitution import RUDIN_SHAPIRO, THREE_LETTER, empirical_correlation
@@ -94,6 +97,18 @@ def test_subst_correlate_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["report"]["correlation"] == pytest.approx(0.125, abs=5e-3)
+
+
+def test_subst_correlate_prefix_len_is_capped(capsys):
+    code, out = run_cli(
+        ["subst", "correlate", "--system", "rudin-shapiro", "--block", "02",
+         "--shift", "1", "--prefix-len", str(2**16 + 1)],
+        capsys,
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == "prefix length capped at 65536"
 
 
 def test_rankone_correlate_command(capsys):
@@ -290,10 +305,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same ergolab as this process, installed or not
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ergolab.cli", "rankone", "heights",
          "--system", "chacon", "--stages", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["heights"] == [1, 4, 13, 40]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.rankone import (
     BoundedValue,
@@ -48,6 +50,21 @@ def brute_count(spec, k, N, levels_a, levels_b, m) -> int:
     return int(np.count_nonzero(ma[:-m] & mb[m:]))
 
 
+@st.composite
+def schedules(draw):
+    """Random schedules: depth 1-5, p 2-4, spacer counts 0-2."""
+    stages = []
+    for _ in range(draw(st.integers(1, 5))):
+        p = draw(st.integers(2, 4))
+        stages.append((p, tuple(draw(st.lists(st.integers(0, 2), min_size=p, max_size=p)))))
+    return RankOneSpec(tuple(stages))
+
+
+def level_subsets(draw, height: int) -> tuple[int, ...]:
+    size = draw(st.integers(1, min(4, height)))
+    return tuple(draw(st.lists(st.integers(0, height - 1), min_size=size, max_size=size, unique=True)))
+
+
 # -- schedules and heights ----------------------------------------------------
 
 
@@ -85,6 +102,15 @@ def test_heights_recurrence_random():
         hs = heights(spec)
         for j, (p, spacers) in enumerate(spec.stages):
             assert hs[j + 1] == p * hs[j] + sum(spacers)
+
+
+def test_heights_copy_is_not_shared():
+    spec = chacon_spec(4)
+    hs = heights(spec)
+    hs[1] = 99
+    hs.append(7)
+    assert heights(spec) == [1, 4, 13, 40, 121]
+    assert [level_width(spec, N) for N in range(5)] == [Fraction(1, 3**N) for N in range(5)]
 
 
 def test_from_lines_roundtrip():
@@ -150,6 +176,24 @@ def test_engine_matches_brute_force_randomized():
         got = correlation_count(spec, N, LevelSet(k, A), LevelSet(k, B), m)
         want = brute_count(spec, k, N, A, B, m)
         assert got == want, (stages, k, N, A, B, m)
+
+
+@st.composite
+def correlation_cases(draw):
+    spec = draw(schedules())
+    hs = heights(spec)
+    k = draw(st.integers(0, spec.num_stages - 1))
+    N = draw(st.integers(k, spec.num_stages))
+    A, B = level_subsets(draw, hs[k]), level_subsets(draw, hs[k])
+    return spec, k, N, A, B, draw(st.integers(0, hs[N] - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(correlation_cases())
+def test_engine_matches_brute_force_property(case):
+    spec, k, N, A, B, m = case
+    got = correlation_count(spec, N, LevelSet(k, A), LevelSet(k, B), m)
+    assert got == brute_count(spec, k, N, A, B, m)
 
 
 def test_occurrence_count_matches_brute():
@@ -272,6 +316,57 @@ def test_rigidity_scan_chacon_certified():
     sets = [LevelSet(4, (l,)) for l in range(0, hs[4], 7)]
     bound = rigidity_scan(spec, hs[6:9], sets)
     assert bound >= 0.31
+
+
+@st.composite
+def rigidity_cases(draw):
+    spec = draw(schedules())
+    hs = heights(spec)
+    N = draw(st.integers(1, spec.num_stages))
+    sets = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(0, N))
+        levels = level_subsets(draw, hs[k])
+        sets.append(LevelSet(k, levels))
+        # a translated duplicate, when the tower leaves room for one
+        room = hs[k] - 1 - max(levels)
+        if room and draw(st.booleans()):
+            t = draw(st.integers(1, room))
+            sets.append(LevelSet(k, tuple(l + t for l in levels)))
+    sets = draw(st.permutations(sets))
+    shifts = draw(st.lists(st.integers(1, hs[N] - 1), min_size=1, max_size=4))
+    return spec, N, sets, shifts
+
+
+@settings(max_examples=80, deadline=None)
+@given(rigidity_cases())
+def test_rigidity_scan_matches_per_set_oracle(case):
+    # min over sets of max over shifts of (value - error)/mu, one set at a
+    # time, with every count read off the brute-force trace word
+    spec, N, sets, shifts = case
+    w = level_width(spec, N)
+    worst = float("inf")
+    for A in sets:
+        word = brute_trace_word(spec, A.stage, N)
+        hits = np.isin(word, np.asarray(A.levels))
+        mu = float(int(hits.sum()) * w)
+        best = -float("inf")
+        for m in shifts:
+            count = int(np.count_nonzero(hits[:-m] & hits[m:]))
+            best = max(best, (float(count * w) - float(m * w)) / mu)
+        worst = min(worst, best)
+    assert rigidity_scan(spec, shifts, sets, N=N) == worst
+
+
+def test_rigidity_scan_checks_every_translate():
+    # the last set repeats the first set's class but lies outside its tower
+    spec = chacon_spec(6)
+    hs = heights(spec)
+    sets = [LevelSet(2, (0,)), LevelSet(2, (1, 3)), LevelSet(2, (5,)), LevelSet(2, (hs[2],))]
+    in_range = rigidity_scan(spec, [hs[3]], sets[:3])
+    assert in_range == min(rigidity_scan(spec, [hs[3]], [A]) for A in sets[:3])
+    with pytest.raises(ValueError):
+        rigidity_scan(spec, [hs[3]], sets)
 
 
 def test_rigidity_scan_rejects_zero_shift():

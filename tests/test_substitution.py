@@ -204,6 +204,32 @@ def test_fixed_point_prefix_nesting():
         assert np.array_equal(fixed_point_prefix(RUDIN_SHAPIRO, n), long[:n])
 
 
+def prefix_oracle(sub: Substitution, length: int) -> list[int]:
+    """Whole generations of the fixed point, cut at `length` (test oracle)."""
+    w = [0]
+    while len(w) < length:
+        w = [s for t in w for s in sub.images[t]]
+    return w[:length]
+
+
+@st.composite
+def fixed_point_substitutions(draw):
+    k = draw(st.integers(1, 5))
+    head = (0,) + tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)))
+    rest = tuple(
+        tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4))) for _ in range(k - 1)
+    )
+    return Substitution(k, (head,) + rest)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fixed_point_substitutions(), st.sampled_from([1, 2, 7, 100, 4096]) | st.integers(1, 3000))
+def test_fixed_point_prefix_matches_oracle(sub, length):
+    got = fixed_point_prefix(sub, length)
+    assert got.dtype == np.int64
+    assert got.tolist() == prefix_oracle(sub, length)
+
+
 def test_fixed_point_prefix_requires_capability():
     with pytest.raises(NotFixedPointCapable):
         fixed_point_prefix(Substitution(2, ((1, 0), (0, 1))), 4)
