@@ -197,8 +197,7 @@ def report_rankone_heights(spec: RankOneSpec, n: int) -> dict:
 def report_rankone_correlate(spec, N, A: LevelSet, shifts) -> dict:
     mu = float(rankone.level_measure(spec, N, A))
     rows = []
-    for m in shifts:
-        bv = rankone.level_correlation(spec, N, A, m)
+    for m, bv in zip(shifts, rankone._level_correlations(spec, N, A, shifts)):
         rows.append(
             {
                 "shift": m,
@@ -407,9 +406,14 @@ def _cmd_rankone_heights(args):
     _emit(report_rankone_heights(spec, args.stages), args)
 
 
+def _set_stage_height(spec: RankOneSpec, stage: int) -> int:
+    if not 0 <= stage <= spec.num_stages:
+        raise rankone.StageOutOfRange(f"set stage {stage} outside 0..{spec.num_stages}")
+    return spec.stage_heights[stage]
+
+
 def _levelset_from_args(spec, args) -> LevelSet:
-    hs = rankone.heights(spec)
-    return LevelSet(args.set_stage, _parse_levels(args.levels, hs[args.set_stage]))
+    return LevelSet(args.set_stage, _parse_levels(args.levels, _set_stage_height(spec, args.set_stage)))
 
 
 def _cmd_rankone_correlate(args):
@@ -432,13 +436,15 @@ def _cmd_rankone_weaklimit(args):
 
 def _cmd_rankone_rigidity(args):
     spec = load_rankone(args.system, args.stages)
-    hs = rankone.heights(spec)
+    sets = [LevelSet(args.set_stage, (l,)) for l in range(_set_stage_height(spec, args.set_stage))]
     if args.shifts:
         shifts = [int(x) for x in args.shifts.split(",")]
     else:
         lo, hi = _parse_range(args.shift_stages)
-        shifts = hs[lo : hi + 1]
-    sets = [LevelSet(args.set_stage, (l,)) for l in range(hs[args.set_stage])]
+        # h_N is the tower height, never a valid shift
+        if not 0 <= lo <= hi < spec.num_stages:
+            raise ParseError(f"shift stages {lo}:{hi} outside 0:{spec.num_stages - 1}")
+        shifts = rankone.heights(spec)[lo : hi + 1]
     _emit(report_rankone_rigidity(spec, shifts, sets, spec.num_stages), args)
 
 

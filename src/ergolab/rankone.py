@@ -21,14 +21,15 @@ copies inside the stage-N column.  Pair counts
 
 over the stage-j word obey a recursion across one cutting stage (copies
 of the stage-(j-1) word sit at known offsets, spacer runs carry no
-occurrences), which this module evaluates with exact integers and
-memoization, visiting only the copy-offset differences D that keep
-|delta - D| inside the stage-(j-1) word; no column word is ever
-materialized.  Points whose m-step image leaves the stage-N column are
-charged wholly to the error bound m * level_width, which vanishes as N
-grows.  Pair counts and set measures are invariant under translating a
-level set, so `rigidity_scan` evaluates one bound per translation class
-of its sets.
+occurrences), which this module evaluates with exact integers,
+visiting only the copy-offset differences D that keep |delta - D| inside
+the stage-(j-1) word; no column word is ever materialized.  Each public
+call keeps one memo of R, shares it across all its shifts and drops it
+when it returns, so no pair count outlives the call.  Points whose
+m-step image leaves the stage-N column are charged wholly to the error
+bound m * level_width, which vanishes as N grows.  Pair counts and set
+measures are invariant under translating a level set, so `rigidity_scan`
+evaluates one bound per translation class of its sets.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -121,18 +122,32 @@ class RankOneSpec:
             widths.append(Fraction(1, copies))
         return tuple(widths)
 
+    @cached_property
+    def stage_differences(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per stage j, the sorted differences between the start offsets of
+        the p_j stage-j copies inside stage j+1, and their multiplicities."""
+        out = []
+        for h, (p, spacers) in zip(self.stage_heights, self.stages):
+            offsets = [0]
+            for a in spacers[:-1]:
+                offsets.append(offsets[-1] + h + a)
+            ctr = sorted(Counter(t - r for r in offsets for t in offsets).items())
+            out.append((tuple(d for d, _ in ctr), tuple(n for _, n in ctr)))
+        return tuple(out)
+
     @classmethod
     def from_lines(cls, lines: Iterable[str], name: str | None = None) -> "RankOneSpec":
         """Parse the `p: a_1 a_2 ... a_p` one-line-per-stage format."""
         stages = []
-        for raw in lines:
+        for n, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             head, _, tail = line.partition(":")
-            p = int(head.strip())
-            spacers = tuple(int(x) for x in tail.split())
-            stages.append((p, spacers))
+            try:
+                stages.append((int(head), tuple(int(x) for x in tail.split())))
+            except ValueError:
+                raise ValueError(f"line {n}: expected 'p: a_1 ... a_p', got {raw!r}") from None
         return cls(tuple(stages), name=name)
 
 
@@ -228,71 +243,40 @@ class BoundedValue:
     exact: bool
 
 
-def _stage_offsets(spec: RankOneSpec, hs: Sequence[int]) -> list[tuple[int, ...]]:
-    """Start offsets of the p_j copies of the stage-j word inside stage j+1."""
-    offsets = []
-    for j, (p, spacers) in enumerate(spec.stages):
-        c = [0]
-        for t in range(1, p):
-            c.append(c[-1] + hs[j] + spacers[t - 1])
-        offsets.append(tuple(c))
-    return offsets
+def _pair_counts(
+    spec: RankOneSpec, k: int, levels_a: Sequence[int], levels_b: Sequence[int], N: int, shifts: Sequence[int]
+) -> list[int]:
+    """Stage-N pair counts R(N, m) for each m in shifts, with
+    R(j, delta) = #{(x, y) in the stage-j word : trace(x) in A, trace(y) in B, y - x = delta}
+    for the stage-k level sets A, B; the memo lives for this call only."""
+    hs = spec.stage_heights
+    diffs = spec.stage_differences
+    base = Counter(b - a for a in levels_a for b in levels_b)
+    memo: list[dict[int, int]] = [{} for _ in range(N + 1)]  # memo[j][delta] = R(j, delta)
 
-
-class _PairCountEngine:
-    """Exact cross-pair counts between two level sets of the stage-k tower.
-
-    count(j, delta) = number of position pairs (x, y) in the stage-j
-    column word with trace(x) in A, trace(y) in B and y - x = delta.
-    """
-
-    def __init__(self, spec: RankOneSpec, k: int, levels_a: Sequence[int], levels_b: Sequence[int]):
-        self.spec = spec
-        self.k = k
-        self.hs = spec.stage_heights
-        # offset-difference multisets per stage, for collapsing copy pairs:
-        # the sorted differences D and, in parallel, their multiplicities
-        self.delta_multisets: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for c in _stage_offsets(spec, self.hs):
-            ctr = sorted(Counter(ct - cr for cr in c for ct in c).items())
-            self.delta_multisets.append((tuple(d for d, _ in ctr), tuple(n for _, n in ctr)))
-        base = Counter(b - a for a in levels_a for b in levels_b)
-        self._memo: dict[tuple[int, int], int] = {
-            (k, d): int(c) for d, c in base.items()
-        }
-
-    def count(self, j: int, delta: int) -> int:
-        if abs(delta) >= self.hs[j]:
-            return 0
-        if j == self.k:
-            return self._memo.get((j, delta), 0)
-        key = (j, delta)
-        hit = self._memo.get(key)
+    def count(j: int, delta: int) -> int:
+        # callers keep |delta| < h_j
+        hit = memo[j].get(delta)
         if hit is not None:
             return hit
-        h_prev = self.hs[j - 1]
-        ds, mults = self.delta_multisets[j - 1]
+        h_prev = hs[j - 1]
+        ds, mults = diffs[j - 1]
         # only differences with |delta - D| < h_prev meet the stage-(j-1) word
         lo = bisect_right(ds, delta - h_prev)
         hi = bisect_left(ds, delta + h_prev, lo)
         total = 0
-        for i in range(lo, hi):
-            total += mults[i] * self.count(j - 1, delta - ds[i])
-        self._memo[key] = total
+        if j - 1 == k:  # R(k, .) is the base count itself
+            for i in range(lo, hi):
+                total += mults[i] * base.get(delta - ds[i], 0)
+        else:
+            for i in range(lo, hi):
+                total += mults[i] * count(j - 1, delta - ds[i])
+        memo[j][delta] = total
         return total
 
-
-def _engine(spec: RankOneSpec, k: int, levels_a: Sequence[int], levels_b: Sequence[int]) -> _PairCountEngine:
-    # pair counts are invariant under joint translation of both level sets
-    shift = min(min(levels_a), min(levels_b))
-    a = tuple(sorted(l - shift for l in levels_a))
-    b = tuple(sorted(l - shift for l in levels_b))
-    return _cached_engine(spec.stages, k, a, b)
-
-
-@lru_cache(maxsize=256)
-def _cached_engine(stages: tuple, k: int, a: tuple[int, ...], b: tuple[int, ...]) -> _PairCountEngine:
-    return _PairCountEngine(RankOneSpec(stages), k, a, b)
+    if N == k:
+        return [base.get(m, 0) for m in shifts]
+    return [count(N, m) if abs(m) < hs[N] else 0 for m in shifts]
 
 
 def _check_level_set(spec: RankOneSpec, A: LevelSet, N: int, hs: Sequence[int]) -> None:
@@ -324,24 +308,34 @@ def correlation_count(
     hs = spec.stage_heights
     _check_level_set(spec, A, N, hs)
     _check_level_set(spec, B, N, hs)
-    eng = _engine(spec, A.stage, A.levels, B.levels)
-    return eng.count(N, m)
+    return _pair_counts(spec, A.stage, A.levels, B.levels, N, [m])[0]
 
 
 def level_correlation(spec: RankOneSpec, N: int, A: LevelSet, m: int) -> BoundedValue:
     """mu(T^m A cap A) with the in-tower count exact and the top window
     (positions whose m-step image leaves stage-N knowledge) charged to
     error_bound = m * level_width."""
+    return _level_correlations(spec, N, A, [m])[0]
+
+
+def _level_correlations(spec: RankOneSpec, N: int, A: LevelSet, shifts: Sequence[int]) -> list[BoundedValue]:
+    """`level_correlation` for each shift, from one pair-count memo; the set
+    and every shift are checked before any count is made."""
     hs = spec.stage_heights
     _check_level_set(spec, A, N, hs)
-    if m < 0 or m >= hs[N]:
+    if any(m < 0 or m >= hs[N] for m in shifts):
         raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
     w = spec.stage_widths[N]
-    if m == 0:
-        mass = occurrence_count(spec, N, A) * w
-        return BoundedValue(value=float(mass), error_bound=0.0, exact=True)
-    count = correlation_count(spec, N, A, A, m)
-    return BoundedValue(value=float(count * w), error_bound=float(m * w), exact=False)
+    moving = [m for m in shifts if m]
+    counts = dict(zip(moving, _pair_counts(spec, A.stage, A.levels, A.levels, N, moving)))
+    out = []
+    for m in shifts:
+        if m == 0:
+            mass = occurrence_count(spec, N, A) * w
+            out.append(BoundedValue(value=float(mass), error_bound=0.0, exact=True))
+        else:
+            out.append(BoundedValue(value=float(counts[m] * w), error_bound=float(m * w), exact=False))
+    return out
 
 
 def level_measure(spec: RankOneSpec, N: int, A: LevelSet) -> Fraction:
@@ -389,23 +383,22 @@ def weak_limit_estimate(
         raise StageOutOfRange(
             f"need {N} stages for range {n_start}..{n_stop} with margin {margin}"
         )
+    _check_level_set(spec, A, N, hs)
     if hs[A.stage] <= 4 * (j_max + 1):
         raise ValueError("level-set stage too coarse for the requested j window")
-    mu = level_measure(spec, N, A)
+    mu = float(level_measure(spec, N, A))
+    ns = range(n_start, n_stop + 1)
+    bvs = _level_correlations(spec, N, A, [hs[n] + j for j in range(j_max + 1) for n in ns])
     out = []
     for j in range(j_max + 1):
-        vals = []
-        err = 0.0
-        for n in range(n_start, n_stop + 1):
-            bv = level_correlation(spec, N, A, hs[n] + j)
-            vals.append(bv.value / float(mu))
-            err = max(err, bv.error_bound / float(mu))
+        row = bvs[j * len(ns) : (j + 1) * len(ns)]
+        vals = [bv.value / mu for bv in row]
         out.append(
             CoefficientEstimate(
                 index=j,
                 value=vals[-1],
                 spread=max(vals) - min(vals),
-                error_bound=err,
+                error_bound=max(bv.error_bound / mu for bv in row),
             )
         )
     return out
@@ -438,9 +431,6 @@ def rigidity_scan(
             _check_level_set(spec, A, N, spec.stage_heights)
             continue
         mu = float(level_measure(spec, N, A))
-        best = -float("inf")
-        for m in shifts:
-            bv = level_correlation(spec, N, A, m)
-            best = max(best, (bv.value - bv.error_bound) / mu)
-        bounds[key] = best
+        bvs = _level_correlations(spec, N, A, shifts)
+        bounds[key] = max((bv.value - bv.error_bound) / mu for bv in bvs)
     return min(bounds.values())

@@ -109,19 +109,20 @@ class Substitution:
         whitespace-separated indices.
         """
         mapping: dict[int, Word] = {}
-        for raw in lines:
+        for n, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            bad = ValueError(f"line {n}: bad substitution line {raw!r}")
             if "->" not in line:
-                raise ValueError(f"bad substitution line: {raw!r}")
+                raise bad
             lhs, rhs = line.split("->", 1)
-            letter = int(lhs.strip())
             rhs = rhs.strip()
-            if " " in rhs:
-                word = _as_word(rhs.split())
-            else:
-                word = _as_word(int(c) for c in rhs)
+            try:
+                letter = int(lhs)
+                word = _as_word(rhs.split() if " " in rhs else rhs)
+            except ValueError:
+                raise bad from None
             if letter in mapping:
                 raise ValueError(f"duplicate image for letter {letter}")
             mapping[letter] = word

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from ergolab.skew import SkewSystem
+
+# exact recursions on random schedules vary widely in run time per example
+settings.register_profile("ergolab", deadline=None)
+settings.load_profile("ergolab")
 
 
 @pytest.fixture(scope="session")

@@ -135,6 +135,33 @@ def test_rankone_rigidity_command(capsys):
     assert report["set_count"] == 121
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["correlate", "--system", "chacon", "--stages", "5", "--set-stage", "9", "--shifts", "1"],
+        ["weaklimit", "--system", "historical", "--stages", "24", "--set-stage", "40"],
+        ["rigidity", "--system", "chacon", "--stages", "5", "--set-stage", "6"],
+    ],
+    ids=["correlate", "weaklimit", "rigidity"],
+)
+def test_rankone_set_stage_beyond_schedule_is_named_error(args, capsys):
+    code, out = run_cli(["rankone", *args], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "StageOutOfRange"
+
+
+@pytest.mark.parametrize("stages", ["20:25", "6:40", "8:6", "-1:3", "6:17"])
+def test_rankone_rigidity_shift_stages_beyond_schedule_is_parse_error(stages, capsys):
+    code, out = run_cli(
+        ["rankone", "rigidity", "--system", "chacon", "--stages", "17", f"--shift-stages={stages}"],
+        capsys,
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert stages in error["message"]
+
+
 def test_skew_rigidity_command(capsys):
     code, out = run_cli(
         ["skew", "rigidity", "--interval", "0/2^0", "--eps", "0", "--k-range", "8:10",

@@ -12,6 +12,7 @@ from ergolab.rankone import (
     RankOneSpec,
     ShiftOutOfRange,
     StageOutOfRange,
+    _level_correlations,
     build_tower,
     chacon_spec,
     correlation_count,
@@ -77,6 +78,8 @@ def test_spec_validation():
         RankOneSpec(((2, (0,)),))  # wrong spacer count
     with pytest.raises(ValueError):
         RankOneSpec(((2, (0, -1)),))
+    with pytest.raises(ValueError, match=r"line 2: .*'3 0 1 0'"):
+        RankOneSpec.from_lines(["2: 0 1", "3 0 1 0"])
 
 
 def test_preset_schedules():
@@ -188,7 +191,7 @@ def correlation_cases(draw):
     return spec, k, N, A, B, draw(st.integers(0, hs[N] - 1))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(correlation_cases())
 def test_engine_matches_brute_force_property(case):
     spec, k, N, A, B, m = case
@@ -228,10 +231,36 @@ def test_level_correlation_guards():
     spec = chacon_spec(4)
     with pytest.raises(ShiftOutOfRange):
         level_correlation(spec, 4, LevelSet(2, (0,)), heights(spec)[4])
+    with pytest.raises(ShiftOutOfRange):
+        _level_correlations(spec, 4, LevelSet(2, (0,)), [1, 0, heights(spec)[4]])
     with pytest.raises(StageOutOfRange):
         level_correlation(spec, 5, LevelSet(2, (0,)), 1)
     with pytest.raises(ValueError):
         level_correlation(spec, 4, LevelSet(2, (heights(spec)[2],)), 1)
+
+
+@st.composite
+def shift_batches(draw):
+    spec = draw(schedules())
+    hs = heights(spec)
+    k = draw(st.integers(0, spec.num_stages - 1))
+    N = draw(st.integers(k, spec.num_stages))
+    pool = draw(st.lists(st.integers(0, hs[N] - 1), min_size=1, max_size=3)) + [0]
+    shifts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return spec, k, N, level_subsets(draw, hs[k]), shifts
+
+
+@settings(max_examples=80)
+@given(shift_batches())
+def test_batched_correlations_match_per_shift_and_brute_force(case):
+    # one memo serves every shift of the batch, repeated and zero shifts included
+    spec, k, N, levels, shifts = case
+    A = LevelSet(k, levels)
+    w = level_width(spec, N)
+    got = _level_correlations(spec, N, A, shifts)
+    assert got == [level_correlation(spec, N, A, m) for m in shifts]
+    assert [bv.value for bv in got] == [float(brute_count(spec, k, N, levels, levels, m) * w) for m in shifts]
+    assert [bv.exact for bv in got] == [m == 0 for m in shifts]
 
 
 def test_chacon_full_stage_rigidity_example():
@@ -338,7 +367,7 @@ def rigidity_cases(draw):
     return spec, N, sets, shifts
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(rigidity_cases())
 def test_rigidity_scan_matches_per_set_oracle(case):
     # min over sets of max over shifts of (value - error)/mu, one set at a

@@ -187,7 +187,7 @@ def custom_correlation_cases(draw):
     return K, DyadicStep(c, values), A, eps, eps2, m
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(custom_correlation_cases())
 def test_custom_cocycle_correlation_oracle(case):
     # exact sum over the level-K atoms of A, each iterated with the odometer

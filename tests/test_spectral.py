@@ -182,7 +182,7 @@ def test_beurling_geometric_tail_value_matches_closed_form():
         assert _log_tail(GEOMETRIC, n) == pytest.approx(expected, rel=1e-9)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(scale=st.floats(min_value=1e-6, max_value=1e6), shift=st.integers(-40, 40))
 def test_beurling_verdict_invariances(scale, shift):
     for base in (ONE_SIDED, GEOMETRIC, STRETCHED, POLYNOMIAL):
