@@ -197,7 +197,8 @@ def report_rankone_heights(spec: RankOneSpec, n: int) -> dict:
 def report_rankone_correlate(spec, N, A: LevelSet, shifts) -> dict:
     mu = float(rankone.level_measure(spec, N, A))
     rows = []
-    for m, bv in zip(shifts, rankone._level_correlations(spec, N, A, shifts)):
+    for m in shifts:
+        bv = rankone.level_correlation(spec, N, A, m)
         rows.append(
             {
                 "shift": m,
@@ -412,13 +413,9 @@ def _set_stage_height(spec: RankOneSpec, stage: int) -> int:
     return spec.stage_heights[stage]
 
 
-def _levelset_from_args(spec, args) -> LevelSet:
-    return LevelSet(args.set_stage, _parse_levels(args.levels, _set_stage_height(spec, args.set_stage)))
-
-
 def _cmd_rankone_correlate(args):
     spec = load_rankone(args.system, args.stages)
-    A = _levelset_from_args(spec, args)
+    A = LevelSet(args.set_stage, _parse_levels(args.levels, _set_stage_height(spec, args.set_stage)))
     N = args.tower_stage if args.tower_stage is not None else spec.num_stages
     shifts = [int(x) for x in args.shifts.split(",")]
     report = report_rankone_correlate(spec, N, A, shifts)

@@ -24,12 +24,13 @@ of the stage-(j-1) word sit at known offsets, spacer runs carry no
 occurrences), which this module evaluates with exact integers,
 visiting only the copy-offset differences D that keep |delta - D| inside
 the stage-(j-1) word; no column word is ever materialized.  Each public
-call keeps one memo of R, shares it across all its shifts and drops it
-when it returns, so no pair count outlives the call.  Points whose
-m-step image leaves the stage-N column are charged wholly to the error
-bound m * level_width, which vanishes as N grows.  Pair counts and set
-measures are invariant under translating a level set, so `rigidity_scan`
-evaluates one bound per translation class of its sets.
+call keeps one memo of R per level set, shares it across that set's
+shifts and drops it when it returns, so no pair count outlives the
+call.  Points whose m-step image leaves the stage-N column are charged
+wholly to the error bound m * level_width, which vanishes as N grows.
+Pair counts and set measures are invariant under translating a level
+set, so `rigidity_scan` evaluates one bound per translation class of its
+sets.
 """
 
 from __future__ import annotations
@@ -256,6 +257,8 @@ def _pair_counts(
 
     def count(j: int, delta: int) -> int:
         # callers keep |delta| < h_j
+        if j == k:
+            return base[delta]
         hit = memo[j].get(delta)
         if hit is not None:
             return hit
@@ -265,17 +268,11 @@ def _pair_counts(
         lo = bisect_right(ds, delta - h_prev)
         hi = bisect_left(ds, delta + h_prev, lo)
         total = 0
-        if j - 1 == k:  # R(k, .) is the base count itself
-            for i in range(lo, hi):
-                total += mults[i] * base.get(delta - ds[i], 0)
-        else:
-            for i in range(lo, hi):
-                total += mults[i] * count(j - 1, delta - ds[i])
+        for i in range(lo, hi):
+            total += mults[i] * count(j - 1, delta - ds[i])
         memo[j][delta] = total
         return total
 
-    if N == k:
-        return [base.get(m, 0) for m in shifts]
     return [count(N, m) if abs(m) < hs[N] else 0 for m in shifts]
 
 
@@ -315,12 +312,22 @@ def level_correlation(spec: RankOneSpec, N: int, A: LevelSet, m: int) -> Bounded
     """mu(T^m A cap A) with the in-tower count exact and the top window
     (positions whose m-step image leaves stage-N knowledge) charged to
     error_bound = m * level_width."""
-    return _level_correlations(spec, N, A, [m])[0]
+    hs = spec.stage_heights
+    _check_level_set(spec, A, N, hs)
+    if m < 0 or m >= hs[N]:
+        raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
+    w = spec.stage_widths[N]
+    if m == 0:
+        mass = occurrence_count(spec, N, A) * w
+        return BoundedValue(value=float(mass), error_bound=0.0, exact=True)
+    count = correlation_count(spec, N, A, A, m)
+    return BoundedValue(value=float(count * w), error_bound=float(m * w), exact=False)
 
 
 def _level_correlations(spec: RankOneSpec, N: int, A: LevelSet, shifts: Sequence[int]) -> list[BoundedValue]:
-    """`level_correlation` for each shift, from one pair-count memo; the set
-    and every shift are checked before any count is made."""
+    """`level_correlation` for each shift, with the counts of all nonzero
+    shifts from one pair-count memo; the set and every shift are checked
+    before any count is made."""
     hs = spec.stage_heights
     _check_level_set(spec, A, N, hs)
     if any(m < 0 or m >= hs[N] for m in shifts):
@@ -328,14 +335,12 @@ def _level_correlations(spec: RankOneSpec, N: int, A: LevelSet, shifts: Sequence
     w = spec.stage_widths[N]
     moving = [m for m in shifts if m]
     counts = dict(zip(moving, _pair_counts(spec, A.stage, A.levels, A.levels, N, moving)))
-    out = []
-    for m in shifts:
-        if m == 0:
-            mass = occurrence_count(spec, N, A) * w
-            out.append(BoundedValue(value=float(mass), error_bound=0.0, exact=True))
-        else:
-            out.append(BoundedValue(value=float(counts[m] * w), error_bound=float(m * w), exact=False))
-    return out
+    return [
+        BoundedValue(value=float(counts[m] * w), error_bound=float(m * w), exact=False)
+        if m
+        else level_correlation(spec, N, A, 0)
+        for m in shifts
+    ]
 
 
 def level_measure(spec: RankOneSpec, N: int, A: LevelSet) -> Fraction:

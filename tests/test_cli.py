@@ -121,6 +121,10 @@ def test_rankone_correlate_command(capsys):
     rows = json.loads(out)["report"]["correlations"]
     assert rows[0]["exact"] and rows[0]["ratio"] == pytest.approx(1.0)
     assert rows[1]["ratio"] > 1 / 3
+    spec = ergolab.chacon_spec(10)
+    A = ergolab.LevelSet(4, tuple(range(ergolab.heights(spec)[4])))
+    bv = ergolab.level_correlation(spec, 10, A, 121)
+    assert (rows[1]["value"], rows[1]["error_bound"], rows[1]["exact"]) == (bv.value, bv.error_bound, False)
 
 
 def test_rankone_rigidity_command(capsys):
