@@ -65,7 +65,7 @@ def load_rankone(source: str, stages: int) -> RankOneSpec:
     if source == "historical":
         return rankone.historical_chacon_spec(stages)
     if source.startswith("staircase:"):
-        return rankone.staircase_spec(int(source.split(":", 1)[1]), stages)
+        return rankone.staircase_spec(*_ints("--system staircase:<p>", source.partition(":")[2], n=1), stages)
     path = Path(source)
     if not path.exists():
         raise ParseError(f"unknown rank-one preset or missing file: {source}")
@@ -75,40 +75,21 @@ def load_rankone(source: str, stages: int) -> RankOneSpec:
     return spec
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi if hi else lo)
-
-
-def _parse_block(text: str) -> tuple[int, ...]:
-    if "," in text:
-        return tuple(int(x) for x in text.split(","))
-    return tuple(int(c) for c in text)
-
-
-def _parse_levels(text: str, h_k: int) -> tuple[int, ...]:
-    if text == "all":
-        return tuple(range(h_k))
-    return tuple(int(x) for x in text.split(","))
+def _ints(flag: str, text: str, sep: str = ",", n: int = 0) -> list[int]:
+    """The integers of `text` split at `sep` (one per character when `sep` is
+    empty).  With `n` set there must be 1 or n of them and a lone one is
+    repeated, so the range `6` reads as `6:6`.  Anything else is a
+    ParseError naming the flag and the text."""
+    try:
+        values = [int(x) for x in (text.split(sep) if sep else text)]
+    except ValueError:
+        values = []
+    if not values or n and len(values) not in (1, n):
+        raise ParseError(f"{flag} expects integers, got {text!r}")
+    return values * (n // len(values)) if n else values
 
 
 _G_PRESETS = {"one": CONSTANT_ONE, "first-digit": FIRST_DIGIT_SIGN}
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 # -- report builders (importable; the CLI is a thin shell) -------------------
@@ -366,8 +347,7 @@ def report_spectral_certify(coeffs, n_max, nonpower) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    report = _jsonify(report)
-    payload = {"config": _jsonify(_config_record(args)), "report": report}
+    payload = {"config": _config_record(args), "report": report}
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -399,7 +379,8 @@ def _cmd_subst_correlate(args):
     sub = load_substitution(args.system)
     if args.prefix_len > MAX_WINDOW:
         raise ParseError(f"prefix length capped at {MAX_WINDOW}")
-    _emit(report_subst_correlate(sub, _parse_block(args.block), args.shift, args.prefix_len), args)
+    block = tuple(_ints("--block", args.block, "," if "," in args.block else ""))
+    _emit(report_subst_correlate(sub, block, args.shift, args.prefix_len), args)
 
 
 def _cmd_rankone_heights(args):
@@ -415,9 +396,11 @@ def _set_stage_height(spec: RankOneSpec, stage: int) -> int:
 
 def _cmd_rankone_correlate(args):
     spec = load_rankone(args.system, args.stages)
-    A = LevelSet(args.set_stage, _parse_levels(args.levels, _set_stage_height(spec, args.set_stage)))
+    h_k = _set_stage_height(spec, args.set_stage)
+    levels = range(h_k) if args.levels == "all" else _ints("--levels", args.levels)
+    A = LevelSet(args.set_stage, tuple(levels))
     N = args.tower_stage if args.tower_stage is not None else spec.num_stages
-    shifts = [int(x) for x in args.shifts.split(",")]
+    shifts = _ints("--shifts", args.shifts)
     report = report_rankone_correlate(spec, N, A, shifts)
     _emit(report, args)
     if args.csv:
@@ -427,7 +410,7 @@ def _cmd_rankone_correlate(args):
 def _cmd_rankone_weaklimit(args):
     spec = load_rankone(args.system, args.stages)
     A = LevelSet(args.set_stage, (args.level,))
-    lo, hi = _parse_range(args.stage_range)
+    lo, hi = _ints("--stage-range", args.stage_range, ":", 2)
     _emit(report_rankone_weaklimit(spec, A, lo, hi, args.j_max, args.margin), args)
 
 
@@ -435,9 +418,9 @@ def _cmd_rankone_rigidity(args):
     spec = load_rankone(args.system, args.stages)
     sets = [LevelSet(args.set_stage, (l,)) for l in range(_set_stage_height(spec, args.set_stage))]
     if args.shifts:
-        shifts = [int(x) for x in args.shifts.split(",")]
+        shifts = _ints("--shifts", args.shifts)
     else:
-        lo, hi = _parse_range(args.shift_stages)
+        lo, hi = _ints("--shift-stages", args.shift_stages, ":", 2)
         # h_N is the tower height, never a valid shift
         if not 0 <= lo <= hi < spec.num_stages:
             raise ParseError(f"shift stages {lo}:{hi} outside 0:{spec.num_stages - 1}")
@@ -473,7 +456,7 @@ def _cmd_skew_spectrum(args):
 def _cmd_skew_rigidity(args):
     sys_ = _skew_system_from_args(args)
     A = DyadicInterval.parse(args.interval)
-    lo, hi = _parse_range(args.k_range)
+    lo, hi = _ints("--k-range", args.k_range, ":", 2)
     _emit(report_skew_rigidity(sys_, A, args.eps, lo, hi), args)
 
 
@@ -489,7 +472,7 @@ def _cmd_spectral_rajchman(args):
 
 def _cmd_spectral_translate(args):
     corr = CorrelationSequence.from_csv(args.input)
-    times = [int(x) for x in args.times.split(",")]
+    times = _ints("--times", args.times)
     _emit(report_spectral_translate(corr, times, args.j_window), args)
 
 

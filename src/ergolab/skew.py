@@ -129,17 +129,13 @@ class DyadicInterval:
     def width(self) -> Fraction:
         return Fraction(1, 2**self.level)
 
-    @property
-    def left(self) -> Fraction:
-        return Fraction(self.numerator, 2**self.level)
-
     @classmethod
     def parse(cls, text: str) -> "DyadicInterval":
         """Accepts `num/2^K` (also `num/2**K`)."""
         num_s, _, den_s = text.partition("/")
         den_s = den_s.replace("**", "^")
-        if not den_s.startswith("2^"):
-            raise ValueError("expected num/2^K")
+        if not (den_s.startswith("2^") and num_s.isdecimal() and den_s[2:].isdecimal()):
+            raise ValueError(f"expected num/2^K, got {text!r}")
         return cls(int(num_s), int(den_s[2:]))
 
 
@@ -313,7 +309,6 @@ class SpectralCoefficient:
     index: int
     value: float
     error_bound: float
-    function_tag: str
 
 
 def spectral_coefficient(
@@ -333,7 +328,6 @@ def spectral_coefficient(
         raise IndexTooLarge(f"|n| must be <= 2^(L-4) = {limit}")
     if g.level > sys.K:
         raise ValueError("step function finer than the atom partition")
-    tag = "g(x)1" if fiber == "one" else "g(x)chi"
     m, G = abs(n), 2**g.level
     tower = [Fraction(g.values[_bit_reverse(r, g.level)]) for r in range(G)]
     value = Fraction(0)
@@ -341,7 +335,7 @@ def spectral_coefficient(
     for r in range(G):
         weight = Fraction(1, G) if fiber == "one" else sys._signed_mass(r, g.level, m, memo)
         value += tower[r] * tower[(r + m) % G] * weight
-    return SpectralCoefficient(index=n, value=float(value), error_bound=0.0, function_tag=tag)
+    return SpectralCoefficient(index=n, value=float(value), error_bound=0.0)
 
 
 def rigidity_sequence(

@@ -86,9 +86,6 @@ class CorrelationSequence:
     def value(self, n: int) -> float:
         return self.values[n][0]
 
-    def error(self, n: int) -> float:
-        return self.values[n][1]
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]], source: str = "",
                    error: float = 0.0) -> "CorrelationSequence":
@@ -98,11 +95,16 @@ class CorrelationSequence:
     def from_csv(cls, path: str, source: str | None = None) -> "CorrelationSequence":
         vals: dict[int, tuple[float, float]] = {}
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            for line, row in enumerate(csv.reader(fh), start=1):
                 if not row or row[0].strip().startswith(("#", "n")):
                     continue
-                n, v = int(row[0]), float(row[1])
-                e = float(row[2]) if len(row) > 2 else 0.0
+                try:
+                    n, v = int(row[0]), float(row[1])
+                    e = float(row[2]) if len(row) > 2 else 0.0
+                    if not (math.isfinite(v) and math.isfinite(e)):
+                        raise ValueError("values must be finite")
+                except (ValueError, IndexError) as exc:
+                    raise ValueError(f"{path} line {line}: bad row {','.join(row)!r}: {exc}") from None
                 vals[n] = (v, e)
         return cls(vals, source=source if source is not None else path)
 
@@ -138,19 +140,14 @@ def rajchman_probe(corr: CorrelationSequence) -> RajchmanStats:
     W = corr.window
     if W < 64:
         raise WindowTooSmall("need a window of at least 64 coefficients")
-    outer = [abs(corr.value(n)) for n in range(3 * W // 4, W + 1) if n in corr.values]
-    outer_max = max(outer)
+    outer_max = max(abs(corr.value(n)) for n in range(3 * W // 4, W + 1))
     # envelope: max |sigma_hat| over dyadic blocks [2^j, 2^(j+1))
     xs, ys = [], []
-    j = 0
-    while 2 ** (j + 1) <= W:
-        block = [abs(corr.value(n)) for n in range(2**j, 2 ** (j + 1)) if n in corr.values]
-        if block:
-            env = max(block)
-            xs.append(j * math.log(2.0))
-            ys.append(math.log(env) if env > 0 else math.log(1e-300))
-        j += 1
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
+    for j in range(W.bit_length() - 1):  # the blocks inside [1, W]; W >= 64 gives six
+        env = max(abs(corr.value(n)) for n in range(2**j, 2 ** (j + 1)))
+        xs.append(j * math.log(2.0))
+        ys.append(math.log(env) if env > 0 else math.log(1e-300))
+    slope = float(np.polyfit(xs, ys, 1)[0])
     return RajchmanStats(outer_quartile_max=float(outer_max), envelope_slope=slope)
 
 
@@ -248,39 +245,6 @@ class WeakLimitCoefficients:
     def k_min(self) -> int:
         return min(self.support)
 
-    def tail_coefficient(self, k: int) -> float:
-        """a_k for indices below the finite support."""
-        d = self.k_min - k
-        if d < 1:
-            raise ValueError("tail applies only below the support")
-        t = self.tail
-        if t.kind == "none":
-            return 0.0
-        if t.kind == "geometric":
-            return t.c * t.q**d
-        if t.kind == "stretched_exponential":
-            return t.c * math.exp(-(d**t.gamma))
-        return t.c * d ** (-t.s)
-
-    def total_abs_mass(self) -> float:
-        finite = sum(abs(a) for a in self.support.values())
-        t = self.tail
-        if t.kind == "none":
-            return finite
-        if t.kind == "geometric":
-            return finite + t.c * t.q / (1 - t.q)
-        if t.kind == "stretched_exponential":
-            d, total, term = 1, 0.0, 1.0
-            while term > 1e-17 and d < 10**6:
-                term = math.exp(-(d**t.gamma))
-                total += term
-                d += 1
-            return finite + t.c * total
-        # polynomial, s > 1: zeta-like tail, crude but finite
-        total = sum(d ** (-t.s) for d in range(1, 10001))
-        total += 10000 ** (1 - t.s) / (t.s - 1)
-        return finite + t.c * total
-
     def to_json(self) -> str:
         t = self.tail
         payload = {
@@ -298,16 +262,21 @@ class WeakLimitCoefficients:
 
     @classmethod
     def from_json(cls, text: str) -> "WeakLimitCoefficients":
-        payload = json.loads(text)
-        tail_raw = payload.get("tail", {"kind": "none"})
-        tail = TailDescriptor(
-            kind=tail_raw.get("kind", "none"),
-            c=float(tail_raw.get("c", 0.0)),
-            q=tail_raw.get("q"),
-            gamma=tail_raw.get("gamma"),
-            s=tail_raw.get("s"),
-        )
-        support = {int(i): float(a) for i, a in payload["support"].items()}
+        try:
+            payload = json.loads(text)
+            tail_raw = payload.get("tail", {"kind": "none"})
+            tail = TailDescriptor(
+                kind=tail_raw.get("kind", "none"),
+                c=float(tail_raw.get("c", 0.0)),
+                q=tail_raw.get("q"),
+                gamma=tail_raw.get("gamma"),
+                s=tail_raw.get("s"),
+            )
+            support = {int(i): float(a) for i, a in payload["support"].items()}
+            if not all(math.isfinite(a) for a in (*support.values(), tail.c)):
+                raise ValueError("coefficients must be finite")
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SpectralError(f"malformed coefficient file: {type(exc).__name__}: {exc}") from None
         return cls(support=support, tail=tail)
 
 
@@ -435,46 +404,26 @@ def singularity_certificate(
     singular; positive coefficients additionally witness alpha-rigidity
     with alpha at least the largest one.
     """
-    notes: list[str] = []
     report = beurling_check(coeffs, n_max)
     nonzero = any(a != 0 for a in coeffs.support.values()) or coeffs.tail.kind != "none"
     max_pos = max((a for a in coeffs.support.values() if a > 0), default=None)
-
+    verdict, alpha, notes = "no certificate", None, ()
     if not nonzero:
-        return CertificateReport(
-            verdict="no certificate (zero limit)",
-            alpha_lower_bound=None,
-            beurling=report,
-            nonpower_asserted=limit_is_nonpower,
-            notes=("all coefficients vanish",),
-        )
-    if not limit_is_nonpower:
-        return CertificateReport(
-            verdict="no certificate",
-            alpha_lower_bound=None,
-            beurling=report,
-            nonpower_asserted=False,
-            notes=("caller did not assert the limit lies outside the powers",),
-        )
-    if report.verdict != "holds":
-        return CertificateReport(
-            verdict="no certificate",
-            alpha_lower_bound=None,
-            beurling=report,
-            nonpower_asserted=True,
-            notes=(f"tail test verdict: {report.verdict}",),
-        )
-    verdict = "singular"
-    alpha = None
-    if coeffs.restricted and max_pos is not None:
-        alpha = max_pos
-        notes.append(f"alpha-rigid with alpha >= {max_pos}")
-        if max_pos > 0.5:
-            notes.append("alpha exceeds 1/2: singular already by the classical half-threshold")
+        verdict, notes = "no certificate (zero limit)", ("all coefficients vanish",)
+    elif not limit_is_nonpower:
+        notes = ("caller did not assert the limit lies outside the powers",)
+    elif report.verdict != "holds":
+        notes = (f"tail test verdict: {report.verdict}",)
+    else:
+        verdict, alpha = "singular", max_pos
+        if max_pos is not None:
+            notes = (f"alpha-rigid with alpha >= {max_pos}",)
+            if max_pos > 0.5:
+                notes += ("alpha exceeds 1/2: singular already by the classical half-threshold",)
     return CertificateReport(
         verdict=verdict,
         alpha_lower_bound=alpha,
         beurling=report,
-        nonpower_asserted=True,
-        notes=tuple(notes),
+        nonpower_asserted=limit_is_nonpower,
+        notes=notes,
     )

@@ -78,9 +78,6 @@ class Substitution:
             if any(s < 0 or s >= k for s in w):
                 raise ValueError("image symbol out of alphabet range")
 
-    def image(self, letter: int) -> Word:
-        return self.images[letter]
-
     def apply(self, word: Iterable[int]) -> Word:
         out: list[int] = []
         for s in word:

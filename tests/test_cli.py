@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import ergolab
 from ergolab.cli import main, report_skew_rigidity, report_skew_spectrum, report_subst_analyze
 from ergolab.skew import DyadicInterval, DyadicStep, SkewSystem
 from ergolab.substitution import RUDIN_SHAPIRO, THREE_LETTER, empirical_correlation
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, capsys):
@@ -166,6 +169,48 @@ def test_rankone_rigidity_shift_stages_beyond_schedule_is_parse_error(stages, ca
     assert stages in error["message"]
 
 
+@pytest.mark.parametrize(
+    "args, flag, bad",
+    [
+        (["rankone", "rigidity", "--system", "chacon", "--stages", "17", "--shift-stages", "6-10"],
+         "--shift-stages", "6-10"),
+        (["rankone", "correlate", "--system", "chacon", "--stages", "10", "--levels", "1,x", "--shifts", "1"],
+         "--levels", "1,x"),
+        (["rankone", "heights", "--system", "staircase:x"], "--system", "x"),
+        (["rankone", "correlate", "--system", "chacon", "--stages", "10", "--shifts", "1,y"], "--shifts", "1,y"),
+        (["rankone", "rigidity", "--system", "chacon", "--stages", "8", "--shifts", "1,y"], "--shifts", "1,y"),
+        (["subst", "correlate", "--system", "rudin-shapiro", "--block", "0x", "--shift", "1"], "--block", "0x"),
+        (["skew", "rigidity", "--k-range", "10-14"], "--k-range", "10-14"),
+        (["rankone", "weaklimit", "--system", "historical", "--stage-range", "8:x"], "--stage-range", "8:x"),
+        (["spectral", "translate", "--input", "@series.csv", "--times", "16,z"], "--times", "16,z"),
+    ],
+    ids=["shift-stages", "levels", "staircase", "correlate-shifts", "rigidity-shifts", "block", "k-range",
+         "stage-range", "times"],
+)
+def test_malformed_integer_argument_is_parse_error(args, flag, bad, tmp_path, capsys):
+    _write_series(tmp_path / "series.csv", range(-64, 65))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in args]
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert flag in error["message"] and repr(bad) in error["message"]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # the README examples, in order: `skew spectrum` writes the chi.csv the spectral lines read
+    text = README.read_text()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coeffs.json").write_text(text.split("```json\n", 1)[1].split("```", 1)[0])
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("ergolab ")]
+    assert lines
+    for line in lines:
+        code, out = run_cli(shlex.split(line)[1:], capsys)
+        assert code == 0, (line, out)
+        strict_loads(out)
+
+
 def test_skew_rigidity_command(capsys):
     code, out = run_cli(
         ["skew", "rigidity", "--interval", "0/2^0", "--eps", "0", "--k-range", "8:10",
@@ -270,6 +315,17 @@ def test_spectral_csv_gap_is_named_error(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "IndexGap"
     assert "7" in error["message"]
+    csv_path.write_text("n,value,error_bound\n0,1.0,0.0\n1,abc,0.0\n")
+    code, out = run_cli(["spectral", "wiener", "--input", str(csv_path)], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert "line 3" in error["message"] and "1,abc,0.0" in error["message"]
+    _write_series(csv_path, range(65))
+    csv_path.write_text(csv_path.read_text().replace("\n5,0.5,", "\n5,nan,"))
+    code, out = run_cli(["spectral", "rajchman", "--input", str(csv_path)], capsys)
+    assert code == 1
+    assert "line 7" in json.loads(out)["error"]["message"]
 
 
 def _write_series(path, indices):

@@ -78,6 +78,8 @@ def test_system_validation():
     with pytest.raises(ValueError):
         SkewSystem(30, 16)
     SkewSystem(10, 10, cocycle=DyadicStep(2, (0, 1, 0, 1)))  # custom may use L = K
+    with pytest.raises(ValueError, match=r"'a/2\^3'"):
+        DyadicInterval.parse("a/2^3")
 
 
 def test_tower_order_is_bit_reversal(mn_small):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ergolab.spectral import (
     CorrelationSequence,
     InvalidTail,
+    SpectralError,
     TailDescriptor,
     WeakLimitCoefficients,
     WindowTooSmall,
@@ -121,13 +122,12 @@ def test_tail_validation():
         TailDescriptor("polynomial", c=1.0, s=0.5)
     with pytest.raises(InvalidTail):
         TailDescriptor("nonsense")
-
-
-def test_total_mass_finite():
-    geo = WeakLimitCoefficients({0: 1.0}, TailDescriptor("geometric", c=1.0, q=0.5))
-    assert geo.total_abs_mass() == pytest.approx(2.0)
-    st_ = WeakLimitCoefficients({0: 1.0}, TailDescriptor("stretched_exponential", c=1.0, gamma=0.5))
-    assert math.isfinite(st_.total_abs_mass())
+    with pytest.raises(SpectralError, match="'support'"):
+        WeakLimitCoefficients.from_json('{"tail": {"kind": "none"}}')
+    with pytest.raises(SpectralError, match="malformed"):
+        WeakLimitCoefficients.from_json('{"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 1, "q": "x"}}')
+    with pytest.raises(SpectralError, match="finite"):
+        WeakLimitCoefficients.from_json('{"support": {"0": NaN}}')
 
 
 def test_json_roundtrip():
@@ -214,13 +214,22 @@ def test_certificate_chacon_style():
 
 
 def test_certificate_blocked_cases():
-    assert singularity_certificate(STRETCHED).verdict == "no certificate"
+    def outcome(cert):
+        return cert.verdict, cert.notes, cert.nonpower_asserted, cert.alpha_lower_bound
+
+    assert outcome(singularity_certificate(STRETCHED)) == (
+        "no certificate", ("tail test verdict: fails",), True, None)
     zero = WeakLimitCoefficients({0: 0.0})
-    assert singularity_certificate(zero).verdict == "no certificate (zero limit)"
-    assert (
-        singularity_certificate(ONE_SIDED, limit_is_nonpower=False).verdict
-        == "no certificate"
-    )
+    assert outcome(singularity_certificate(zero)) == (
+        "no certificate (zero limit)", ("all coefficients vanish",), True, None)
+    assert outcome(singularity_certificate(zero, limit_is_nonpower=False)) == (
+        "no certificate (zero limit)", ("all coefficients vanish",), False, None)
+    assert outcome(singularity_certificate(ONE_SIDED, limit_is_nonpower=False)) == (
+        "no certificate", ("caller did not assert the limit lies outside the powers",), False, None)
+    assert outcome(singularity_certificate(ONE_SIDED)) == (
+        "singular", (f"alpha-rigid with alpha >= {1 / 3}",), True, 1 / 3)
+    assert outcome(singularity_certificate(WeakLimitCoefficients({0: -0.5}))) == (
+        "singular", (), True, None)
 
 
 def test_certificate_half_threshold_note():
