@@ -23,8 +23,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import rankone, skew, spectral, substitution
 from .rankone import LevelSet, RankOneSpec
 from .skew import CONSTANT_ONE, FIRST_DIGIT_SIGN, DyadicInterval, SkewSystem
@@ -117,7 +115,7 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
             "theta": data.theta,
             "letter_frequencies": data.letter_freq.tolist(),
             "perron_residual": data.residual,
-            "letter_limit_norms": [float(np.abs(v).sum()) for v in data.letter_limits],
+            "letter_limit_norms": [float(v.sum()) for v in data.letter_limits],
             "block_alphabet": [substitution.word_to_str(b) for b in freqs],
             "block_frequencies": {substitution.word_to_str(b): f for b, f in freqs.items()},
             "marginal_check": {

@@ -39,8 +39,6 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "Boundary",
     "BOUNDARY",
@@ -162,6 +160,7 @@ def _bit_reverse(num: int, level: int) -> int:
 
 
 def _bit_reverse_permutation(K: int) -> np.ndarray:
+    import numpy as np
     u = np.arange(2**K, dtype=np.int64)
     r = np.zeros_like(u)
     for b in range(K):
@@ -240,6 +239,7 @@ class SkewSystem:
     def atom_indices(self, interval: DyadicInterval) -> np.ndarray:
         if interval.level > self.K:
             raise ValueError("interval finer than the atom partition")
+        import numpy as np
         count = 1 << (self.K - interval.level)
         start = interval.numerator << (self.K - interval.level)
         return np.arange(start, start + count, dtype=np.int64)

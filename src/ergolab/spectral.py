@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 __all__ = [
     "CorrelationSequence",
     "TailDescriptor",
@@ -96,7 +94,8 @@ class CorrelationSequence:
         vals: dict[int, tuple[float, float]] = {}
         with open(path, newline="") as fh:
             for line, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].strip().startswith(("#", "n")):
+                first = row[0].strip() if row else ""
+                if not row or first.startswith("#") or line == 1 and first.startswith("n"):
                     continue
                 try:
                     n, v = int(row[0]), float(row[1])
@@ -147,6 +146,7 @@ def rajchman_probe(corr: CorrelationSequence) -> RajchmanStats:
         env = max(abs(corr.value(n)) for n in range(2**j, 2 ** (j + 1)))
         xs.append(j * math.log(2.0))
         ys.append(math.log(env) if env > 0 else math.log(1e-300))
+    import numpy as np
     slope = float(np.polyfit(xs, ys, 1)[0])
     return RajchmanStats(outer_quartile_max=float(outer_max), envelope_slope=slope)
 
@@ -265,15 +265,19 @@ class WeakLimitCoefficients:
         try:
             payload = json.loads(text)
             tail_raw = payload.get("tail", {"kind": "none"})
-            tail = TailDescriptor(
-                kind=tail_raw.get("kind", "none"),
-                c=float(tail_raw.get("c", 0.0)),
-                q=tail_raw.get("q"),
-                gamma=tail_raw.get("gamma"),
-                s=tail_raw.get("s"),
-            )
+            params = {}
+            for name in ("c", "q", "gamma", "s"):
+                if name in tail_raw:
+                    try:
+                        params[name] = float(tail_raw[name])
+                    except (TypeError, ValueError):
+                        params[name] = math.nan
+                    if not math.isfinite(params[name]):
+                        raise SpectralError(f"malformed coefficient file: tail field {name!r} "
+                                            f"must be a finite number, got {tail_raw[name]!r}")
+            tail = TailDescriptor(kind=tail_raw.get("kind", "none"), **params)
             support = {int(i): float(a) for i, a in payload["support"].items()}
-            if not all(math.isfinite(a) for a in (*support.values(), tail.c)):
+            if not all(math.isfinite(a) for a in support.values()):
                 raise ValueError("coefficients must be finite")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SpectralError(f"malformed coefficient file: {type(exc).__name__}: {exc}") from None
@@ -295,6 +299,7 @@ def _log_tail(coeffs: WeakLimitCoefficients, n: int) -> float:
     k_edge = min(coeffs.k_min - 1, -n)  # largest tail index entering the sum
     if t.kind == "none":
         return math.log(finite) if finite > 0 else -math.inf
+    import numpy as np
     d0 = coeffs.k_min - k_edge  # smallest tail distance in the sum, >= 1
     if t.kind == "geometric":
         # sum_{d >= d0} c^2 q^(2d) = c^2 q^(2 d0) / (1 - q^2)
@@ -371,6 +376,7 @@ def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 10000) -> Beurlin
         if n >= max(2, len(tails) // 2) and -math.inf < lt < 0
     ]
     if len(pts) >= 2:
+        import numpy as np
         xs, ys = zip(*pts)
         fit = float(np.polyfit(xs, ys, 1)[0])
     return BeurlingReport(

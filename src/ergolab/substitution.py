@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 Word = tuple[int, ...]
 
 
@@ -141,6 +139,7 @@ THREE_LETTER_REFERENCE_ALPHA = 0.3104979673e-7
 
 def composition_matrix(sub: Substitution) -> np.ndarray:
     """k x k integer matrix; entry (i, j) counts letter i in image(j)."""
+    import numpy as np
     k = sub.alphabet_size
     M = np.zeros((k, k), dtype=np.int64)
     for j, w in enumerate(sub.images):
@@ -159,6 +158,7 @@ def is_primitive(sub: Substitution) -> bool:
 
 
 def _matrix_is_primitive(M: np.ndarray) -> bool:
+    import numpy as np
     k = M.shape[0]
     pattern = (M > 0).astype(np.uint8)
     bound = k * k - 2 * k + 2
@@ -186,6 +186,7 @@ def _dominant_eigenvector(A: np.ndarray) -> tuple[float, np.ndarray]:
     For a primitive matrix that eigenvalue is simple and real, and its
     eigenvector has entries of one sign.
     """
+    import numpy as np
     eigvals, eigvecs = np.linalg.eig(A)
     i = int(np.argmax(np.abs(eigvals)))
     v = eigvecs[:, i].real
@@ -204,6 +205,7 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
     NoConvergence is raised when the residual ||M right - theta right||_inf
     exceeds tol * max(1, theta), or when a vector is not strictly positive.
     """
+    import numpy as np
     M = np.asarray(M)
     if not _matrix_is_primitive(M):
         raise NotPrimitive("matrix has no entrywise-positive power")
@@ -228,6 +230,7 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
 
 def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
     """First `length` symbols of the one-sided fixed point starting at 0."""
+    import numpy as np
     if length < 1:
         raise ValueError("length must be positive")
     if not sub.is_fixed_point_capable:
@@ -340,7 +343,7 @@ def _rigidity_from(freqs: dict[Block, float], data: PerronData) -> RigidityConst
     diag = [freqs.get((a, a), 0.0) for a in range(len(data.right_vec))]
     r = max(diag)
     witness = diag.index(r)
-    rho = float(np.abs(data.letter_limits[witness]).sum())
+    rho = float(data.letter_limits[witness].sum())
     return RigidityConstant(r=r, rho=rho, alpha=r * rho, witness_letter=witness)
 
 
@@ -349,6 +352,7 @@ def prefix_correlation(prefix: np.ndarray, block: Iterable[int], shift: int) -> 
 
     At shift 0 it is the empirical frequency of the block itself.
     """
+    import numpy as np
     block = _as_word(block)
     if shift < 0:
         raise ValueError("shift must be nonnegative")

@@ -326,6 +326,14 @@ def test_spectral_csv_gap_is_named_error(tmp_path, capsys):
     code, out = run_cli(["spectral", "rajchman", "--input", str(csv_path)], capsys)
     assert code == 1
     assert "line 7" in json.loads(out)["error"]["message"]
+    # a header is read on line 1 only and comments are skipped; any other row must parse
+    _write_series(csv_path, range(65))
+    rows = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join([rows[0], "# hand-edited", *rows[1:], "nonsense,1,2"]) + "\n")
+    code, out = run_cli(["spectral", "wiener", "--input", str(csv_path)], capsys)
+    assert code == 1
+    message = json.loads(out)["error"]["message"]
+    assert str(csv_path) in message and "line 68" in message and "nonsense,1,2" in message
 
 
 def _write_series(path, indices):
@@ -391,14 +399,57 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["report"]["heights"] == [1, 3, 7, 15, 31]
 
 
-def test_console_script_entry_point():
-    # the child imports the same ergolab as this process, installed or not
+def _child_env() -> dict:
+    """Environment under which a child process imports the same ergolab as
+    this process, installed or not."""
     src = str(Path(ergolab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ergolab.cli", "rankone", "heights",
          "--system", "chacon", "--stages", "3"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["heights"] == [1, 4, 13, 40]
+
+
+_NUMPY_PROBE = """
+import json, sys
+loaded = lambda: "numpy" in sys.modules
+import ergolab
+steps = [["import ergolab", 0, loaded()]]
+from ergolab import cli
+steps.append(["import ergolab.cli", 0, loaded()])
+for argv in json.loads(sys.argv[1]):
+    steps.append([" ".join(argv), cli.main([*argv, "--out", sys.argv[2]]), loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_commands_without_arrays_do_not_load_numpy(tmp_path):
+    # numpy is already loaded in this process, so the imports run in a child
+    csv_path, coeffs = tmp_path / "series.csv", tmp_path / "finite.json"
+    _write_series(csv_path, range(65))
+    coeffs.write_text(json.dumps({"support": {"0": 0.5, "1": 0.25}, "tail": {"kind": "none"}}))
+    commands = [
+        ["rankone", "heights", "--system", "chacon", "--stages", "5"],
+        ["rankone", "correlate", "--system", "chacon", "--stages", "8", "--set-stage", "2",
+         "--levels", "0", "--shifts", "4,13"],
+        ["skew", "correlate", "--atom-level", "14", "--cutoff", "12", "--shift", "5"],
+        ["skew", "spectrum", "--atom-level", "12", "--cutoff", "8", "--window", "16"],
+        ["spectral", "wiener", "--input", str(csv_path)],
+        ["spectral", "translate", "--input", str(csv_path), "--times", "16,32,48", "--j-window", "2"],
+        ["spectral", "beurling", "--coeffs", str(coeffs)],
+    ]
+    control = ["subst", "analyze", "--system", "rudin-shapiro"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps([*commands, control]), str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    *numpy_free, (_, control_code, control_loaded) = json.loads(proc.stdout.splitlines()[-1])
+    assert [step for step, code, loaded in numpy_free if code != 0 or loaded] == []
+    assert control_code == 0 and control_loaded  # the probe does see numpy once an array is built

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -128,6 +129,10 @@ def test_tail_validation():
         WeakLimitCoefficients.from_json('{"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 1, "q": "x"}}')
     with pytest.raises(SpectralError, match="finite"):
         WeakLimitCoefficients.from_json('{"support": {"0": NaN}}')
+    for name, bad in (("c", "x"), ("q", "x"), ("gamma", None), ("s", math.inf)):
+        tail = {"kind": "polynomial", "c": 1.0, "s": 2.0, name: bad}
+        with pytest.raises(SpectralError, match=f"tail field '{name}'"):
+            WeakLimitCoefficients.from_json(json.dumps({"support": {"0": 0.5}, "tail": tail}))
 
 
 def test_json_roundtrip():

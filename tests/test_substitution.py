@@ -170,6 +170,7 @@ def test_perron_residual_and_limits_on_random_substitutions(sub):
     P = np.linalg.matrix_power(M / data.theta, 2**14)
     for a, v in enumerate(data.letter_limits):
         assert np.allclose(P[:, a], v, atol=1e-6), (sub.images, a)
+        assert v.min() > 0, (sub.images, a)  # so ||v||_1 is v.sum() in the reports
 
 
 def test_perron_constant_length_limit_norms_are_one():
