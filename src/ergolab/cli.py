@@ -455,6 +455,8 @@ def _cmd_skew_rigidity(args):
     sys_ = _skew_system_from_args(args)
     A = DyadicInterval.parse(args.interval)
     lo, hi = _ints("--k-range", args.k_range, ":", 2)
+    if lo > hi:
+        raise ParseError(f"--k-range {lo}:{hi} is empty")
     _emit(report_skew_rigidity(sys_, A, args.eps, lo, hi), args)
 
 

@@ -102,6 +102,8 @@ class CorrelationSequence:
                     e = float(row[2]) if len(row) > 2 else 0.0
                     if not (math.isfinite(v) and math.isfinite(e)):
                         raise ValueError("values must be finite")
+                    if n in vals:
+                        raise ValueError(f"repeated index n = {n}")
                 except (ValueError, IndexError) as exc:
                     raise ValueError(f"{path} line {line}: bad row {','.join(row)!r}: {exc}") from None
                 vals[n] = (v, e)
@@ -146,9 +148,14 @@ def rajchman_probe(corr: CorrelationSequence) -> RajchmanStats:
         env = max(abs(corr.value(n)) for n in range(2**j, 2 ** (j + 1)))
         xs.append(j * math.log(2.0))
         ys.append(math.log(env) if env > 0 else math.log(1e-300))
-    import numpy as np
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return RajchmanStats(outer_quartile_max=float(outer_max), envelope_slope=slope)
+    return RajchmanStats(outer_quartile_max=float(outer_max), envelope_slope=_slope(xs, ys))
+
+
+def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of the line through the points (xs[i], ys[i])."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return sxy / sum((x - mx) ** 2 for x in xs)
 
 
 @dataclass(frozen=True)
@@ -286,7 +293,7 @@ class WeakLimitCoefficients:
 
 @dataclass(frozen=True)
 class BeurlingReport:
-    verdict: str  # holds | fails | inconclusive
+    verdict: str  # holds | fails
     partial_sums: tuple[float, ...]
     tail_exponent_fit: float | None
     notes: str
@@ -299,7 +306,6 @@ def _log_tail(coeffs: WeakLimitCoefficients, n: int) -> float:
     k_edge = min(coeffs.k_min - 1, -n)  # largest tail index entering the sum
     if t.kind == "none":
         return math.log(finite) if finite > 0 else -math.inf
-    import numpy as np
     d0 = coeffs.k_min - k_edge  # smallest tail distance in the sum, >= 1
     if t.kind == "geometric":
         # sum_{d >= d0} c^2 q^(2d) = c^2 q^(2 d0) / (1 - q^2)
@@ -311,6 +317,7 @@ def _log_tail(coeffs: WeakLimitCoefficients, n: int) -> float:
         # theta ~ 1 + int_0^inf e^(-2u) (1/gamma) (u + d0^gamma)^(1/gamma-1) du,
         # evaluated by trapezoid on [0, 20]; report-quality accuracy only,
         # the verdict never depends on it.
+        import numpy as np
         g = t.gamma
         base = d0**g
         u = np.linspace(0.0, 20.0, 400)
@@ -319,13 +326,15 @@ def _log_tail(coeffs: WeakLimitCoefficients, n: int) -> float:
         log_formula = 2 * math.log(t.c) - 2 * base + math.log(theta)
     else:  # polynomial
         # sum_{d >= d0} c^2 d^(-2s), partial sum plus integral remainder
+        import numpy as np
         s2 = 2 * t.s
         d = np.arange(d0, d0 + 2000, dtype=np.float64)
         total = float((d**-s2).sum()) + (d0 + 2000.0) ** (1 - s2) / (s2 - 1)
         log_formula = 2 * math.log(t.c) + math.log(total)
     if finite <= 0:
         return log_formula
-    return float(np.logaddexp(math.log(finite), log_formula))
+    lo, hi = sorted((math.log(finite), log_formula))
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 10000) -> BeurlingReport:
@@ -351,12 +360,9 @@ def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 10000) -> Beurlin
         else:
             verdict = "holds"
             notes = "log tail ~ -2 n^gamma with gamma >= 1; terms do not vanish faster than c/n"
-    elif t.kind == "polynomial":
+    else:  # polynomial
         verdict = "fails"
         notes = "log tail ~ -(2s - 1) log n; sum log(n)/n^2 converges"
-    else:
-        verdict = "inconclusive"
-        notes = "no closed-form tail available"
 
     cap = min(n_max, 600)
     tails = []
@@ -376,9 +382,7 @@ def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 10000) -> Beurlin
         if n >= max(2, len(tails) // 2) and -math.inf < lt < 0
     ]
     if len(pts) >= 2:
-        import numpy as np
-        xs, ys = zip(*pts)
-        fit = float(np.polyfit(xs, ys, 1)[0])
+        fit = _slope(*zip(*pts))
     return BeurlingReport(
         verdict=verdict,
         partial_sums=tuple(sums),

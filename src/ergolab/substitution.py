@@ -76,25 +76,15 @@ class Substitution:
             if any(s < 0 or s >= k for s in w):
                 raise ValueError("image symbol out of alphabet range")
 
-    def apply(self, word: Iterable[int]) -> Word:
-        out: list[int] = []
-        for s in word:
-            out.extend(self.images[s])
-        return tuple(out)
-
     @property
     def is_fixed_point_capable(self) -> bool:
-        """True when image(0) starts with 0 and |image^n(0)| grows (n <= 5)."""
-        if self.images[0][0] != 0:
-            return False
-        w: Word = (0,)
-        prev = len(w)
-        for _ in range(5):
-            w = self.apply(w)
-            if len(w) <= prev:
-                return False
-            prev = len(w)
-        return True
+        """True when image(0) = 0w with w nonempty.
+
+        Then |image^n(0)| grows at every step, since each letter after the
+        first adds at least one letter, and image^n(0) converges to a fixed
+        point starting at 0.
+        """
+        return self.images[0][0] == 0 and len(self.images[0]) > 1
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], name: str | None = None) -> "Substitution":
@@ -244,8 +234,6 @@ def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
         # expand only up to the first letter whose image reaches `length`
         used = int(np.searchsorted(ends, length)) + 1
         w, ends = w[:used], ends[:used]
-        if ends[-1] <= len(w):
-            raise NotFixedPointCapable("prefix stopped growing")
         sizes = lens[w]
         w = flat[np.repeat(starts[w] - (ends - sizes), sizes) + np.arange(ends[-1])]
     return w[:length]
@@ -284,22 +272,17 @@ def _block_image(sub: Substitution, block: Block) -> tuple[Block, ...]:
 def pair_substitution(sub: Substitution) -> PairSubstitution:
     """Admissible 2-blocks with their induced images, computed by closure.
 
-    Seeded with the 2-blocks of a short fixed-point prefix, then closed
-    under the block-image map; closure cannot miss rare blocks the way a
-    fixed prefix scan could.
+    The closure of the fixed point's first 2-block (0, image(0)[1]) under
+    the block-image map: its n-th image holds every 2-block that starts
+    inside image^n(0), so the closure is exactly the fixed point's 2-block
+    language, rare blocks included, which a fixed prefix scan could miss.
     """
     if not is_primitive(sub):
         raise NotPrimitive("pair substitution requires a primitive base")
     if not sub.is_fixed_point_capable:
         raise NotFixedPointCapable("pair substitution requires a fixed point")
-    w: Word = (0,)
-    for _ in range(4):
-        w = sub.apply(w)
-        if len(w) > 64:
-            break
-    seed = {(w[i], w[i + 1]) for i in range(len(w) - 1)}
     images: dict[Block, tuple[Block, ...]] = {}
-    frontier = sorted(seed)
+    frontier = [(0, sub.images[0][1])]
     while frontier:
         blk = frontier.pop()
         if blk in images:

@@ -197,6 +197,15 @@ def test_malformed_integer_argument_is_parse_error(args, flag, bad, tmp_path, ca
     assert flag in error["message"] and repr(bad) in error["message"]
 
 
+@pytest.mark.parametrize("k_range", ["9:6", "14:10"])
+def test_skew_rigidity_empty_k_range_is_parse_error(k_range, capsys):
+    code, out = run_cli(["skew", "rigidity", "--k-range", k_range], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "--k-range" in error["message"] and k_range in error["message"]
+
+
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     # the README examples, in order: `skew spectrum` writes the chi.csv the spectral lines read
     text = README.read_text()
@@ -334,6 +343,13 @@ def test_spectral_csv_gap_is_named_error(tmp_path, capsys):
     assert code == 1
     message = json.loads(out)["error"]["message"]
     assert str(csv_path) in message and "line 68" in message and "nonsense,1,2" in message
+    # a repeated index is an error, not a silent overwrite
+    _write_series(csv_path, range(65))
+    csv_path.write_text(csv_path.read_text().replace("\n1,0.5,0.0\n", "\n1,0.5,0.0\n1,0.25,0.0\n"))
+    code, out = run_cli(["spectral", "wiener", "--input", str(csv_path)], capsys)
+    assert code == 1
+    message = json.loads(out)["error"]["message"]
+    assert str(csv_path) in message and "line 4" in message and "1,0.25,0.0" in message
 
 
 def _write_series(path, indices):
@@ -432,8 +448,11 @@ print(json.dumps(steps))
 def test_commands_without_arrays_do_not_load_numpy(tmp_path):
     # numpy is already loaded in this process, so the imports run in a child
     csv_path, coeffs = tmp_path / "series.csv", tmp_path / "finite.json"
+    geometric = tmp_path / "geometric.json"
     _write_series(csv_path, range(65))
     coeffs.write_text(json.dumps({"support": {"0": 0.5, "1": 0.25}, "tail": {"kind": "none"}}))
+    geometric.write_text(json.dumps({"support": {"-1": 0.25, "0": 0.5},
+                                     "tail": {"kind": "geometric", "c": 0.5, "q": 0.5}}))
     commands = [
         ["rankone", "heights", "--system", "chacon", "--stages", "5"],
         ["rankone", "correlate", "--system", "chacon", "--stages", "8", "--set-stage", "2",
@@ -443,6 +462,9 @@ def test_commands_without_arrays_do_not_load_numpy(tmp_path):
         ["spectral", "wiener", "--input", str(csv_path)],
         ["spectral", "translate", "--input", str(csv_path), "--times", "16,32,48", "--j-window", "2"],
         ["spectral", "beurling", "--coeffs", str(coeffs)],
+        ["spectral", "rajchman", "--input", str(csv_path)],
+        ["spectral", "beurling", "--coeffs", str(geometric)],
+        ["spectral", "certify", "--coeffs", str(geometric)],
     ]
     control = ["subst", "analyze", "--system", "rudin-shapiro"]
     proc = subprocess.run(

@@ -160,27 +160,6 @@ def test_build_tower_stage_guard():
 # -- correlation engine vs brute force -------------------------------------------
 
 
-def test_engine_matches_brute_force_randomized():
-    rng = random.Random(23)
-    for _ in range(60):
-        depth = rng.randint(1, 5)
-        stages = tuple(
-            (p := rng.randint(2, 4), tuple(rng.randint(0, 2) for _ in range(p)))
-            for _ in range(depth)
-        )
-        spec = RankOneSpec(stages)
-        hs = heights(spec)
-        k = rng.randint(0, depth - 1)
-        N = rng.randint(k, depth)
-        size = rng.randint(1, min(4, hs[k]))
-        A = tuple(sorted(rng.sample(range(hs[k]), size)))
-        B = tuple(sorted(rng.sample(range(hs[k]), rng.randint(1, min(4, hs[k])))))
-        m = rng.randint(0, hs[N] - 1)
-        got = correlation_count(spec, N, LevelSet(k, A), LevelSet(k, B), m)
-        want = brute_count(spec, k, N, A, B, m)
-        assert got == want, (stages, k, N, A, B, m)
-
-
 @st.composite
 def correlation_cases(draw):
     spec = draw(schedules())

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,11 @@ def test_rajchman_decaying_envelope_slope():
     )
     stats = rajchman_probe(corr)
     assert stats.envelope_slope == pytest.approx(-0.5, abs=0.1)
+    # oracle: np.polyfit on the same dyadic envelope, to rel 1e-12 or abs 1e-12
+    # (polyfit reads about 6e-16 where the exact slope is 0)
+    xs = [j * math.log(2.0) for j in range(8)]
+    ys = [math.log(max(abs(corr.value(n)) for n in range(2**j, 2 ** (j + 1)))) for j in range(8)]
+    assert stats.envelope_slope == pytest.approx(float(np.polyfit(xs, ys, 1)[0]), rel=1e-12, abs=1e-12)
     with pytest.raises(WindowTooSmall):
         rajchman_probe(synthetic(0.5, window=32))
 
@@ -176,6 +182,12 @@ def test_beurling_partial_sums_monotone_for_decaying_tails():
     # beyond the finite support the log-tail terms are negative
     assert sums[-1] < sums[5]
     assert report.tail_exponent_fit == pytest.approx(1.0, abs=0.05)
+    # oracle: np.polyfit on the same log-log points, to rel 1e-12 or abs 1e-12
+    from ergolab.spectral import _log_tail
+
+    n_max = len(sums)
+    xs, ys = zip(*((math.log(n), math.log(-_log_tail(GEOMETRIC, n))) for n in range(n_max // 2, n_max + 1)))
+    assert report.tail_exponent_fit == pytest.approx(float(np.polyfit(xs, ys, 1)[0]), rel=1e-12, abs=1e-12)
 
 
 def test_beurling_geometric_tail_value_matches_closed_form():

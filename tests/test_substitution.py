@@ -233,6 +233,34 @@ def test_fixed_point_prefix_matches_oracle(sub, length):
     assert got.tolist() == prefix_oracle(sub, length)
 
 
+def capability_oracle(sub: Substitution) -> bool:
+    """image(0) starts with 0 and |image^n(0)| grows for n = 1..5 (test oracle)."""
+    if sub.images[0][0] != 0:
+        return False
+    w = [0]
+    for _ in range(5):
+        grown = [s for t in w for s in sub.images[t]]
+        if len(grown) <= len(w):
+            return False
+        w = grown
+    return True
+
+
+@st.composite
+def any_substitutions(draw):
+    k = draw(st.integers(1, 4))
+    images = [draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4)) for _ in range(k)]
+    if draw(st.booleans()):
+        images[0][0] = 0  # the capable side needs image(0) to start with 0
+    return Substitution(k, tuple(tuple(w) for w in images))
+
+
+@settings(max_examples=200)
+@given(any_substitutions())
+def test_fixed_point_capability_matches_growth_oracle(sub):
+    assert sub.is_fixed_point_capable == capability_oracle(sub)
+
+
 def test_fixed_point_prefix_requires_capability():
     with pytest.raises(NotFixedPointCapable):
         fixed_point_prefix(Substitution(2, ((1, 0), (0, 1))), 4)
@@ -270,6 +298,34 @@ def test_pair_blocks_match_long_prefix_scan():
         prefix = fixed_point_prefix(sub, 2**14)
         seen = {(int(a), int(b)) for a, b in zip(prefix[:-1], prefix[1:])}
         assert seen == set(pair_substitution(sub).block_alphabet)
+
+
+def pair_closure_oracle(sub: Substitution, seed_len: int = 65) -> dict:
+    """The 2-blocks of a fixed-point prefix closed under the block-image map
+    (test oracle)."""
+    w = prefix_oracle(sub, seed_len)
+    images: dict = {}
+    frontier = list(zip(w, w[1:]))
+    while frontier:
+        blk = frontier.pop()
+        if blk not in images:
+            ab = sub.images[blk[0]] + sub.images[blk[1]]
+            images[blk] = tuple(zip(ab, ab[1:]))[: len(sub.images[blk[0]])]
+            frontier.extend(images[blk])
+    return images
+
+
+@settings(max_examples=80)
+@given(fixed_point_substitutions())
+def test_pair_substitution_matches_prefix_closure_oracle(sub):
+    assume(is_primitive(sub))
+    pair = pair_substitution(sub)
+    want = pair_closure_oracle(sub)
+    assert pair.block_alphabet == tuple(sorted(want))
+    assert pair.images == want
+    # a prefix scan can miss a rare block, so only containment is asserted
+    prefix = prefix_oracle(sub, 4096)
+    assert set(zip(prefix, prefix[1:])) <= set(pair.block_alphabet)
 
 
 # -- block frequencies -------------------------------------------------------------
