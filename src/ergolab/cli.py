@@ -457,6 +457,8 @@ def _cmd_skew_rigidity(args):
     lo, hi = _ints("--k-range", args.k_range, ":", 2)
     if lo > hi:
         raise ParseError(f"--k-range {lo}:{hi} is empty")
+    if lo < 0:
+        raise ParseError(f"--k-range {lo}:{hi} starts below k = 0")
     _emit(report_skew_rigidity(sys_, A, args.eps, lo, hi), args)
 
 

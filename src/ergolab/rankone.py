@@ -7,10 +7,11 @@ j-th copy, so heights satisfy
 
     h_0 = 1,    h_{k+1} = p_k * h_k + sum_j a_j^(k).
 
-Level widths are 1 / prod(p_i) as exact rationals; mass is left
-unnormalized (total mass may exceed 1) because correlation ratios are
-normalization-invariant.  A `RankOneSpec` computes its heights and its
-per-stage level widths once, on first use, and every query reads them.
+Level widths w_N = 1 / (p_0 ... p_{N-1}) are exact rationals, and mass is
+left unnormalized because correlation ratios are normalization-invariant.
+A `RankOneSpec` computes its heights and widths once, on first use.  A set
+A of stage-k levels has mu(A) = |A| * w_k in every stage-N tower, and each
+public call first checks 0 <= k <= N <= K and A's levels in [0, h_k).
 
 Correlations mu(T^m A cap A) for a union A of stage-k levels are pure
 combinatorics of the stage-N column word: a stage-k level l occupies the
@@ -56,8 +57,6 @@ __all__ = [
     "heights",
     "level_width",
     "build_tower",
-    "copy_count",
-    "occurrence_count",
     "correlation_count",
     "level_correlation",
     "level_measure",
@@ -154,15 +153,11 @@ class RankOneSpec:
 
 def chacon_spec(K: int) -> RankOneSpec:
     """K stages of cut-in-3 with a single spacer above the middle column."""
-    if K < 1:
-        raise ValueError("need K >= 1")
     return RankOneSpec(((3, (0, 1, 0)),) * K, name="chacon")
 
 
 def staircase_spec(p: int, K: int) -> RankOneSpec:
     """Staircase schedule: spacers (0, 1, ..., p-2, 0) at every stage."""
-    if K < 1 or p < 2:
-        raise ValueError("need K >= 1 and p >= 2")
     spacers = tuple(range(p - 1)) + (0,)
     return RankOneSpec(((p, spacers),) * K, name=f"staircase:{p}")
 
@@ -175,8 +170,6 @@ def historical_chacon_spec(K: int) -> RankOneSpec:
     spacer above the first column instead degenerates to an exactly
     periodic base pattern whose h_n-limit is a single power of T.
     """
-    if K < 1:
-        raise ValueError("need K >= 1")
     return RankOneSpec(((2, (0, 1)),) * K, name="historical")
 
 
@@ -193,18 +186,15 @@ def level_width(spec: RankOneSpec, N: int) -> Fraction:
 
 @dataclass(frozen=True)
 class Tower:
-    stage: int
     height: int
     level_width: Fraction
     total_mass: Fraction
     column_word: str
-    spec: RankOneSpec
 
 
 def build_tower(spec: RankOneSpec, N: int) -> Tower:
     """Materialize the stage-N column word (intended for moderate N)."""
-    if N < 0 or N > spec.num_stages:
-        raise StageOutOfRange(f"stage {N} outside 0..{spec.num_stages}")
+    w = level_width(spec, N)
     word = "B"
     for p, spacers in spec.stages[:N]:
         parts = []
@@ -212,14 +202,11 @@ def build_tower(spec: RankOneSpec, N: int) -> Tower:
             parts.append(word)
             parts.append("S" * a)
         word = "".join(parts)
-    w = level_width(spec, N)
     return Tower(
-        stage=N,
         height=len(word),
         level_width=w,
         total_mass=len(word) * w,
         column_word=word,
-        spec=spec,
     )
 
 
@@ -241,7 +228,10 @@ class LevelSet:
 class BoundedValue:
     value: float
     error_bound: float
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.error_bound == 0
 
 
 def _pair_counts(
@@ -276,24 +266,19 @@ def _pair_counts(
     return [count(N, m) if abs(m) < hs[N] else 0 for m in shifts]
 
 
-def _check_level_set(spec: RankOneSpec, A: LevelSet, N: int, hs: Sequence[int]) -> None:
-    if A.stage < 0 or A.stage > N or N > spec.num_stages:
+def _check_level_set(spec: RankOneSpec, A: LevelSet, N: int) -> None:
+    if not 0 <= A.stage <= N <= spec.num_stages:
+        level_width(spec, N)  # an N outside the schedule gets level_width's error
         raise StageOutOfRange(f"need 0 <= set stage {A.stage} <= N {N} <= {spec.num_stages}")
-    if A.levels[-1] >= hs[A.stage]:
+    if A.levels[0] < 0 or A.levels[-1] >= spec.stage_heights[A.stage]:
         raise ValueError("level index outside the stage's tower")
 
 
-def copy_count(spec: RankOneSpec, k: int, N: int) -> int:
-    """Number of stage-k copies inside the stage-N column."""
-    c = 1
-    for p, _ in spec.stages[k:N]:
-        c *= p
-    return c
-
-
-def occurrence_count(spec: RankOneSpec, N: int, A: LevelSet) -> int:
-    """Number of stage-N levels whose trace lies in A."""
-    return len(A.levels) * copy_count(spec, A.stage, N)
+def level_measure(spec: RankOneSpec, N: int, A: LevelSet) -> Fraction:
+    """mu(A) = |A| * w_k for a set A of stage-k levels, checked against
+    the stage-N tower; the stage-N copies of A carry the same mass."""
+    _check_level_set(spec, A, N)
+    return len(A.levels) * spec.stage_widths[A.stage]
 
 
 def correlation_count(
@@ -302,9 +287,8 @@ def correlation_count(
     """#{positions x : trace(x) in A, trace(x+m) in B} in the stage-N word."""
     if A.stage != B.stage:
         raise ValueError("cross-correlation requires a common set stage")
-    hs = spec.stage_heights
-    _check_level_set(spec, A, N, hs)
-    _check_level_set(spec, B, N, hs)
+    _check_level_set(spec, A, N)
+    _check_level_set(spec, B, N)
     return _pair_counts(spec, A.stage, A.levels, B.levels, N, [m])[0]
 
 
@@ -312,39 +296,32 @@ def level_correlation(spec: RankOneSpec, N: int, A: LevelSet, m: int) -> Bounded
     """mu(T^m A cap A) with the in-tower count exact and the top window
     (positions whose m-step image leaves stage-N knowledge) charged to
     error_bound = m * level_width."""
+    mass = level_measure(spec, N, A)
     hs = spec.stage_heights
-    _check_level_set(spec, A, N, hs)
     if m < 0 or m >= hs[N]:
         raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
-    w = spec.stage_widths[N]
     if m == 0:
-        mass = occurrence_count(spec, N, A) * w
-        return BoundedValue(value=float(mass), error_bound=0.0, exact=True)
+        return BoundedValue(value=float(mass), error_bound=0.0)
+    w = spec.stage_widths[N]
     count = correlation_count(spec, N, A, A, m)
-    return BoundedValue(value=float(count * w), error_bound=float(m * w), exact=False)
+    return BoundedValue(value=float(count * w), error_bound=float(m * w))
 
 
 def _level_correlations(spec: RankOneSpec, N: int, A: LevelSet, shifts: Sequence[int]) -> list[BoundedValue]:
     """`level_correlation` for each shift, with the counts of all nonzero
     shifts from one pair-count memo; the set and every shift are checked
     before any count is made."""
+    mass = BoundedValue(value=float(level_measure(spec, N, A)), error_bound=0.0)
     hs = spec.stage_heights
-    _check_level_set(spec, A, N, hs)
     if any(m < 0 or m >= hs[N] for m in shifts):
         raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
     w = spec.stage_widths[N]
     moving = [m for m in shifts if m]
     counts = dict(zip(moving, _pair_counts(spec, A.stage, A.levels, A.levels, N, moving)))
     return [
-        BoundedValue(value=float(counts[m] * w), error_bound=float(m * w), exact=False)
-        if m
-        else level_correlation(spec, N, A, 0)
+        BoundedValue(value=float(counts[m] * w), error_bound=float(m * w)) if m else mass
         for m in shifts
     ]
-
-
-def level_measure(spec: RankOneSpec, N: int, A: LevelSet) -> Fraction:
-    return occurrence_count(spec, N, A) * level_width(spec, N)
 
 
 @dataclass(frozen=True)
@@ -388,10 +365,9 @@ def weak_limit_estimate(
         raise StageOutOfRange(
             f"need {N} stages for range {n_start}..{n_stop} with margin {margin}"
         )
-    _check_level_set(spec, A, N, hs)
+    mu = float(level_measure(spec, N, A))
     if hs[A.stage] <= 4 * (j_max + 1):
         raise ValueError("level-set stage too coarse for the requested j window")
-    mu = float(level_measure(spec, N, A))
     ns = range(n_start, n_stop + 1)
     bvs = _level_correlations(spec, N, A, [hs[n] + j for j in range(j_max + 1) for n in ns])
     out = []
@@ -431,11 +407,10 @@ def rigidity_scan(
         raise ShiftOutOfRange("rigidity shifts must be positive")
     bounds: dict[tuple[int, tuple[int, ...]], float] = {}
     for A in sets:
+        _check_level_set(spec, A, N)
         key = (A.stage, tuple(l - A.levels[0] for l in A.levels))
-        if key in bounds:
-            _check_level_set(spec, A, N, spec.stage_heights)
-            continue
-        mu = float(level_measure(spec, N, A))
-        bvs = _level_correlations(spec, N, A, shifts)
-        bounds[key] = max((bv.value - bv.error_bound) / mu for bv in bvs)
+        if key not in bounds:
+            mu = float(level_measure(spec, N, A))
+            bvs = _level_correlations(spec, N, A, shifts)
+            bounds[key] = max((bv.value - bv.error_bound) / mu for bv in bvs)
     return min(bounds.values())

@@ -301,7 +301,7 @@ def skew_correlation(
     if m % 2**A.level == 0:
         D = sys._signed_mass(_bit_reverse(A.numerator, A.level), A.level, m)
         value = (A.width + D if eps == eps2 else A.width - D) / 4
-    return BoundedValue(value=float(value), error_bound=0.0, exact=True)
+    return BoundedValue(value=float(value), error_bound=0.0)
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,9 @@ def rigidity_sequence(
     rigidity times 2^k."""
     out = []
     for k in k_range:
-        if k < 0 or 2**k > sys.max_window():
+        if k < 0:
+            raise ValueError(f"rigidity times 2^k need k >= 0, got k = {k}")
+        if 2**k > sys.max_window():
             raise IndexTooLarge(f"2^{k} exceeds the window cap 2^(K-4)")
         out.append(skew_correlation(A, eps, eps, 2**k, sys))
     return out

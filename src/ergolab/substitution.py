@@ -163,7 +163,6 @@ def _matrix_is_primitive(M: np.ndarray) -> bool:
 @dataclass(frozen=True)
 class PerronData:
     theta: float
-    right_vec: np.ndarray
     left_vec: np.ndarray
     letter_freq: np.ndarray
     letter_limits: tuple[np.ndarray, ...]
@@ -208,14 +207,13 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
         theta = float(col_sums[0])
 
     left = left_raw / float(left_raw @ right)
-    letter_freq = right.copy()  # already l1-normalized
     limits = tuple(left[a] * right for a in range(M.shape[0]))
     residual = float(np.abs(A @ right - theta * right).max())
     if residual > tol * max(1.0, theta):
         raise NoConvergence(f"Perron residual {residual:.3e} exceeds tol={tol}")
     if right.min() <= 0 or left.min() <= 0:
         raise NoConvergence("eigenvector failed strict positivity")
-    return PerronData(theta, right, left, letter_freq, limits, residual)
+    return PerronData(theta, left, right, limits, residual)
 
 
 def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
@@ -252,7 +250,6 @@ class PairSubstitution:
 
     block_alphabet: tuple[Block, ...]
     images: dict[Block, tuple[Block, ...]] = field(compare=False)
-    base: Substitution = field(compare=False)
 
     def as_substitution(self) -> Substitution:
         index = {b: i for i, b in enumerate(self.block_alphabet)}
@@ -292,7 +289,7 @@ def pair_substitution(sub: Substitution) -> PairSubstitution:
         for nb in img:
             if nb not in images:
                 frontier.append(nb)
-    return PairSubstitution(tuple(sorted(images)), images, sub)
+    return PairSubstitution(tuple(sorted(images)), images)
 
 
 def block_frequencies(sub: Substitution, tol: float = 1e-12) -> dict[Block, float]:
@@ -323,7 +320,7 @@ def rigidity_constant(sub: Substitution, tol: float = 1e-12) -> RigidityConstant
 
 def _rigidity_from(freqs: dict[Block, float], data: PerronData) -> RigidityConstant:
     """The rigidity constant from the 2-block frequencies and the Perron data of M."""
-    diag = [freqs.get((a, a), 0.0) for a in range(len(data.right_vec))]
+    diag = [freqs.get((a, a), 0.0) for a in range(len(data.letter_freq))]
     r = max(diag)
     witness = diag.index(r)
     rho = float(data.letter_limits[witness].sum())

@@ -197,9 +197,9 @@ def test_malformed_integer_argument_is_parse_error(args, flag, bad, tmp_path, ca
     assert flag in error["message"] and repr(bad) in error["message"]
 
 
-@pytest.mark.parametrize("k_range", ["9:6", "14:10"])
+@pytest.mark.parametrize("k_range", ["9:6", "14:10", "-1:3"])
 def test_skew_rigidity_empty_k_range_is_parse_error(k_range, capsys):
-    code, out = run_cli(["skew", "rigidity", "--k-range", k_range], capsys)
+    code, out = run_cli(["skew", "rigidity", f"--k-range={k_range}"], capsys)
     assert code == 1
     error = json.loads(out)["error"]
     assert error["type"] == "ParseError"

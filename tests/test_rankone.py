@@ -21,7 +21,6 @@ from ergolab.rankone import (
     level_correlation,
     level_measure,
     level_width,
-    occurrence_count,
     rigidity_scan,
     staircase_spec,
     weak_limit_estimate,
@@ -178,11 +177,24 @@ def test_engine_matches_brute_force_property(case):
     assert got == brute_count(spec, k, N, A, B, m)
 
 
-def test_occurrence_count_matches_brute():
+def test_level_measure_matches_brute():
+    # |A| * w_k equals the stage-N occurrence count times w_N at every N >= k
     spec = chacon_spec(6)
     A = LevelSet(2, (0, 5, 11))
-    word = brute_trace_word(spec, 2, 6)
-    assert occurrence_count(spec, 6, A) == int(np.isin(word, A.levels).sum())
+    for N in range(2, 7):
+        word = brute_trace_word(spec, 2, N)
+        assert level_measure(spec, N, A) == int(np.isin(word, A.levels).sum()) * level_width(spec, N)
+
+
+def test_level_measure_guards():
+    spec = chacon_spec(6)
+    with pytest.raises(StageOutOfRange, match="set stage"):
+        level_measure(spec, 2, LevelSet(5, (0,)))
+    with pytest.raises(StageOutOfRange, match="stage 7 outside 0..6"):
+        level_measure(spec, 7, LevelSet(2, (0,)))
+    for level in (heights(spec)[2], 999, -1):
+        with pytest.raises(ValueError, match="level index"):
+            level_measure(spec, 6, LevelSet(2, (level,)))
 
 
 def test_measure_preservation_identity_exact():

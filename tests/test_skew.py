@@ -255,6 +255,8 @@ def test_mn_half_rigidity(mn_system):
 def test_rigidity_sequence_guard(mn_small):
     with pytest.raises(IndexTooLarge):
         rigidity_sequence(DyadicInterval(0, 0), 0, [mn_small.K - 3], mn_small)
+    with pytest.raises(ValueError, match="k = -1"):
+        rigidity_sequence(DyadicInterval(0, 0), 0, [-1], mn_small)
 
 
 # -- spectral coefficients ------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_perron_residual_and_limits_on_random_substitutions(sub):
     tol = 1e-12
     M = composition_matrix(sub).astype(float)
     data = perron(composition_matrix(sub), tol=tol)
-    residual = np.abs(M @ data.right_vec - data.theta * data.right_vec).max()
+    residual = np.abs(M @ data.letter_freq - data.theta * data.letter_freq).max()
     assert residual <= tol * max(1.0, data.theta)
     # M^n e_a / theta^n; |lambda_2| / theta reaches ~0.985 in this family,
     # so n = 2^14 leaves a truncation error far below the tolerance
@@ -187,7 +187,7 @@ def test_perron_rejects_nonprimitive():
 
 def test_perron_positive_vectors():
     data = perron(composition_matrix(THREE_LETTER))
-    assert data.right_vec.min() > 0
+    assert data.letter_freq.min() > 0
     assert data.left_vec.min() > 0
     assert abs(data.letter_freq.sum() - 1.0) < 1e-12
 
