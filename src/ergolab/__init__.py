@@ -10,7 +10,6 @@ coefficient sequences.
 from .substitution import (
     Substitution,
     PerronData,
-    PairSubstitution,
     RigidityConstant,
     RUDIN_SHAPIRO,
     THREE_LETTER,

@@ -30,7 +30,6 @@ from .spectral import CorrelationSequence, WeakLimitCoefficients
 from .substitution import RUDIN_SHAPIRO, THREE_LETTER, THREE_LETTER_REFERENCE_ALPHA, Substitution
 
 MAX_STAGES = 30
-MAX_ATOM_LEVEL = 26
 MAX_WINDOW = 2**16
 
 
@@ -68,9 +67,7 @@ def load_rankone(source: str, stages: int) -> RankOneSpec:
     if not path.exists():
         raise ParseError(f"unknown rank-one preset or missing file: {source}")
     spec = RankOneSpec.from_lines(path.read_text().splitlines(), name=path.stem)
-    if spec.num_stages > MAX_STAGES:
-        raise ParseError(f"stages must lie in 1..{MAX_STAGES}")
-    return spec
+    return RankOneSpec(spec.stages[:stages], spec.name)
 
 
 def _ints(flag: str, text: str, sep: str = ",", n: int = 0) -> list[int]:
@@ -170,7 +167,7 @@ def report_subst_correlate(sub, block, shift, prefix_len) -> dict:
 
 def report_rankone_heights(spec: RankOneSpec, n: int) -> dict:
     hs = rankone.heights(spec)[: n + 1]
-    return {"system": spec.name or "custom", "stages": n, "heights": hs}
+    return {"system": spec.name or "custom", "stages": len(hs) - 1, "heights": hs}
 
 
 def report_rankone_correlate(spec, N, A: LevelSet, shifts) -> dict:
@@ -387,8 +384,7 @@ def _cmd_rankone_heights(args):
 
 
 def _set_stage_height(spec: RankOneSpec, stage: int) -> int:
-    if not 0 <= stage <= spec.num_stages:
-        raise rankone.StageOutOfRange(f"set stage {stage} outside 0..{spec.num_stages}")
+    rankone.level_width(spec, stage)  # raises StageOutOfRange outside 0..K
     return spec.stage_heights[stage]
 
 
@@ -397,9 +393,7 @@ def _cmd_rankone_correlate(args):
     h_k = _set_stage_height(spec, args.set_stage)
     levels = range(h_k) if args.levels == "all" else _ints("--levels", args.levels)
     A = LevelSet(args.set_stage, tuple(levels))
-    N = args.tower_stage if args.tower_stage is not None else spec.num_stages
-    shifts = _ints("--shifts", args.shifts)
-    report = report_rankone_correlate(spec, N, A, shifts)
+    report = report_rankone_correlate(spec, spec.num_stages, A, _ints("--shifts", args.shifts))
     _emit(report, args)
     if args.csv:
         _write_series_csv(args.csv, report["correlations"], ["shift", "value", "error_bound"])
@@ -426,22 +420,16 @@ def _cmd_rankone_rigidity(args):
     _emit(report_rankone_rigidity(spec, shifts, sets, spec.num_stages), args)
 
 
-def _skew_system_from_args(args) -> SkewSystem:
-    if args.atom_level > MAX_ATOM_LEVEL:
-        raise ParseError(f"atom level capped at {MAX_ATOM_LEVEL}")
-    return SkewSystem(args.atom_level, args.cutoff)
-
-
 def _cmd_skew_correlate(args):
-    sys_ = _skew_system_from_args(args)
+    sys_ = SkewSystem(args.atom_level, args.cutoff)
     A = DyadicInterval.parse(args.interval)
     _emit(report_skew_correlate(sys_, A, args.eps, args.eps_prime, args.shift), args)
 
 
 def _cmd_skew_spectrum(args):
-    sys_ = _skew_system_from_args(args)
-    if args.window > MAX_WINDOW:
-        raise ParseError(f"window capped at {MAX_WINDOW}")
+    sys_ = SkewSystem(args.atom_level, args.cutoff)
+    if not 0 <= args.window <= MAX_WINDOW:
+        raise ParseError(f"--window {args.window} outside 0..{MAX_WINDOW}")
     g_name, _, fiber = args.function.partition(":")
     if g_name not in _G_PRESETS or fiber not in ("one", "chi"):
         raise ParseError("function must be <one|first-digit>:<one|chi>")
@@ -452,7 +440,7 @@ def _cmd_skew_spectrum(args):
 
 
 def _cmd_skew_rigidity(args):
-    sys_ = _skew_system_from_args(args)
+    sys_ = SkewSystem(args.atom_level, args.cutoff)
     A = DyadicInterval.parse(args.interval)
     lo, hi = _ints("--k-range", args.k_range, ":", 2)
     if lo > hi:
@@ -519,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(g, "correlate", _cmd_rankone_correlate)
     p.add_argument("--system", required=True)
     p.add_argument("--stages", type=int, default=12)
-    p.add_argument("--tower-stage", type=int, default=None)
     p.add_argument("--set-stage", type=int, default=4)
     p.add_argument("--levels", default="all")
     p.add_argument("--shifts", required=True, help="comma-separated shift list")
@@ -539,26 +526,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-stages", default="6:10", help="use tower heights h_lo..h_hi")
     p.add_argument("--shifts", default=None, help="explicit comma-separated shifts")
 
+    skew_system = argparse.ArgumentParser(add_help=False)
+    skew_system.add_argument("--atom-level", type=int, default=20)
+    skew_system.add_argument("--cutoff", type=int, default=16)
     g = sub.add_parser("skew").add_subparsers(dest="command", required=True)
-    p = add(g, "correlate", _cmd_skew_correlate)
+    p = add(g, "correlate", _cmd_skew_correlate, parents=[skew_system])
     p.add_argument("--interval", default="0/2^0")
     p.add_argument("--eps", type=int, default=0)
     p.add_argument("--eps-prime", type=int, default=0)
     p.add_argument("--shift", type=int, required=True)
-    p.add_argument("--atom-level", type=int, default=20)
-    p.add_argument("--cutoff", type=int, default=16)
-    p = add(g, "spectrum", _cmd_skew_spectrum)
+    p = add(g, "spectrum", _cmd_skew_spectrum, parents=[skew_system])
     p.add_argument("--function", default="one:chi")
     p.add_argument("--window", type=int, default=512)
-    p.add_argument("--atom-level", type=int, default=20)
-    p.add_argument("--cutoff", type=int, default=16)
     p.add_argument("--csv")
-    p = add(g, "rigidity", _cmd_skew_rigidity)
+    p = add(g, "rigidity", _cmd_skew_rigidity, parents=[skew_system])
     p.add_argument("--interval", default="0/2^0")
     p.add_argument("--eps", type=int, default=0)
     p.add_argument("--k-range", default="10:14")
-    p.add_argument("--atom-level", type=int, default=20)
-    p.add_argument("--cutoff", type=int, default=16)
 
     g = sub.add_parser("spectral").add_subparsers(dest="command", required=True)
     p = add(g, "wiener", _cmd_spectral_wiener)

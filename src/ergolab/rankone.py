@@ -216,7 +216,6 @@ class LevelSet:
 
     stage: int
     levels: tuple[int, ...]
-    description: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(sorted({int(l) for l in self.levels})))
@@ -359,6 +358,8 @@ def weak_limit_estimate(
         raise ValueError("need 0 <= n_start <= n_stop")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
+    if margin < 1:  # the shifts h_n + j need a tower above stage n_stop
+        raise ValueError(f"margin must be at least 1, got {margin}")
     hs = spec.stage_heights
     N = n_stop + margin
     if N > spec.num_stages:

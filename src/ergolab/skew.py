@@ -71,13 +71,6 @@ class IndexTooLarge(SkewError):
 class Boundary:
     """Sentinel for Birkhoff sums that cannot be resolved at level K."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "Boundary"
 
@@ -85,8 +78,8 @@ class Boundary:
 BOUNDARY = Boundary()
 
 
-def odometer_map(x: Fraction) -> Fraction:
-    """Exact adding-machine image of a dyadic rational in [0, 1)."""
+def _band(x: Fraction) -> tuple[Fraction, int]:
+    """x as a Fraction and the n of its band [1 - 2^-n, 1 - 2^-(n+1))."""
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError("x must lie in [0, 1)")
@@ -94,18 +87,18 @@ def odometer_map(x: Fraction) -> Fraction:
     n = 0
     while y <= Fraction(1, 2 ** (n + 1)):
         n += 1
+    return x, n
+
+
+def odometer_map(x: Fraction) -> Fraction:
+    """Exact adding-machine image of a dyadic rational in [0, 1)."""
+    x, n = _band(x)
     return x + Fraction(3, 2 ** (n + 1)) - 1
 
 
 def mn_cocycle(x: Fraction) -> int:
     """The half-and-half band cocycle: 0 on the first half of each band."""
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError("x must lie in [0, 1)")
-    y = 1 - x
-    n = 0
-    while y <= Fraction(1, 2 ** (n + 1)):
-        n += 1
+    x, n = _band(x)
     offset = x - (1 - Fraction(1, 2**n))
     return 0 if offset < Fraction(1, 2 ** (n + 2)) else 1
 
@@ -129,9 +122,8 @@ class DyadicInterval:
 
     @classmethod
     def parse(cls, text: str) -> "DyadicInterval":
-        """Accepts `num/2^K` (also `num/2**K`)."""
+        """Accepts `num/2^K`."""
         num_s, _, den_s = text.partition("/")
-        den_s = den_s.replace("**", "^")
         if not (den_s.startswith("2^") and num_s.isdecimal() and den_s[2:].isdecimal()):
             raise ValueError(f"expected num/2^K, got {text!r}")
         return cls(int(num_s), int(den_s[2:]))
@@ -205,10 +197,10 @@ class SkewSystem:
 
     def __init__(self, atom_level: int = 20, boundary_cutoff: int = 16,
                  cocycle: DyadicStep | None = None):
-        if not 1 <= boundary_cutoff <= atom_level:
-            raise ValueError("need 1 <= L <= K")
         if atom_level > 26:
             raise ValueError("atom level capped at 26")
+        if not 1 <= boundary_cutoff <= atom_level:
+            raise ValueError("need 1 <= L <= K")
         if cocycle is None and boundary_cutoff > atom_level - 1:
             raise ValueError("band cocycle needs L <= K - 1 for atom constancy")
         if cocycle is not None:
@@ -347,7 +339,5 @@ def rigidity_sequence(
     for k in k_range:
         if k < 0:
             raise ValueError(f"rigidity times 2^k need k >= 0, got k = {k}")
-        if 2**k > sys.max_window():
-            raise IndexTooLarge(f"2^{k} exceeds the window cap 2^(K-4)")
         out.append(skew_correlation(A, eps, eps, 2**k, sys))
     return out

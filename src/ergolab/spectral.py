@@ -85,12 +85,11 @@ class CorrelationSequence:
         return self.values[n][0]
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]], source: str = "",
-                   error: float = 0.0) -> "CorrelationSequence":
-        return cls({n: (v, error) for n, v in pairs}, source=source)
+    def from_pairs(cls, pairs: Iterable[tuple[int, float]], source: str = "") -> "CorrelationSequence":
+        return cls({n: (v, 0.0) for n, v in pairs}, source=source)
 
     @classmethod
-    def from_csv(cls, path: str, source: str | None = None) -> "CorrelationSequence":
+    def from_csv(cls, path: str) -> "CorrelationSequence":
         vals: dict[int, tuple[float, float]] = {}
         with open(path, newline="") as fh:
             for line, row in enumerate(csv.reader(fh), start=1):
@@ -107,7 +106,7 @@ class CorrelationSequence:
                 except (ValueError, IndexError) as exc:
                     raise ValueError(f"{path} line {line}: bad row {','.join(row)!r}: {exc}") from None
                 vals[n] = (v, e)
-        return cls(vals, source=source if source is not None else path)
+        return cls(vals, source=path)
 
 
 def wiener_discrete_mass(corr: CorrelationSequence, N: int | None = None) -> float:
@@ -337,15 +336,16 @@ def _log_tail(coeffs: WeakLimitCoefficients, n: int) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 10000) -> BeurlingReport:
+def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 600) -> BeurlingReport:
     """Classify divergence of sum log(sum_{k <= -n} a_k^2) / n^2.
 
     Verdicts come only from the closed-form tail descriptor (or an
-    eventually-zero left tail); the partial sums are reported for
-    inspection but never decide the verdict.
+    eventually-zero left tail); the partial sums for n = 1..n_max (fewer
+    once the log tail reaches -inf) are reported for inspection but never
+    decide the verdict.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    if not 1 <= n_max <= 2**16:
+        raise ValueError(f"n_max must lie in 1..{2**16}, got {n_max}")
     t = coeffs.tail
     if t.kind == "none":
         verdict = "holds"
@@ -364,9 +364,8 @@ def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 10000) -> Beurlin
         verdict = "fails"
         notes = "log tail ~ -(2s - 1) log n; sum log(n)/n^2 converges"
 
-    cap = min(n_max, 600)
     tails = []
-    for n in range(1, cap + 1):
+    for n in range(1, n_max + 1):
         tails.append(_log_tail(coeffs, n))
         if tails[-1] == -math.inf:
             break
@@ -402,7 +401,7 @@ class CertificateReport:
 
 def singularity_certificate(
     coeffs: WeakLimitCoefficients,
-    n_max: int = 10000,
+    n_max: int = 600,
     limit_is_nonpower: bool = True,
 ) -> CertificateReport:
     """Singularity certificate for the spectrum behind a weak limit.

@@ -25,7 +25,7 @@ for the smallest letter a_r attaining r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 Word = tuple[int, ...]
@@ -244,21 +244,6 @@ def word_to_str(word: Iterable[int]) -> str:
 Block = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PairSubstitution:
-    """The induced substitution on admissible 2-blocks of the fixed point."""
-
-    block_alphabet: tuple[Block, ...]
-    images: dict[Block, tuple[Block, ...]] = field(compare=False)
-
-    def as_substitution(self) -> Substitution:
-        index = {b: i for i, b in enumerate(self.block_alphabet)}
-        images = tuple(
-            tuple(index[b] for b in self.images[blk]) for blk in self.block_alphabet
-        )
-        return Substitution(len(self.block_alphabet), images)
-
-
 def _block_image(sub: Substitution, block: Block) -> tuple[Block, ...]:
     a, b = block
     w = sub.images[a] + sub.images[b]
@@ -266,13 +251,16 @@ def _block_image(sub: Substitution, block: Block) -> tuple[Block, ...]:
     return tuple((w[i], w[i + 1]) for i in range(n))
 
 
-def pair_substitution(sub: Substitution) -> PairSubstitution:
-    """Admissible 2-blocks with their induced images, computed by closure.
+def pair_substitution(sub: Substitution) -> dict[Block, tuple[Block, ...]]:
+    """The induced substitution on admissible 2-blocks: a dict from each
+    block to its image blocks, whose keys are the block alphabet in sorted
+    order.
 
-    The closure of the fixed point's first 2-block (0, image(0)[1]) under
-    the block-image map: its n-th image holds every 2-block that starts
-    inside image^n(0), so the closure is exactly the fixed point's 2-block
-    language, rare blocks included, which a fixed prefix scan could miss.
+    The blocks are the closure of the fixed point's first 2-block
+    (0, image(0)[1]) under the block-image map: its n-th image holds every
+    2-block that starts inside image^n(0), so the closure is exactly the
+    fixed point's 2-block language, rare blocks included, which a fixed
+    prefix scan could miss.
     """
     if not is_primitive(sub):
         raise NotPrimitive("pair substitution requires a primitive base")
@@ -289,15 +277,17 @@ def pair_substitution(sub: Substitution) -> PairSubstitution:
         for nb in img:
             if nb not in images:
                 frontier.append(nb)
-    return PairSubstitution(tuple(sorted(images)), images)
+    return {blk: images[blk] for blk in sorted(images)}
 
 
 def block_frequencies(sub: Substitution, tol: float = 1e-12) -> dict[Block, float]:
     """Frequencies of admissible 2-blocks (l1-normalized Perron vector)."""
     pair = pair_substitution(sub)
-    M2 = composition_matrix(pair.as_substitution())
+    index = {b: i for i, b in enumerate(pair)}
+    M2 = composition_matrix(Substitution(len(pair), tuple(tuple(index[b] for b in img)
+                                                          for img in pair.values())))
     data = perron(M2, tol=tol)
-    return {blk: float(f) for blk, f in zip(pair.block_alphabet, data.letter_freq)}
+    return {blk: float(f) for blk, f in zip(pair, data.letter_freq)}
 
 
 @dataclass(frozen=True)
@@ -355,4 +345,7 @@ def empirical_correlation(
 
     Brute-force counterpart of the eigenvector frequencies.
     """
+    block = _as_word(block)
+    if not all(0 <= s < sub.alphabet_size for s in block):
+        raise ValueError(f"block {word_to_str(block)} has a letter outside 0..{sub.alphabet_size - 1}")
     return prefix_correlation(fixed_point_prefix(sub, prefix_len), block, shift)

@@ -92,6 +92,19 @@ def test_rankone_file_input(tmp_path, capsys):
     assert json.loads(out)["report"]["heights"] == [1, 4, 13]
 
 
+@pytest.mark.parametrize("stages, used", [("10", 3), ("2", 2)])
+def test_rankone_stages_cut_a_schedule_file(stages, used, tmp_path, capsys):
+    # --stages keeps the first stages of a file, as it builds that many of a preset
+    path = tmp_path / "three.txt"
+    path.write_text("3: 0 1 0\n2: 0 1\n3: 1 0 2\n")
+    code, out = run_cli(["rankone", "heights", "--system", str(path), "--stages", stages], capsys)
+    report = json.loads(out)["report"]
+    assert code == 0 and report["stages"] == used and report["heights"] == [1, 4, 9, 30][: used + 1]
+    code, out = run_cli(["rankone", "correlate", "--system", str(path), "--stages", stages,
+                         "--set-stage", "1", "--levels", "0", "--shifts", "1"], capsys)
+    assert code == 0 and json.loads(out)["report"]["tower_stage"] == used
+
+
 def test_subst_correlate_command(capsys):
     code, out = run_cli(
         ["subst", "correlate", "--system", "rudin-shapiro", "--block", "02",
@@ -204,6 +217,14 @@ def test_skew_rigidity_empty_k_range_is_parse_error(k_range, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "ParseError"
     assert "--k-range" in error["message"] and k_range in error["message"]
+
+
+@pytest.mark.parametrize("window", ["-1", "65537"])
+def test_skew_spectrum_window_outside_range_is_parse_error(window, capsys):
+    code, out = run_cli(["skew", "spectrum", "--atom-level", "12", "--cutoff", "8", f"--window={window}"], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "ParseError", "message": f"--window {window} outside 0..65536"}
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

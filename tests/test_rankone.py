@@ -325,6 +325,9 @@ def test_weak_limit_guards():
         weak_limit_estimate(spec, LevelSet(4, (0,)), 8, 12, 3)  # needs 24 stages
     with pytest.raises(ValueError):
         weak_limit_estimate(historical_chacon_spec(24), LevelSet(0, (0,)), 8, 10, 3)
+    for margin in (0, -3):  # the shifts h_n + j need a tower above n_stop
+        with pytest.raises(ValueError, match=f"margin must be at least 1, got {margin}"):
+            weak_limit_estimate(historical_chacon_spec(24), LevelSet(4, (0,)), 8, 10, 3, margin=margin)
 
 
 # -- rigidity scan --------------------------------------------------------------------

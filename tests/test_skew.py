@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -77,9 +78,12 @@ def test_system_validation():
         SkewSystem(10, 10)  # band cocycle needs L <= K-1
     with pytest.raises(ValueError):
         SkewSystem(30, 16)
+    with pytest.raises(ValueError, match="atom level capped at 26"):
+        SkewSystem(27, 28)
     SkewSystem(10, 10, cocycle=DyadicStep(2, (0, 1, 0, 1)))  # custom may use L = K
-    with pytest.raises(ValueError, match=r"'a/2\^3'"):
-        DyadicInterval.parse("a/2^3")
+    for text in ("a/2^3", "1/2**3"):
+        with pytest.raises(ValueError, match=f"'{re.escape(text)}'"):
+            DyadicInterval.parse(text)
 
 
 def test_tower_order_is_bit_reversal(mn_small):

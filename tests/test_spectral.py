@@ -176,6 +176,14 @@ def test_beurling_verdicts():
     assert beurling_check(fast).verdict == "holds"
 
 
+def test_beurling_computes_n_max_partial_sums():
+    assert len(beurling_check(GEOMETRIC, 1000).partial_sums) == 1000
+    assert len(beurling_check(GEOMETRIC).partial_sums) == 600
+    for n_max in (0, 2**16 + 1):
+        with pytest.raises(ValueError, match=r"n_max must lie in 1\.\.65536"):
+            beurling_check(GEOMETRIC, n_max)
+
+
 def test_beurling_partial_sums_monotone_for_decaying_tails():
     report = beurling_check(GEOMETRIC, 400)
     sums = report.partial_sums

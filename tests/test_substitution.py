@@ -271,25 +271,25 @@ def test_fixed_point_prefix_requires_capability():
 
 def test_pair_substitution_rudin_shapiro_block():
     pair = pair_substitution(RUDIN_SHAPIRO)
-    assert pair.images[(0, 2)] == ((0, 2), (2, 0))
+    assert pair[(0, 2)] == ((0, 2), (2, 0))
     # image length equals |image of the first letter|
-    for (a, _), img in pair.images.items():
+    for (a, _), img in pair.items():
         assert len(img) == len(RUDIN_SHAPIRO.images[a])
     # every image block is admissible
-    admissible = set(pair.block_alphabet)
-    for img in pair.images.values():
+    admissible = set(pair)
+    for img in pair.values():
         assert set(img) <= admissible
 
 
 def test_pair_substitution_three_letter_block():
     pair = pair_substitution(THREE_LETTER)
-    assert pair.images[(0, 0)] == ((0, 0), (0, 1), (1, 0))
+    assert pair[(0, 0)] == ((0, 0), (0, 1), (1, 0))
 
 
 def test_pair_substitution_trivial():
     pair = pair_substitution(Substitution(1, ((0, 0),)))
-    assert pair.block_alphabet == ((0, 0),)
-    assert pair.images[(0, 0)] == ((0, 0), (0, 0))
+    assert tuple(pair) == ((0, 0),)
+    assert pair[(0, 0)] == ((0, 0), (0, 0))
 
 
 def test_pair_blocks_match_long_prefix_scan():
@@ -297,7 +297,7 @@ def test_pair_blocks_match_long_prefix_scan():
     for sub in (RUDIN_SHAPIRO, THREE_LETTER):
         prefix = fixed_point_prefix(sub, 2**14)
         seen = {(int(a), int(b)) for a, b in zip(prefix[:-1], prefix[1:])}
-        assert seen == set(pair_substitution(sub).block_alphabet)
+        assert seen == set(pair_substitution(sub))
 
 
 def pair_closure_oracle(sub: Substitution, seed_len: int = 65) -> dict:
@@ -321,11 +321,11 @@ def test_pair_substitution_matches_prefix_closure_oracle(sub):
     assume(is_primitive(sub))
     pair = pair_substitution(sub)
     want = pair_closure_oracle(sub)
-    assert pair.block_alphabet == tuple(sorted(want))
-    assert pair.images == want
+    assert tuple(pair) == tuple(sorted(want))
+    assert pair == want
     # a prefix scan can miss a rare block, so only containment is asserted
     prefix = prefix_oracle(sub, 4096)
-    assert set(zip(prefix, prefix[1:])) <= set(pair.block_alphabet)
+    assert set(zip(prefix, prefix[1:])) <= set(pair)
 
 
 # -- block frequencies -------------------------------------------------------------
@@ -356,13 +356,17 @@ def test_block_frequencies_trivial():
 
 def test_block_frequencies_match_eig_oracle():
     pair = pair_substitution(THREE_LETTER)
-    M2 = composition_matrix(pair.as_substitution()).astype(float)
+    index = {b: i for i, b in enumerate(pair)}
+    M2 = np.zeros((len(pair), len(pair)))
+    for j, img in enumerate(pair.values()):
+        for b in img:
+            M2[index[b], j] += 1
     eigvals, eigvecs = np.linalg.eig(M2)
     i = np.argmax(np.abs(eigvals))
     v = np.abs(eigvecs[:, i].real)
     v /= v.sum()
     freqs = block_frequencies(THREE_LETTER)
-    for blk, expected in zip(pair.block_alphabet, v):
+    for blk, expected in zip(pair, v):
         assert abs(freqs[blk] - expected) < 1e-9
 
 
@@ -420,3 +424,10 @@ def test_empirical_rigidity_lower_bound_three_letter():
 def test_empirical_prefix_guard():
     with pytest.raises(PrefixTooShort):
         empirical_correlation(RUDIN_SHAPIRO, (0, 2), 100, 102)
+
+
+def test_empirical_block_outside_alphabet():
+    with pytest.raises(ValueError, match=r"block 9 has a letter outside 0\.\.3"):
+        empirical_correlation(RUDIN_SHAPIRO, (9,), 1, 64)
+    with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+        empirical_correlation(RUDIN_SHAPIRO, (0, -1), 1, 64)
