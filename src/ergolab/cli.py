@@ -97,7 +97,7 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
         "system": {
             "name": sub.name,
             "alphabet_size": sub.alphabet_size,
-            "images": [substitution.word_to_str(w) for w in sub.images],
+            "images": [substitution.word_to_str(w, sub.alphabet_size) for w in sub.images],
         },
         "composition_matrix": M.tolist(),
         "primitive": primitive,
@@ -113,8 +113,8 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
             "letter_frequencies": data.letter_freq.tolist(),
             "perron_residual": data.residual,
             "letter_limit_norms": [float(v.sum()) for v in data.letter_limits],
-            "block_alphabet": [substitution.word_to_str(b) for b in freqs],
-            "block_frequencies": {substitution.word_to_str(b): f for b, f in freqs.items()},
+            "block_alphabet": [substitution.word_to_str(b, sub.alphabet_size) for b in freqs],
+            "block_frequencies": {substitution.word_to_str(b, sub.alphabet_size): f for b, f in freqs.items()},
             "marginal_check": {
                 str(a): sum(f for (x, _), f in freqs.items() if x == a)
                 for a in range(sub.alphabet_size)
@@ -145,7 +145,7 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
         checks = {}
         for b, f in freqs.items():
             emp = substitution.prefix_correlation(prefix, b, 0)
-            checks[substitution.word_to_str(b)] = {
+            checks[substitution.word_to_str(b, sub.alphabet_size)] = {
                 "empirical": emp,
                 "eigenvector": f,
                 "difference": abs(emp - f),
@@ -157,8 +157,11 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
 def report_subst_correlate(sub, block, shift, prefix_len) -> dict:
     value = substitution.empirical_correlation(sub, block, shift, prefix_len)
     return {
-        "system": {"name": sub.name, "images": [substitution.word_to_str(w) for w in sub.images]},
-        "block": substitution.word_to_str(block),
+        "system": {
+            "name": sub.name,
+            "images": [substitution.word_to_str(w, sub.alphabet_size) for w in sub.images],
+        },
+        "block": substitution.word_to_str(block, sub.alphabet_size),
         "shift": shift,
         "prefix_len": prefix_len,
         "correlation": value,

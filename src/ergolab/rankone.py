@@ -24,11 +24,15 @@ over the stage-j word obey a recursion across one cutting stage (copies
 of the stage-(j-1) word sit at known offsets, spacer runs carry no
 occurrences), which this module evaluates with exact integers,
 visiting only the copy-offset differences D that keep |delta - D| inside
-the stage-(j-1) word; no column word is ever materialized.  Each public
-call keeps one memo of R per level set, shares it across that set's
-shifts and drops it when it returns, so no pair count outlives the
-call.  Points whose m-step image leaves the stage-N column are charged
-wholly to the error bound m * level_width, which vanishes as N grows.
+the stage-(j-1) word; no column word is ever materialized.  One sweep
+from stage N down to the set's stage serves a whole batch of shifts: the
+lags it still has to visit are kept as runs of consecutive lags, each
+packed into one big int with a fixed-width lane per shift, wide enough
+that no lane carries into the next (see `_pair_counts`).  Nothing is
+kept between calls but a schedule's heights, widths and offset
+differences.  Points whose m-step image leaves the stage-N column are
+charged wholly to the error bound m * level_width, which vanishes as N
+grows.
 Pair counts and set measures are invariant under translating a level
 set, so `rigidity_scan` evaluates one bound per translation class of its
 sets.
@@ -233,36 +237,118 @@ class BoundedValue:
         return self.error_bound == 0
 
 
+def _base_counts(levels_a: Sequence[int], levels_b: Sequence[int], h: int) -> dict[int, int]:
+    """The stage-k pair counts R(k, d) = #{(a, b) in A x B : b - a = d} of
+    two level sets of a height-h tower, by lag d, zero counts left out.
+
+    Pairs that do not outnumber the 2h - 1 lags are counted one by one.
+    Otherwise R(k, .) is read off one big-int product of the indicator
+    strings, A's reversed: slot h - 1 + d of the product holds R(k, d),
+    and no slot exceeds min(|A|, |B|), so slots of that many whole bytes
+    never carry.
+    """
+    if len(levels_a) * len(levels_b) < 2 * h:
+        return Counter(b - a for a in levels_a for b in levels_b)
+    w = (min(len(levels_a), len(levels_b)).bit_length() + 7) // 8
+    ia, ib = bytearray(h * w), bytearray(h * w)
+    for a in levels_a:
+        ia[(h - 1 - a) * w] = 1
+    for b in levels_b:
+        ib[b * w] = 1
+    prod = (int.from_bytes(ia, "little") * int.from_bytes(ib, "little")).to_bytes((2 * h - 1) * w, "little")
+    vals = prod if w == 1 else [int.from_bytes(prod[i : i + w], "little") for i in range(0, len(prod), w)]
+    return {i - h + 1: c for i, c in enumerate(vals) if c}
+
+
+def _merged(runs: list[tuple[int, int, int]], slot: int) -> list[tuple[int, int, int]]:
+    """Runs (first lag, width, P) sorted by first lag, with the runs that
+    overlap or touch added up: one shift-and-add each."""
+    if len(runs) < 2:
+        return runs
+    runs.sort()
+    out = []
+    first, width, P = runs[0]
+    for f, w, Q in runs[1:]:
+        if f > first + width:
+            out.append((first, width, P))
+            first, width, P = f, w, Q
+        else:
+            P += Q << ((f - first) * slot)
+            if f + w > first + width:
+                width = f + w - first
+    out.append((first, width, P))
+    return out
+
+
 def _pair_counts(
     spec: RankOneSpec, k: int, levels_a: Sequence[int], levels_b: Sequence[int], N: int, shifts: Sequence[int]
 ) -> list[int]:
     """Stage-N pair counts R(N, m) for each m in shifts, with
     R(j, delta) = #{(x, y) in the stage-j word : trace(x) in A, trace(y) in B, y - x = delta}
-    for the stage-k level sets A, B; the memo lives for this call only."""
+    for the stage-k level sets A, B, by one sweep from stage N down to k.
+
+    The sweep carries weights c_j(delta) with R(N, m) = sum over delta of
+    c_j(delta) * R(j, delta): c_N is 1 at delta = m, and one stage down
+    each delta passes its weight to delta - D, times D's multiplicity, for
+    every copy-offset difference D with |delta - D| < h_{j-1}.  The lags
+    with weight form sorted, disjoint runs (first lag, width, P): P packs
+    one slot per lag, first + s in slot s, and each slot one B-bit lane
+    per shift.  A stage maps each run through the differences D of its
+    `bisect` window with one multiply, clipped to |lag| < h_{j-1} (no
+    other lag has pairs) by one shift or mask, and merges the runs that
+    overlap or touch, so nearby shifts of a batch share their arithmetic.
+    At stage k every run is written out as one byte string, and the slots
+    of the lags d with R(k, d) > 0 are sliced out of it and dotted with
+    R(k, d).
+
+    No lane carries into its neighbour.  c_j(delta) counts pairs of
+    stage-j copies in the stage-N word, so every lane the sweep forms, a
+    partial sum of some c_j(delta), is at most prod_{i=j}^{N-1} p_i^2; a
+    lane of the dot is a partial sum of R(N, m) = sum c_k(d) R(k, d), at
+    most |A| * |B| * prod_{i=k}^{N-1} p_i^2 since R(k, d) <= |A| * |B|.
+    That product is below 2^B, and B is rounded up to whole bytes.
+    """
     hs = spec.stage_heights
-    diffs = spec.stage_differences
-    base = Counter(b - a for a in levels_a for b in levels_b)
-    memo: list[dict[int, int]] = [{} for _ in range(N + 1)]  # memo[j][delta] = R(j, delta)
-
-    def count(j: int, delta: int) -> int:
-        # callers keep |delta| < h_j
-        if j == k:
-            return base[delta]
-        hit = memo[j].get(delta)
-        if hit is not None:
-            return hit
-        h_prev = hs[j - 1]
-        ds, mults = diffs[j - 1]
-        # only differences with |delta - D| < h_prev meet the stage-(j-1) word
-        lo = bisect_right(ds, delta - h_prev)
-        hi = bisect_left(ds, delta + h_prev, lo)
-        total = 0
-        for i in range(lo, hi):
-            total += mults[i] * count(j - 1, delta - ds[i])
-        memo[j][delta] = total
-        return total
-
-    return [count(N, m) if abs(m) < hs[N] else 0 for m in shifts]
+    bound = len(levels_a) * len(levels_b)
+    for p, _ in spec.stages[k:N]:
+        bound *= p * p
+    lane = (bound.bit_length() + 7) & ~7
+    slot = lane * len(shifts)
+    runs = _merged([(m, 1, 1 << (t * lane)) for t, m in enumerate(shifts) if -hs[N] < m < hs[N]], slot)
+    for j in range(N - 1, k - 1, -1):
+        ds, mults = spec.stage_differences[j]
+        h = hs[j]
+        out = []
+        for first, width, P in runs:
+            # only differences with |delta - D| < h meet the stage-j word
+            lo = bisect_right(ds, first - h)
+            for i in range(lo, bisect_left(ds, first + width - 1 + h, lo)):
+                f = first - ds[i]
+                Q = P * mults[i]
+                w = width
+                if f <= -h:
+                    Q >>= (1 - h - f) * slot
+                    w += f + h - 1
+                    f = 1 - h
+                if f + w > h:
+                    w = h - f
+                    Q &= (1 << (w * slot)) - 1
+                out.append((f, w, Q))
+        runs = _merged(out, slot)
+    base = _base_counts(levels_a, levels_b, hs[k])
+    lags = sorted(base)
+    nbytes = slot // 8
+    acc = 0
+    for first, width, P in runs:
+        lo = bisect_left(lags, first)
+        hi = bisect_left(lags, first + width, lo)
+        if lo < hi:
+            buf = P.to_bytes(width * nbytes, "little")
+            for d in lags[lo:hi]:
+                o = (d - first) * nbytes
+                acc += base[d] * int.from_bytes(buf[o : o + nbytes], "little")
+    ones = (1 << lane) - 1
+    return [acc >> (t * lane) & ones for t in range(len(shifts))]
 
 
 def _check_level_set(spec: RankOneSpec, A: LevelSet, N: int) -> None:
@@ -308,7 +394,7 @@ def level_correlation(spec: RankOneSpec, N: int, A: LevelSet, m: int) -> Bounded
 
 def _level_correlations(spec: RankOneSpec, N: int, A: LevelSet, shifts: Sequence[int]) -> list[BoundedValue]:
     """`level_correlation` for each shift, with the counts of all nonzero
-    shifts from one pair-count memo; the set and every shift are checked
+    shifts from one pair-count sweep; the set and every shift are checked
     before any count is made."""
     mass = BoundedValue(value=float(level_measure(spec, N, A)), error_bound=0.0)
     hs = spec.stage_heights

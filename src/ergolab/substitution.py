@@ -237,8 +237,10 @@ def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
     return w[:length]
 
 
-def word_to_str(word: Iterable[int]) -> str:
-    return "".join(str(int(s)) for s in word)
+def word_to_str(word: Iterable[int], alphabet_size: int = 10) -> str:
+    """A word in the format `Substitution.from_lines` reads: a digit string
+    on alphabets of up to 10 letters, else space-separated indices."""
+    return (" " if alphabet_size > 10 else "").join(str(int(s)) for s in word)
 
 
 Block = tuple[int, int]

@@ -8,9 +8,16 @@ from pathlib import Path
 import pytest
 
 import ergolab
-from ergolab.cli import main, report_skew_rigidity, report_skew_spectrum, report_subst_analyze
+from ergolab import rankone
+from ergolab.cli import (
+    main,
+    report_rankone_correlate,
+    report_skew_rigidity,
+    report_skew_spectrum,
+    report_subst_analyze,
+)
 from ergolab.skew import DyadicInterval, DyadicStep, SkewSystem
-from ergolab.substitution import RUDIN_SHAPIRO, THREE_LETTER, empirical_correlation
+from ergolab.substitution import RUDIN_SHAPIRO, THREE_LETTER, Substitution, empirical_correlation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,6 +81,20 @@ def test_subst_analyze_empirical_check_matches_empirical_correlation():
         for name, row in rows.items():
             block = tuple(int(c) for c in name)
             assert row["empirical"] == empirical_correlation(sub, block, 0, 3000)
+
+
+def test_subst_analyze_keys_on_twelve_letters_are_distinct():
+    # digit strings collide above 10 letters ((1, 10) and (11, 0) both read
+    # "110"), so words print as space-separated indices there
+    sub = Substitution(12, tuple((i, (i + 1) % 12, (i + 11) % 12) for i in range(12)))
+    report = report_subst_analyze(sub, 1e-12, 1000)
+    blocks = report["block_alphabet"]
+    assert len(blocks) == len(set(blocks)) == len(report["block_frequencies"]) == 144
+    assert list(report["empirical_check"]["blocks"]) == blocks
+    assert "1 10" in blocks and "11 0" in blocks
+    lines = [f"{i} -> {w}" for i, w in enumerate(report["system"]["images"])]
+    assert Substitution.from_lines(lines).images == sub.images
+    assert sum(report["block_frequencies"].values()) == pytest.approx(1.0)
 
 
 def test_subst_file_input(tmp_path, capsys):
@@ -141,6 +162,21 @@ def test_rankone_correlate_command(capsys):
     A = ergolab.LevelSet(4, tuple(range(ergolab.heights(spec)[4])))
     bv = ergolab.level_correlation(spec, 10, A, 121)
     assert (rows[1]["value"], rows[1]["error_bound"], rows[1]["exact"]) == (bv.value, bv.error_bound, False)
+
+
+def test_rankone_correlate_report_counts_through_correlation_count(monkeypatch):
+    # the benchmark self-test proves its rank-one value check by perturbing
+    # rankone.correlation_count, so the report must count every shift through it
+    spec = rankone.chacon_spec(6)
+    A = rankone.LevelSet(2, (0, 5))
+    shifts = [0, 1, 13, 40]
+    before = report_rankone_correlate(spec, 6, A, shifts)["correlations"]
+    original = rankone.correlation_count
+    monkeypatch.setattr(rankone, "correlation_count", lambda *args: original(*args) + 1)
+    after = report_rankone_correlate(spec, 6, A, shifts)["correlations"]
+    w = float(rankone.level_width(spec, 6))
+    assert after[0] == before[0]  # m = 0 is the exact set measure
+    assert [r["value"] for r in after[1:]] == pytest.approx([r["value"] + w for r in before[1:]], rel=1e-12)
 
 
 def test_rankone_rigidity_command(capsys):

@@ -1,4 +1,6 @@
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,9 @@ from ergolab.rankone import (
     RankOneSpec,
     ShiftOutOfRange,
     StageOutOfRange,
+    _base_counts,
     _level_correlations,
+    _pair_counts,
     build_tower,
     chacon_spec,
     correlation_count,
@@ -48,6 +52,33 @@ def brute_count(spec, k, N, levels_a, levels_b, m) -> int:
     if m == 0:
         return int(np.count_nonzero(ma & mb))
     return int(np.count_nonzero(ma[:-m] & mb[m:]))
+
+
+def memo_pair_counts(spec: RankOneSpec, k: int, levels_a, levels_b, N: int, shifts) -> list[int]:
+    """Stage-N pair counts R(N, m) by the memoized stage recursion (test
+    oracle): R(j, delta) is the sum, over the differences D of two copy
+    offsets of stage j - 1 with |delta - D| < h_{j-1}, of R(j - 1, delta - D),
+    down to R(k, d) = #{(a, b) in A x B : b - a = d}."""
+    hs = heights(spec)
+    diffs = []
+    for h, (p, spacers) in zip(hs, spec.stages):
+        offsets = [0]
+        for a in spacers[:-1]:
+            offsets.append(offsets[-1] + h + a)
+        diffs.append(sorted(Counter(t - r for r in offsets for t in offsets).items()))
+    base = Counter(b - a for a in levels_a for b in levels_b)
+    memo: list[dict[int, int]] = [{} for _ in range(N + 1)]
+
+    def count(j: int, delta: int) -> int:
+        if j == k:
+            return base[delta]
+        if delta not in memo[j]:
+            h, ds = hs[j - 1], [D for D, _ in diffs[j - 1]]
+            window = diffs[j - 1][bisect_right(ds, delta - h) : bisect_left(ds, delta + h)]
+            memo[j][delta] = sum(n * count(j - 1, delta - D) for D, n in window)
+        return memo[j][delta]
+
+    return [count(N, m) if abs(m) < hs[N] else 0 for m in shifts]
 
 
 @st.composite
@@ -177,6 +208,60 @@ def test_engine_matches_brute_force_property(case):
     assert got == brute_count(spec, k, N, A, B, m)
 
 
+DEEP_PRESETS = (chacon_spec(30), staircase_spec(3, 30), staircase_spec(4, 30), staircase_spec(5, 30),
+                historical_chacon_spec(30))
+
+
+@st.composite
+def deep_batches(draw):
+    """A 30-stage preset, a set of stage k <= 4 and a batch of shifts that
+    cluster (h_n + j), repeat, straddle zero and reach past h_N."""
+    spec = draw(st.sampled_from(DEEP_PRESETS))
+    hs = heights(spec)
+    k = draw(st.integers(0, 4))
+    N = draw(st.integers(max(k, 20), 30))
+    sets = [level_subsets(draw, hs[k]) for _ in range(2)]
+    n = draw(st.integers(k, N - 1))
+    pool = [hs[n] + j for j in range(draw(st.integers(1, 6)))]
+    pool += [hs[N] - 1 - draw(st.integers(0, 3)), hs[N], 0, -pool[-1]]
+    pool.append(draw(st.integers(1 - hs[N], hs[N] - 1)))
+    shifts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return spec, k, N, sets, shifts
+
+
+@settings(max_examples=40, deadline=None)
+@given(deep_batches())
+def test_deep_tower_counts_match_memo_oracle(case):
+    # stage 30 is far beyond build_tower; the memoized recursion is the oracle
+    spec, k, N, (A, B), shifts = case
+    assert _pair_counts(spec, k, A, B, N, shifts) == memo_pair_counts(spec, k, A, B, N, shifts)
+    assert _pair_counts(spec, k, A, A, N, shifts) == memo_pair_counts(spec, k, A, A, N, shifts)
+
+
+@pytest.mark.parametrize("k, N", [(0, 30), (2, 12), (4, 9)])
+def test_full_stage_sets_without_spacers_count_every_pair(k, N):
+    # with p = 5 and no spacers every stage-N position lies in a stage-k
+    # level, so a full stage-k set has R(N, m) = h_N - |m|, the largest
+    # count of any set of the tower; k = 0 counts its one pair directly,
+    # k = 2 and 4 take the dense product with one- and two-byte slots
+    spec = RankOneSpec(((5, (0,) * 5),) * N)
+    hs = heights(spec)
+    full = tuple(range(hs[k]))
+    shifts = [0, 1, hs[k], hs[N] // 7, hs[N] - hs[k], hs[N] - 1, hs[N], -3, 1 - hs[N]]
+    assert _pair_counts(spec, k, full, full, N, shifts) == [max(hs[N] - abs(m), 0) for m in shifts]
+
+
+def test_base_counts_dense_product_matches_pair_count():
+    for h in (1, 2, 7, 300):  # full sets: h - |d| pairs at lag d
+        assert _base_counts(range(h), range(h), h) == {d: h - abs(d) for d in range(1 - h, h)}
+    rng = random.Random(7)
+    for _ in range(60):
+        h = rng.randint(2, 600)
+        A, B = (sorted(rng.sample(range(h), rng.randint(int((2 * h) ** 0.5) + 1, h))) for _ in range(2))
+        assert len(A) * len(B) >= 2 * h  # the product path
+        assert _base_counts(A, B, h) == Counter(b - a for a in A for b in B)
+
+
 def test_level_measure_matches_brute():
     # |A| * w_k equals the stage-N occurrence count times w_N at every N >= k
     spec = chacon_spec(6)
@@ -244,7 +329,7 @@ def shift_batches(draw):
 @settings(max_examples=80)
 @given(shift_batches())
 def test_batched_correlations_match_per_shift_and_brute_force(case):
-    # one memo serves every shift of the batch, repeated and zero shifts included
+    # one sweep counts every shift of the batch, repeated and zero shifts included
     spec, k, N, levels, shifts = case
     A = LevelSet(k, levels)
     w = level_width(spec, N)
