@@ -16,13 +16,13 @@ bit of n.  Every query reduces to the signed mass
     D(a, l, m) = integral over z = a mod 2^l of (-1)^(phi(z) + ... + phi(z+m-1)).
 
 Odd n contribute bit 1 of n to the Birkhoff sum and even n = 2n'
-contribute fold(n'), so one binary digit of z is peeled off per step:
-D(a, l, m) = +-1/2 D(a >> 1, l - 1, ((a & 1) + m) >> 1).  Each query
-touches O(log m) residue classes and every value is an exact dyadic
-rational; the classes on which phi is undetermined at the given
-resolution carry equal mass of each parity and contribute 0.  A
-user-supplied `DyadicStep` cocycle of level c is periodic with period
-2^c in tower positions, so D is a sum over the residues mod 2^max(c, l).
+contribute fold(n'), so a loop takes one binary digit of a per step,
+D(a, l, m) = +-1/2 D(a >> 1, l - 1, ((a & 1) + m) >> 1), and stops with
+D = 0 once 2m >= 2^l (m >= 1): there the two parities split the class
+evenly (the lemma at `_band_mass`).  A query takes at most l steps and
+its value is 0 or +-2^-l, exactly.  A user-supplied `DyadicStep`
+cocycle of level c is periodic with period 2^c in tower positions, so D
+is a sum over the residues mod 2^max(c, l).
 
 The skew product acts on [0,1) x Z2 by T_phi(x, g) = (Tx, phi(x) + g)
 with the uniform fiber measure (mass 1/2 per fiber point).  The atom
@@ -160,31 +160,26 @@ def _bit_reverse_permutation(K: int) -> np.ndarray:
     return r
 
 
-def _fold(n: int) -> int:
-    """Regular paperfolding letter: the bit just above the lowest set bit."""
-    return (n >> (n & -n).bit_length()) & 1
+def _band_mass(a: int, l: int, m: int) -> Fraction:
+    """D(a, l, m) for the band cocycle phi(z) = fold(z + 1), one digit per step.
 
-
-def _band_mass(a: int, l: int, m: int, memo: dict) -> Fraction:
-    """D(a, l, m) for the band cocycle phi(z) = fold(z + 1), memoized in `memo`."""
-    if m == 0:
-        return Fraction(1, 2**l)
-    key = (a, l, m)
-    if key not in memo:
-        if l < 2:  # the digit step reads z mod 4
-            memo[key] = sum((_band_mass(a + (k << l), 2, m, memo) for k in range(1 << (2 - l))),
-                            Fraction(0))
-        elif m == 1:
-            n = (a + 1) % 2**l
-            # fold(z + 1) reads bit l of z when 2^(l-1) divides z + 1
-            undetermined = n % 2 ** (l - 1) == 0
-            memo[key] = Fraction(0) if undetermined else Fraction((-1) ** _fold(n), 2**l)
-        else:
-            # n in (z, z + m]: odd n add bit 1 of n (one per n = 3 mod 4),
-            # even n = 2n' add fold(n') with n' in (z >> 1, (z + m) >> 1]
-            flips = ((a + m + 1) >> 2) - ((a + 1) >> 2)
-            memo[key] = (-1) ** flips * _band_mass(a >> 1, l - 1, ((a & 1) + m) >> 1, memo) / 2
-    return memo[key]
+    Each step halves the mass, so |D| is 2^-l or 0.  Lemma: D(a, l, m) = 0
+    once m >= 1 and 2m >= 2^l; the bound is sharp.  Induction on m, where a
+    class of level l < 2 is the sum of its level-2 classes and the step
+    holds for l >= 2, m >= 1.  m = 1: D(0, 1, 1) = 1/4 - 1/4, as phi(z) is
+    bit 1 of z + 1 on z = 0, 2 mod 4; D(1, 1, 1) = D(1, 2, 1) + D(3, 2, 1)
+    = +-D(0, 1, 1)/2 +- D(1, 1, 1)/2, so D(1, 1, 1) = 0.  m >= 2: one step
+    from level l2 = max(l, 2) leaves 1 <= m' < m with 2m' >= 2^(l2 - 1).
+    """
+    sign, mass = 1, Fraction(1, 2**l)
+    while m:
+        if 2 * m >= 2**l:
+            return Fraction(0)
+        # n in (z, z + m]: odd n add bit 1 of n (one per n = 3 mod 4),
+        # even n = 2n' add fold(n') with n' in (z >> 1, (z + m) >> 1]
+        sign *= (-1) ** (((a + m + 1) >> 2) - ((a + 1) >> 2))
+        a, l, m = a >> 1, l - 1, ((a & 1) + m) >> 1
+    return sign * mass
 
 
 class SkewSystem:
@@ -236,13 +231,13 @@ class SkewSystem:
         start = interval.numerator << (self.K - interval.level)
         return np.arange(start, start + count, dtype=np.int64)
 
-    def _signed_mass(self, a: int, l: int, m: int, memo: dict | None = None) -> Fraction:
+    def _signed_mass(self, a: int, l: int, m: int) -> Fraction:
         """D(a, l, m): the integral of (-1)^phi_m over the tower class a mod 2^l.
 
-        Calls that pass one `memo` share the band recursion's values.
+        The band cocycle runs the digit loop; a custom one sums a period.
         """
         if self.cocycle is None:
-            return _band_mass(a, l, m, {} if memo is None else memo)
+            return _band_mass(a, l, m)
         P = self._period_prefix
         C = len(P) - 1
 
@@ -279,7 +274,9 @@ def skew_correlation(
 
     T^m maps the tower class of A into itself exactly when 2^level(A)
     divides m; the fiber parities then split the mass |A|/2 by the
-    signed mass D of A.
+    signed mass D of A.  For the band cocycle and m > 0 that split is
+    even (D = 0 as m >= 2^l), so the value is exactly |A|/4: along the
+    times 2^k, k >= l, half of A x {eps} returns, the paper's alpha = 1/2.
     """
     if eps not in (0, 1) or eps2 not in (0, 1):
         raise ValueError("fiber points must be 0 or 1")
@@ -312,6 +309,9 @@ def spectral_coefficient(
     the fiber character turns the Birkhoff parity into a sign, so each
     tower class r of g contributes g(r) g(r + n) D(r, level(g), n).
     Pairing x with T^-n x reads the same windows, so c(-n) = c(n).
+    For the band cocycle and chi, c(n) = 0 once n != 0 and
+    |n| >= 2^(level(g) - 1), so g (x) chi has a trigonometric-polynomial
+    spectral density, and for `one:chi` it is exactly Lebesgue measure.
     """
     if fiber not in ("one", "chi"):
         raise ValueError("fiber must be 'one' or 'chi'")
@@ -323,9 +323,8 @@ def spectral_coefficient(
     m, G = abs(n), 2**g.level
     tower = [Fraction(g.values[_bit_reverse(r, g.level)]) for r in range(G)]
     value = Fraction(0)
-    memo: dict = {}  # the classes of g meet at the same coarser classes
     for r in range(G):
-        weight = Fraction(1, G) if fiber == "one" else sys._signed_mass(r, g.level, m, memo)
+        weight = Fraction(1, G) if fiber == "one" else sys._signed_mass(r, g.level, m)
         value += tower[r] * tower[(r + m) % G] * weight
     return SpectralCoefficient(index=n, value=float(value), error_bound=0.0)
 

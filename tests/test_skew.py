@@ -15,7 +15,7 @@ from ergolab.skew import (
     DyadicStep,
     IndexTooLarge,
     SkewSystem,
-    _fold,
+    _band_mass,
     cocycle_sum,
     mn_cocycle,
     odometer_map,
@@ -23,6 +23,32 @@ from ergolab.skew import (
     skew_correlation,
     spectral_coefficient,
 )
+
+
+def fold(n: int) -> int:
+    """Regular paperfolding letter: the bit just above the lowest set bit."""
+    return (n >> (n & -n).bit_length()) & 1
+
+
+def memo_band_mass(a: int, l: int, m: int, memo: dict) -> F:
+    """D(a, l, m) by the memoized digit recursion, with no vanishing lemma:
+    the test oracle for `_band_mass`."""
+    if m == 0:
+        return F(1, 2**l)
+    key = (a, l, m)
+    if key not in memo:
+        if l < 2:  # the digit step reads z mod 4
+            memo[key] = sum((memo_band_mass(a + (k << l), 2, m, memo) for k in range(1 << (2 - l))),
+                            F(0))
+        elif m == 1:
+            n = (a + 1) % 2**l
+            # fold(z + 1) reads bit l of z when 2^(l-1) divides z + 1
+            undetermined = n % 2 ** (l - 1) == 0
+            memo[key] = F(0) if undetermined else F((-1) ** fold(n), 2**l)
+        else:
+            flips = ((a + m + 1) >> 2) - ((a + 1) >> 2)
+            memo[key] = (-1) ** flips * memo_band_mass(a >> 1, l - 1, ((a & 1) + m) >> 1, memo) / 2
+    return memo[key]
 
 
 # -- odometer and cocycle point values ----------------------------------------
@@ -99,7 +125,43 @@ def test_tower_order_is_bit_reversal(mn_small):
 def test_phi_matches_scalar_cocycle(mn_small):
     K = mn_small.K
     for t in range(0, 2**K - 2, 7):
-        assert _fold(int(mn_small._rev[t]) + 1) == mn_cocycle(F(t, 2**K))
+        assert fold(int(mn_small._rev[t]) + 1) == mn_cocycle(F(t, 2**K))
+
+
+# -- signed mass ------------------------------------------------------------------
+
+
+def test_band_mass_matches_oracle_exhaustively():
+    for l in range(7):
+        memo: dict = {}
+        for a in range(2**l):
+            for m in range(2 ** (l + 3)):
+                assert _band_mass(a, l, m) == memo_band_mass(a, l, m, memo), (a, l, m)
+
+
+@st.composite
+def mass_triples(draw):
+    l = draw(st.integers(0, 26))
+    half = (1 << l) >> 1  # the lemma's bound 2^(l-1), or 0 at l = 0
+    m = draw(st.one_of(st.integers(0, max(half - 1, 0)), st.just(half),
+                       st.integers(half + 1, 2 ** (l + 3))))
+    return draw(st.integers(0, 2**l - 1)), l, m
+
+
+@settings(max_examples=300)
+@given(mass_triples())
+def test_band_mass_matches_oracle(triple):
+    a, l, m = triple
+    assert _band_mass(a, l, m) == memo_band_mass(a, l, m, {})
+
+
+def test_vanishing_lemma_is_sharp():
+    # D(., l, m) vanishes on every class exactly when m >= 1 and 2m >= 2^l
+    for l in range(9):
+        memo: dict = {}
+        for m in range(2 ** (l + 1)):
+            nonzero = any(memo_band_mass(a, l, m, memo) for a in range(2**l))
+            assert nonzero == (m == 0 or 2 * m < 2**l), (l, m)
 
 
 # -- cocycle sums -----------------------------------------------------------------
@@ -150,15 +212,23 @@ def test_correlation_zero_shift_exact(mn_small):
 def test_correlation_brute_force_oracle(mn_small):
     # full enumeration over atoms with exact Fraction arithmetic; the atom
     # trajectory is deterministic even through unresolvable reads, and a
-    # single such read splits the atom's mass into exact parity halves
+    # single such read splits the atom's mass into exact parity halves.
+    # Odd cases draw m as a multiple of 2^lev, where T^m A meets A and the
+    # value is |A|/4 (alpha = 1/2); the others mostly check a value of 0.
     K = mn_small.K
     M = 2**K
     rng = random.Random(9)
+    split_returns = 0
     for case in range(10):
         lev = rng.randrange(3, 7)
         A = DyadicInterval(rng.randrange(2**lev), lev)
         eps, eps2 = rng.randrange(2), rng.randrange(2)
-        m = rng.randrange(1, 2 ** (K - 4)) if case else 2 ** (K - 4) - 1
+        if case == 0:
+            m = 2 ** (K - 4) - 1
+        elif case % 2:
+            m = rng.randrange(1, 2 ** (K - 4 - lev) + 1) << lev
+        else:
+            m = rng.randrange(1, 2 ** (K - 4))
         lo = A.numerator << (K - lev)
         hi = lo + (1 << (K - lev))
         value = F(0)
@@ -177,8 +247,12 @@ def test_correlation_brute_force_oracle(mn_small):
                     value += F(1, 2 * M)
             else:
                 value += F(1, 4 * M)
+                split_returns += 1
+        if m % 2**lev == 0:
+            assert value == A.width / 4, (A, eps, eps2, m)
         got = skew_correlation(A, eps, eps2, m, mn_small)
         assert got.value == pytest.approx(float(value), abs=1e-12), (A, eps, eps2, m)
+    assert split_returns > 0
 
 
 @st.composite
