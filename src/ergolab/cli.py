@@ -329,14 +329,15 @@ def report_spectral_beurling(coeffs: WeakLimitCoefficients, n_max: int) -> dict:
 
 
 def report_spectral_certify(coeffs, n_max, nonpower) -> dict:
-    cert = spectral.singularity_certificate(coeffs, n_max, limit_is_nonpower=nonpower)
+    spectral.check_n_max(n_max)  # only range-checked: the certificate computes no partial sum
+    cert = spectral.singularity_certificate(coeffs, limit_is_nonpower=nonpower)
     return {
         "support": {str(k): v for k, v in sorted(coeffs.support.items())},
         "tail": coeffs.tail.kind,
         "nonpower_asserted": cert.nonpower_asserted,
         "verdict": cert.verdict,
         "alpha_lower_bound": cert.alpha_lower_bound,
-        "beurling_verdict": cert.beurling.verdict,
+        "beurling_verdict": cert.tail_verdict,
         "notes": list(cert.notes),
     }
 
@@ -478,8 +479,7 @@ def _cmd_spectral_beurling(args):
 
 
 def _cmd_spectral_certify(args):
-    coeffs = _load_coeffs(args.coeffs)
-    _emit(report_spectral_certify(coeffs, args.n_max, not args.limit_is_power), args)
+    _emit(report_spectral_certify(_load_coeffs(args.coeffs), args.n_max, not args.limit_is_power), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

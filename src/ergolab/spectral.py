@@ -20,6 +20,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -176,6 +177,8 @@ def translation_probe(
     """
     if not times:
         raise ValueError("need at least one time")
+    if j_window < 0:
+        raise ValueError(f"j_window must be >= 0, got {j_window}")
     need = max(times) + j_window
     if need > corr.window:
         raise WindowTooSmall(f"window {corr.window} too small for max time + j_window = {need}")
@@ -221,6 +224,9 @@ class TailDescriptor:
     def __post_init__(self):
         if self.kind not in ("none", "geometric", "stretched_exponential", "polynomial"):
             raise InvalidTail(f"unknown tail kind {self.kind!r}")
+        for name, value in (("c", self.c), ("q", self.q), ("gamma", self.gamma), ("s", self.s)):
+            if value is not None and not math.isfinite(value):
+                raise InvalidTail(f"tail field {name!r} must be a finite number, got {value!r}")
         if self.kind != "none":
             if self.c <= 0:
                 raise InvalidTail("tail amplitude c must be positive")
@@ -230,6 +236,18 @@ class TailDescriptor:
                 raise InvalidTail("stretched tail needs gamma > 0")
             if self.kind == "polynomial" and not (self.s and self.s > 1):
                 raise InvalidTail("polynomial tail needs s > 1")
+
+    def verdict(self) -> tuple[str, str]:
+        """Does sum log(sum_{k <= -n} a_k^2) / n^2 diverge? ("holds" | "fails", why)"""
+        if self.kind == "none":
+            return "holds", "left tail eventually zero: log tail = -inf beyond the support"
+        if self.kind == "geometric":
+            return "holds", "log tail ~ -2 n log(1/q); terms ~ c/n diverge"
+        if self.kind == "polynomial":
+            return "fails", "log tail ~ -(2s - 1) log n; sum log(n)/n^2 converges"
+        if self.gamma < 1:
+            return "fails", "log tail ~ -2 n^gamma with gamma < 1; sum n^(gamma-2) converges"
+        return "holds", "log tail ~ -2 n^gamma with gamma >= 1; terms do not vanish faster than c/n"
 
 
 @dataclass(frozen=True)
@@ -245,6 +263,8 @@ class WeakLimitCoefficients:
         object.__setattr__(self, "support", support)
         if not support:
             raise ValueError("finite support must be nonempty")
+        if not all(map(math.isfinite, support.values())):
+            raise ValueError(f"support coefficients must be finite, got {support}")
         object.__setattr__(self, "restricted", any(a > 0 for a in support.values()))
 
     @property
@@ -277,17 +297,12 @@ class WeakLimitCoefficients:
                     try:
                         params[name] = float(tail_raw[name])
                     except (TypeError, ValueError):
-                        params[name] = math.nan
-                    if not math.isfinite(params[name]):
                         raise SpectralError(f"malformed coefficient file: tail field {name!r} "
-                                            f"must be a finite number, got {tail_raw[name]!r}")
+                                            f"must be a finite number, got {tail_raw[name]!r}") from None
             tail = TailDescriptor(kind=tail_raw.get("kind", "none"), **params)
-            support = {int(i): float(a) for i, a in payload["support"].items()}
-            if not all(math.isfinite(a) for a in support.values()):
-                raise ValueError("coefficients must be finite")
+            return cls(support=payload["support"], tail=tail)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SpectralError(f"malformed coefficient file: {type(exc).__name__}: {exc}") from None
-        return cls(support=support, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -302,10 +317,9 @@ def _log_tail(coeffs: WeakLimitCoefficients, n: int) -> float:
     """log of sum_{k <= -n} a_k^2, computed in log space for deep tails."""
     finite = sum(a * a for k, a in coeffs.support.items() if k <= -n)
     t = coeffs.tail
-    k_edge = min(coeffs.k_min - 1, -n)  # largest tail index entering the sum
     if t.kind == "none":
         return math.log(finite) if finite > 0 else -math.inf
-    d0 = coeffs.k_min - k_edge  # smallest tail distance in the sum, >= 1
+    d0 = max(1, coeffs.k_min + n)  # smallest tail distance k_min - k with k <= -n
     if t.kind == "geometric":
         # sum_{d >= d0} c^2 q^(2d) = c^2 q^(2 d0) / (1 - q^2)
         log_formula = 2 * math.log(t.c) + 2 * d0 * math.log(t.q) - math.log1p(-t.q * t.q)
@@ -336,43 +350,27 @@ def _log_tail(coeffs: WeakLimitCoefficients, n: int) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def check_n_max(n_max: int) -> None:
+    """The one range check on n_max, shared by beurling_check and the certify report."""
+    if not 1 <= n_max <= 2**16:
+        raise ValueError(f"n_max must lie in 1..{2**16}, got {n_max}")
+
+
 def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 600) -> BeurlingReport:
     """Classify divergence of sum log(sum_{k <= -n} a_k^2) / n^2.
 
-    Verdicts come only from the closed-form tail descriptor (or an
-    eventually-zero left tail); the partial sums for n = 1..n_max (fewer
-    once the log tail reaches -inf) are reported for inspection but never
-    decide the verdict.
+    The verdict is coeffs.tail.verdict(); the partial sums for
+    n = 1..n_max (fewer once the log tail reaches -inf) are reported for
+    inspection but never decide it.
     """
-    if not 1 <= n_max <= 2**16:
-        raise ValueError(f"n_max must lie in 1..{2**16}, got {n_max}")
-    t = coeffs.tail
-    if t.kind == "none":
-        verdict = "holds"
-        notes = "left tail eventually zero: log tail = -inf beyond the support"
-    elif t.kind == "geometric":
-        verdict = "holds"
-        notes = "log tail ~ -2 n log(1/q); terms ~ c/n diverge"
-    elif t.kind == "stretched_exponential":
-        if t.gamma < 1:
-            verdict = "fails"
-            notes = "log tail ~ -2 n^gamma with gamma < 1; sum n^(gamma-2) converges"
-        else:
-            verdict = "holds"
-            notes = "log tail ~ -2 n^gamma with gamma >= 1; terms do not vanish faster than c/n"
-    else:  # polynomial
-        verdict = "fails"
-        notes = "log tail ~ -(2s - 1) log n; sum log(n)/n^2 converges"
-
+    check_n_max(n_max)
+    verdict, notes = coeffs.tail.verdict()
     tails = []
     for n in range(1, n_max + 1):
         tails.append(_log_tail(coeffs, n))
         if tails[-1] == -math.inf:
             break
-    sums, running = [], 0.0
-    for n, lt in enumerate(tails, start=1):
-        running += lt / (n * n)
-        sums.append(running)
+    sums = tuple(accumulate(lt / (n * n) for n, lt in enumerate(tails, start=1)))
 
     fit = None
     pts = [
@@ -384,7 +382,7 @@ def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 600) -> BeurlingR
         fit = _slope(*zip(*pts))
     return BeurlingReport(
         verdict=verdict,
-        partial_sums=tuple(sums),
+        partial_sums=sums,
         tail_exponent_fit=fit,
         notes=notes,
     )
@@ -394,26 +392,25 @@ def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 600) -> BeurlingR
 class CertificateReport:
     verdict: str
     alpha_lower_bound: float | None
-    beurling: BeurlingReport
+    tail_verdict: str
     nonpower_asserted: bool
     notes: tuple[str, ...]
 
 
 def singularity_certificate(
-    coeffs: WeakLimitCoefficients,
-    n_max: int = 600,
-    limit_is_nonpower: bool = True,
+    coeffs: WeakLimitCoefficients, limit_is_nonpower: bool = True
 ) -> CertificateReport:
     """Singularity certificate for the spectrum behind a weak limit.
 
     Requires the caller to assert that the coefficients describe a weak
     limit of powers U^{n_k} that is not itself a single power; the
     assertion is recorded, not checked (no finite computation can).  With
-    some nonzero coefficient and a passing tail test the spectrum is
-    singular; positive coefficients additionally witness alpha-rigidity
-    with alpha at least the largest one.
+    some nonzero coefficient and a tail whose verdict() holds (read off the
+    descriptor; no partial sum is computed) the spectrum is singular;
+    positive coefficients witness alpha-rigidity with alpha at least the
+    largest one.
     """
-    report = beurling_check(coeffs, n_max)
+    tail_verdict, _ = coeffs.tail.verdict()
     nonzero = any(a != 0 for a in coeffs.support.values()) or coeffs.tail.kind != "none"
     max_pos = max((a for a in coeffs.support.values() if a > 0), default=None)
     verdict, alpha, notes = "no certificate", None, ()
@@ -421,8 +418,8 @@ def singularity_certificate(
         verdict, notes = "no certificate (zero limit)", ("all coefficients vanish",)
     elif not limit_is_nonpower:
         notes = ("caller did not assert the limit lies outside the powers",)
-    elif report.verdict != "holds":
-        notes = (f"tail test verdict: {report.verdict}",)
+    elif tail_verdict != "holds":
+        notes = (f"tail test verdict: {tail_verdict}",)
     else:
         verdict, alpha = "singular", max_pos
         if max_pos is not None:
@@ -432,7 +429,7 @@ def singularity_certificate(
     return CertificateReport(
         verdict=verdict,
         alpha_lower_bound=alpha,
-        beurling=report,
+        tail_verdict=tail_verdict,
         nonpower_asserted=limit_is_nonpower,
         notes=notes,
     )

@@ -194,6 +194,8 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
     NoConvergence is raised when the residual ||M right - theta right||_inf
     exceeds tol * max(1, theta), or when a vector is not strictly positive.
     """
+    if not 0 <= tol < float("inf"):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     import numpy as np
     M = np.asarray(M)
     if not _matrix_is_primitive(M):

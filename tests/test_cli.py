@@ -371,6 +371,16 @@ def test_spectral_beurling_and_certify(tmp_path, capsys):
     assert strict_loads(out)["report"]["verdict"] == "no certificate"
 
 
+@pytest.mark.parametrize("command", ["beurling", "certify"])
+@pytest.mark.parametrize("n_max", [0, 65537])
+def test_spectral_n_max_outside_range_is_named_error(command, n_max, tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 0.5, "q": 0.5}}))
+    code, out = run_cli(["spectral", command, "--coeffs", str(coeffs), "--n-max", str(n_max)], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": f"n_max must lie in 1..65536, got {n_max}"}
+
+
 def test_spectral_csv_gap_is_named_error(tmp_path, capsys):
     csv_path = tmp_path / "gap.csv"
     rows = ["n,value,error_bound"]
@@ -435,6 +445,26 @@ def test_spectral_translate_below_data_is_named_error(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "WindowTooSmall"
     assert "-2" in error["message"]
+
+
+def test_spectral_translate_negative_j_window_is_named_error(tmp_path, capsys):
+    csv_path = tmp_path / "series.csv"
+    _write_series(csv_path, range(-64, 65))
+    code, out = run_cli(
+        ["spectral", "translate", "--input", str(csv_path), "--times", "16,32,48", "--j-window", "-1"],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": "j_window must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12"])
+def test_subst_analyze_tol_outside_domain_is_named_error(tol, capsys):
+    code, out = run_cli(["subst", "analyze", "--system", "rudin-shapiro", f"--tol={tol}"], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("tol must be a finite number >= 0")
 
 
 def test_skew_reports_label_custom_cocycle():
@@ -506,6 +536,10 @@ def test_commands_without_arrays_do_not_load_numpy(tmp_path):
     # numpy is already loaded in this process, so the imports run in a child
     csv_path, coeffs = tmp_path / "series.csv", tmp_path / "finite.json"
     geometric = tmp_path / "geometric.json"
+    polynomial, stretched = tmp_path / "polynomial.json", tmp_path / "stretched.json"
+    polynomial.write_text(json.dumps({"support": {"0": 0.5}, "tail": {"kind": "polynomial", "c": 1.0, "s": 2.0}}))
+    stretched.write_text(json.dumps({"support": {"0": 0.5},
+                                     "tail": {"kind": "stretched_exponential", "c": 1.0, "gamma": 0.5}}))
     _write_series(csv_path, range(65))
     coeffs.write_text(json.dumps({"support": {"0": 0.5, "1": 0.25}, "tail": {"kind": "none"}}))
     geometric.write_text(json.dumps({"support": {"-1": 0.25, "0": 0.5},
@@ -522,6 +556,8 @@ def test_commands_without_arrays_do_not_load_numpy(tmp_path):
         ["spectral", "rajchman", "--input", str(csv_path)],
         ["spectral", "beurling", "--coeffs", str(geometric)],
         ["spectral", "certify", "--coeffs", str(geometric)],
+        ["spectral", "certify", "--coeffs", str(polynomial)],
+        ["spectral", "certify", "--coeffs", str(stretched)],
     ]
     control = ["subst", "analyze", "--system", "rudin-shapiro"]
     proc = subprocess.run(

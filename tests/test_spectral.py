@@ -106,6 +106,11 @@ def test_translation_probe_recovers_planted_coefficients():
         assert abs(probe[j].limit - planted[j]) < 1e-6
 
 
+def test_translation_probe_rejects_negative_j_window():
+    with pytest.raises(ValueError, match="j_window"):
+        translation_probe(synthetic(0.5), [16, 32, 48], -1)
+
+
 def test_translation_probe_window_guard():
     with pytest.raises(WindowTooSmall):
         translation_probe(synthetic(0.5, window=64), [128], 2)
@@ -139,6 +144,19 @@ def test_tail_validation():
         tail = {"kind": "polynomial", "c": 1.0, "s": 2.0, name: bad}
         with pytest.raises(SpectralError, match=f"tail field '{name}'"):
             WeakLimitCoefficients.from_json(json.dumps({"support": {"0": 0.5}, "tail": tail}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["support", "c", "q", "gamma", "s"])
+def test_non_finite_coefficients_raise_at_construction(name, bad):
+    if name == "support":
+        with pytest.raises(ValueError, match="support coefficients must be finite"):
+            WeakLimitCoefficients({-1: 0.25, 0: bad})
+        return
+    kind = {"gamma": "stretched_exponential", "s": "polynomial"}.get(name, "geometric")
+    fields = {"c": 0.5, "q": 0.5, "gamma": 0.5, "s": 2.0, name: bad}
+    with pytest.raises(InvalidTail, match=f"tail field '{name}' must be a finite number"):
+        TailDescriptor(kind, **fields)
 
 
 def test_json_roundtrip():
@@ -278,7 +296,23 @@ def test_certificate_never_singular_on_failing_tails():
         support = {rng.randint(-5, 5): rng.uniform(-1, 1) for _ in range(rng.randint(1, 4))}
         coeffs = WeakLimitCoefficients(support, tail)
         cert = singularity_certificate(coeffs)
-        if cert.beurling.verdict != "holds":
+        if cert.tail_verdict != "holds":
             assert cert.verdict != "singular"
         if cert.verdict == "singular" and cert.alpha_lower_bound is not None:
             assert coeffs.restricted
+
+
+@pytest.mark.parametrize("coeffs", [ONE_SIDED, GEOMETRIC, STRETCHED, POLYNOMIAL], ids=lambda c: c.tail.kind)
+def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
+    from ergolab import cli, spectral
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("the certificate computed a partial sum")
+
+    want = beurling_check(coeffs).verdict
+    monkeypatch.setattr(spectral, "_log_tail", no_sums)
+    monkeypatch.setattr(spectral, "beurling_check", no_sums)
+    assert singularity_certificate(coeffs).tail_verdict == want
+    report = cli.report_spectral_certify(coeffs, 600, True)
+    assert report["beurling_verdict"] == want
+    assert (report["verdict"] == "singular") == (want == "holds")

@@ -185,6 +185,13 @@ def test_perron_rejects_nonprimitive():
         perron(composition_matrix(Substitution(2, ((0, 0), (1, 1)))))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
+def test_perron_rejects_a_tol_that_gates_nothing(tol):
+    # residual > nan is False, so a NaN tol would accept any eigenvector
+    with pytest.raises(ValueError, match="tol"):
+        perron(composition_matrix(RUDIN_SHAPIRO), tol=tol)
+
+
 def test_perron_positive_vectors():
     data = perron(composition_matrix(THREE_LETTER))
     assert data.letter_freq.min() > 0
