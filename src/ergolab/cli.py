@@ -9,7 +9,8 @@ Subcommands mirror the library surface:
 
 Every run emits a single JSON report (stdout or --out) that embeds the
 exact configuration used, so identical configs give byte-identical
-reports; series data can additionally be written as CSV via --csv.
+reports; `skew spectrum` can also write its coefficient series as CSV
+via --csv.
 Failures exit nonzero with a machine-readable error record preserving
 the module error name.
 """
@@ -359,25 +360,22 @@ def _config_record(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _write_series_csv(path: str, rows: list[dict], fields: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([row[f] for f in fields])
+def _check_prefix_len(prefix_len: int, least: int) -> None:
+    if prefix_len < least:
+        raise ParseError(f"--prefix-len must be >= {least}, got {prefix_len}")
+    if prefix_len > MAX_WINDOW:
+        raise ParseError(f"prefix length capped at {MAX_WINDOW}")
 
 
 def _cmd_subst_analyze(args):
     sub = load_substitution(args.system)
-    if args.prefix_len and args.prefix_len > MAX_WINDOW:
-        raise ParseError(f"prefix length capped at {MAX_WINDOW}")
+    _check_prefix_len(args.prefix_len, 0)  # 0 skips the empirical check
     _emit(report_subst_analyze(sub, args.tol, args.prefix_len), args)
 
 
 def _cmd_subst_correlate(args):
     sub = load_substitution(args.system)
-    if args.prefix_len > MAX_WINDOW:
-        raise ParseError(f"prefix length capped at {MAX_WINDOW}")
+    _check_prefix_len(args.prefix_len, 1)
     block = tuple(_ints("--block", args.block, "," if "," in args.block else ""))
     _emit(report_subst_correlate(sub, block, args.shift, args.prefix_len), args)
 
@@ -397,10 +395,7 @@ def _cmd_rankone_correlate(args):
     h_k = _set_stage_height(spec, args.set_stage)
     levels = range(h_k) if args.levels == "all" else _ints("--levels", args.levels)
     A = LevelSet(args.set_stage, tuple(levels))
-    report = report_rankone_correlate(spec, spec.num_stages, A, _ints("--shifts", args.shifts))
-    _emit(report, args)
-    if args.csv:
-        _write_series_csv(args.csv, report["correlations"], ["shift", "value", "error_bound"])
+    _emit(report_rankone_correlate(spec, spec.num_stages, A, _ints("--shifts", args.shifts)), args)
 
 
 def _cmd_rankone_weaklimit(args):
@@ -413,14 +408,11 @@ def _cmd_rankone_weaklimit(args):
 def _cmd_rankone_rigidity(args):
     spec = load_rankone(args.system, args.stages)
     sets = [LevelSet(args.set_stage, (l,)) for l in range(_set_stage_height(spec, args.set_stage))]
-    if args.shifts:
-        shifts = _ints("--shifts", args.shifts)
-    else:
-        lo, hi = _ints("--shift-stages", args.shift_stages, ":", 2)
-        # h_N is the tower height, never a valid shift
-        if not 0 <= lo <= hi < spec.num_stages:
-            raise ParseError(f"shift stages {lo}:{hi} outside 0:{spec.num_stages - 1}")
-        shifts = rankone.heights(spec)[lo : hi + 1]
+    lo, hi = _ints("--shift-stages", args.shift_stages, ":", 2)
+    # h_N is the tower height, never a valid shift
+    if not 0 <= lo <= hi < spec.num_stages:
+        raise ParseError(f"shift stages {lo}:{hi} outside 0:{spec.num_stages - 1}")
+    shifts = rankone.heights(spec)[lo : hi + 1]
     _emit(report_rankone_rigidity(spec, shifts, sets, spec.num_stages), args)
 
 
@@ -440,7 +432,10 @@ def _cmd_skew_spectrum(args):
     report = report_skew_spectrum(sys_, g_name, fiber, args.window)
     _emit(report, args)
     if args.csv:
-        _write_series_csv(args.csv, report["coefficients"], ["n", "value", "error_bound"])
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "value", "error_bound"])
+            writer.writerows([r["n"], r["value"], r["error_bound"]] for r in report["coefficients"])
 
 
 def _cmd_skew_rigidity(args):
@@ -513,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-stage", type=int, default=4)
     p.add_argument("--levels", default="all")
     p.add_argument("--shifts", required=True, help="comma-separated shift list")
-    p.add_argument("--csv")
     p = add(g, "weaklimit", _cmd_rankone_weaklimit)
     p.add_argument("--system", required=True)
     p.add_argument("--stages", type=int, default=24)
@@ -527,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, default=17)
     p.add_argument("--set-stage", type=int, default=4)
     p.add_argument("--shift-stages", default="6:10", help="use tower heights h_lo..h_hi")
-    p.add_argument("--shifts", default=None, help="explicit comma-separated shifts")
 
     skew_system = argparse.ArgumentParser(add_help=False)
     skew_system.add_argument("--atom-level", type=int, default=20)

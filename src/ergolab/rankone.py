@@ -45,6 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -130,13 +131,12 @@ class RankOneSpec:
     def stage_differences(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per stage j, the sorted differences between the start offsets of
         the p_j stage-j copies inside stage j+1, and their multiplicities."""
+        hs = self.stage_heights
         out = []
-        for h, (p, spacers) in zip(self.stage_heights, self.stages):
-            offsets = [0]
-            for a in spacers[:-1]:
-                offsets.append(offsets[-1] + h + a)
-            ctr = sorted(Counter(t - r for r in offsets for t in offsets).items())
-            out.append((tuple(d for d, _ in ctr), tuple(n for _, n in ctr)))
+        for h, h_next, (_, spacers) in zip(hs, hs[1:], self.stages):
+            offsets = list(accumulate((h + a for a in spacers[:-1]), initial=0))
+            ds, mults = _differences(offsets, offsets, h_next)
+            out.append((tuple(ds), tuple(mults[d] for d in ds)))
         return tuple(out)
 
     @classmethod
@@ -237,27 +237,28 @@ class BoundedValue:
         return self.error_bound == 0
 
 
-def _base_counts(levels_a: Sequence[int], levels_b: Sequence[int], h: int) -> dict[int, int]:
-    """The stage-k pair counts R(k, d) = #{(a, b) in A x B : b - a = d} of
-    two level sets of a height-h tower, by lag d, zero counts left out.
+def _differences(xs: Sequence[int], ys: Sequence[int], h: int) -> tuple[list[int], dict[int, int]]:
+    """The sorted lags d = y - x over the pairs (x, y) in xs x ys, for
+    points in [0, h), and a dict of each lag's pair count (never zero).
 
-    Pairs that do not outnumber the 2h - 1 lags are counted one by one.
-    Otherwise R(k, .) is read off one big-int product of the indicator
-    strings, A's reversed: slot h - 1 + d of the product holds R(k, d),
-    and no slot exceeds min(|A|, |B|), so slots of that many whole bytes
-    never carry.
+    Pairs that do not outnumber the 2h - 1 lags are counted one by one;
+    otherwise the counts are read off one big-int product of the indicator
+    strings, xs' reversed: slot h - 1 + d holds the count at d, and no slot
+    exceeds min(|xs|, |ys|), so slots of that many whole bytes never carry.
     """
-    if len(levels_a) * len(levels_b) < 2 * h:
-        return Counter(b - a for a in levels_a for b in levels_b)
-    w = (min(len(levels_a), len(levels_b)).bit_length() + 7) // 8
-    ia, ib = bytearray(h * w), bytearray(h * w)
-    for a in levels_a:
-        ia[(h - 1 - a) * w] = 1
-    for b in levels_b:
-        ib[b * w] = 1
-    prod = (int.from_bytes(ia, "little") * int.from_bytes(ib, "little")).to_bytes((2 * h - 1) * w, "little")
+    if len(xs) * len(ys) < 2 * h:
+        counts = Counter(y - x for x in xs for y in ys)
+        return sorted(counts), counts
+    w = (min(len(xs), len(ys)).bit_length() + 7) // 8
+    ix, iy = bytearray(h * w), bytearray(h * w)
+    for x in xs:
+        ix[(h - 1 - x) * w] = 1
+    for y in ys:
+        iy[y * w] = 1
+    prod = (int.from_bytes(ix, "little") * int.from_bytes(iy, "little")).to_bytes((2 * h - 1) * w, "little")
     vals = prod if w == 1 else [int.from_bytes(prod[i : i + w], "little") for i in range(0, len(prod), w)]
-    return {i - h + 1: c for i, c in enumerate(vals) if c}
+    counts = {i - h + 1: c for i, c in enumerate(vals) if c}
+    return list(counts), counts  # keys in increasing order
 
 
 def _merged(runs: list[tuple[int, int, int]], slot: int) -> list[tuple[int, int, int]]:
@@ -335,8 +336,7 @@ def _pair_counts(
                     Q &= (1 << (w * slot)) - 1
                 out.append((f, w, Q))
         runs = _merged(out, slot)
-    base = _base_counts(levels_a, levels_b, hs[k])
-    lags = sorted(base)
+    lags, counts = _differences(levels_a, levels_b, hs[k])
     nbytes = slot // 8
     acc = 0
     for first, width, P in runs:
@@ -346,7 +346,7 @@ def _pair_counts(
             buf = P.to_bytes(width * nbytes, "little")
             for d in lags[lo:hi]:
                 o = (d - first) * nbytes
-                acc += base[d] * int.from_bytes(buf[o : o + nbytes], "little")
+                acc += counts[d] * int.from_bytes(buf[o : o + nbytes], "little")
     ones = (1 << lane) - 1
     return [acc >> (t * lane) & ones for t in range(len(shifts))]
 

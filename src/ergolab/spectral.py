@@ -160,7 +160,6 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class TranslationEstimate:
-    index: int
     limit: float
     spread: float
     stabilized: bool
@@ -173,16 +172,19 @@ def translation_probe(
 
     For each j the sequence k -> sigma_hat(n_k + j) estimates the j-th
     Fourier coefficient of the limit; the spread over the last three
-    times indicates stability (threshold 1e-3, recorded per entry).
+    times indicates stability (threshold 1e-3, recorded per entry).  The
+    times must strictly increase, so the limit is read at the largest.
     """
     if not times:
         raise ValueError("need at least one time")
+    if any(s >= t for s, t in zip(times, times[1:])):
+        raise ValueError(f"times must strictly increase, got {list(times)}")
     if j_window < 0:
         raise ValueError(f"j_window must be >= 0, got {j_window}")
-    need = max(times) + j_window
+    need = times[-1] + j_window
     if need > corr.window:
         raise WindowTooSmall(f"window {corr.window} too small for max time + j_window = {need}")
-    low = min(times) - j_window
+    low = times[0] - j_window
     if low < min(corr.values):
         raise WindowTooSmall(f"no value below n = {min(corr.values)} for min time - j_window = {low}")
     out: dict[int, TranslationEstimate] = {}
@@ -191,7 +193,6 @@ def translation_probe(
         last = seq[-3:]
         spread = max(last) - min(last)
         out[j] = TranslationEstimate(
-            index=j,
             limit=seq[-1],
             spread=float(spread),
             stabilized=spread <= STABILIZATION_SPREAD,
@@ -201,6 +202,14 @@ def translation_probe(
 
 # ---------------------------------------------------------------------------
 # coefficient sets and the quasi-analyticity test
+
+# the fields each tail kind reads; every other field must stay unset
+TAIL_FIELDS = {
+    "none": (),
+    "geometric": ("c", "q"),
+    "stretched_exponential": ("c", "gamma"),
+    "polynomial": ("c", "s"),
+}
 
 
 @dataclass(frozen=True)
@@ -213,6 +222,9 @@ class TailDescriptor:
         geometric:              c * q^d          (0 < q < 1)
         stretched_exponential:  c * exp(-d^gamma) (gamma > 0)
         polynomial:             c * d^(-s)        (s > 1)
+
+    A field the kind does not read (see TAIL_FIELDS) must be left unset:
+    None, or 0 for c.
     """
 
     kind: str = "none"
@@ -222,11 +234,16 @@ class TailDescriptor:
     s: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "geometric", "stretched_exponential", "polynomial"):
+        if self.kind not in TAIL_FIELDS:
             raise InvalidTail(f"unknown tail kind {self.kind!r}")
-        for name, value in (("c", self.c), ("q", self.q), ("gamma", self.gamma), ("s", self.s)):
+        values = {"c": self.c, "q": self.q, "gamma": self.gamma, "s": self.s}
+        for name, value in values.items():
             if value is not None and not math.isfinite(value):
                 raise InvalidTail(f"tail field {name!r} must be a finite number, got {value!r}")
+        for name, value in values.items():
+            if name not in TAIL_FIELDS[self.kind] and value is not None and (name != "c" or value != 0):
+                takes = ", ".join(TAIL_FIELDS[self.kind]) or "no field"
+                raise InvalidTail(f"tail field {name!r} is not read by kind {self.kind!r}, which takes {takes}")
         if self.kind != "none":
             if self.c <= 0:
                 raise InvalidTail("tail amplitude c must be positive")
@@ -271,34 +288,22 @@ class WeakLimitCoefficients:
     def k_min(self) -> int:
         return min(self.support)
 
-    def to_json(self) -> str:
-        t = self.tail
-        payload = {
-            "support": {str(i): a for i, a in sorted(self.support.items())},
-            "tail": {
-                "kind": t.kind,
-                **({"c": t.c} if t.kind != "none" else {}),
-                **({"q": t.q} if t.kind == "geometric" else {}),
-                **({"gamma": t.gamma} if t.kind == "stretched_exponential" else {}),
-                **({"s": t.s} if t.kind == "polynomial" else {}),
-            },
-            "restricted": self.restricted,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "WeakLimitCoefficients":
         try:
             payload = json.loads(text)
             tail_raw = payload.get("tail", {"kind": "none"})
             params = {}
-            for name in ("c", "q", "gamma", "s"):
-                if name in tail_raw:
-                    try:
-                        params[name] = float(tail_raw[name])
-                    except (TypeError, ValueError):
-                        raise SpectralError(f"malformed coefficient file: tail field {name!r} "
-                                            f"must be a finite number, got {tail_raw[name]!r}") from None
+            for name, value in tail_raw.items():
+                if name == "kind":
+                    continue
+                if name not in ("c", "q", "gamma", "s"):
+                    raise InvalidTail(f"unknown tail field {name!r}")
+                try:
+                    params[name] = float(value)
+                except (TypeError, ValueError):
+                    raise SpectralError(f"malformed coefficient file: tail field {name!r} "
+                                        f"must be a finite number, got {value!r}") from None
             tail = TailDescriptor(kind=tail_raw.get("kind", "none"), **params)
             return cls(support=payload["support"], tail=tail)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:

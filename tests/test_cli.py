@@ -148,6 +148,16 @@ def test_subst_correlate_prefix_len_is_capped(capsys):
     assert error["message"] == "prefix length capped at 65536"
 
 
+@pytest.mark.parametrize("command, least", [("analyze", 0), ("correlate", 1)])
+@pytest.mark.parametrize("offset", [1, 5])
+def test_subst_prefix_len_below_range_is_parse_error(command, least, offset, capsys):
+    bad = least - offset
+    block = ["--block", "02", "--shift", "1"] if command == "correlate" else []
+    code, out = run_cli(["subst", command, "--system", "rudin-shapiro", *block, f"--prefix-len={bad}"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ParseError", "message": f"--prefix-len must be >= {least}, got {bad}"}
+
+
 def test_rankone_correlate_command(capsys):
     code, out = run_cli(
         ["rankone", "correlate", "--system", "chacon", "--stages", "10",
@@ -227,13 +237,12 @@ def test_rankone_rigidity_shift_stages_beyond_schedule_is_parse_error(stages, ca
          "--levels", "1,x"),
         (["rankone", "heights", "--system", "staircase:x"], "--system", "x"),
         (["rankone", "correlate", "--system", "chacon", "--stages", "10", "--shifts", "1,y"], "--shifts", "1,y"),
-        (["rankone", "rigidity", "--system", "chacon", "--stages", "8", "--shifts", "1,y"], "--shifts", "1,y"),
         (["subst", "correlate", "--system", "rudin-shapiro", "--block", "0x", "--shift", "1"], "--block", "0x"),
         (["skew", "rigidity", "--k-range", "10-14"], "--k-range", "10-14"),
         (["rankone", "weaklimit", "--system", "historical", "--stage-range", "8:x"], "--stage-range", "8:x"),
         (["spectral", "translate", "--input", "@series.csv", "--times", "16,z"], "--times", "16,z"),
     ],
-    ids=["shift-stages", "levels", "staircase", "correlate-shifts", "rigidity-shifts", "block", "k-range",
+    ids=["shift-stages", "levels", "staircase", "correlate-shifts", "block", "k-range",
          "stage-range", "times"],
 )
 def test_malformed_integer_argument_is_parse_error(args, flag, bad, tmp_path, capsys):
@@ -456,6 +465,16 @@ def test_spectral_translate_negative_j_window_is_named_error(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["error"] == {"type": "ValueError", "message": "j_window must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize("times", ["48,16,32", "48,48,48"])
+def test_spectral_translate_times_that_do_not_increase_are_named_error(times, tmp_path, capsys):
+    csv_path = tmp_path / "series.csv"
+    _write_series(csv_path, range(-64, 65))
+    code, out = run_cli(["spectral", "translate", "--input", str(csv_path), "--times", times], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ValueError", "message": f"times must strictly increase, got [{times.replace(',', ', ')}]"}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12"])

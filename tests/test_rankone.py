@@ -14,7 +14,7 @@ from ergolab.rankone import (
     RankOneSpec,
     ShiftOutOfRange,
     StageOutOfRange,
-    _base_counts,
+    _differences,
     _level_correlations,
     _pair_counts,
     build_tower,
@@ -253,13 +253,15 @@ def test_full_stage_sets_without_spacers_count_every_pair(k, N):
 
 def test_base_counts_dense_product_matches_pair_count():
     for h in (1, 2, 7, 300):  # full sets: h - |d| pairs at lag d
-        assert _base_counts(range(h), range(h), h) == {d: h - abs(d) for d in range(1 - h, h)}
+        lags = list(range(1 - h, h))
+        assert _differences(range(h), range(h), h) == (lags, {d: h - abs(d) for d in lags})
     rng = random.Random(7)
     for _ in range(60):
         h = rng.randint(2, 600)
         A, B = (sorted(rng.sample(range(h), rng.randint(int((2 * h) ** 0.5) + 1, h))) for _ in range(2))
         assert len(A) * len(B) >= 2 * h  # the product path
-        assert _base_counts(A, B, h) == Counter(b - a for a in A for b in B)
+        want = Counter(b - a for a in A for b in B)
+        assert _differences(A, B, h) == (sorted(want), want)
 
 
 def test_level_measure_matches_brute():

@@ -373,6 +373,26 @@ def test_toeplitz_positive_semidefinite(mn_system):
         assert np.linalg.eigvalsh(T).min() >= -1e-9
 
 
+@st.composite
+def dyadic_steps(draw):
+    c = draw(st.integers(0, 4))
+    values = draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=2**c, max_size=2**c))
+    return DyadicStep(c, tuple(values))
+
+
+@settings(max_examples=40)
+@given(dyadic_steps())
+def test_closed_forms_for_any_step_function(g):
+    # g (x) chi: c(n) = 0 exactly once 2|n| >= 2^c (every n != 0 for c = 0);
+    # g (x) 1 is a correlation of a period-2^c sequence, so c(n) = c(|n| mod 2^c)
+    sys_, G = SkewSystem(16, 12), 2**g.level
+    for m in range(max(1, G // 2), 8 * G):
+        for n in (m, -m):
+            assert spectral_coefficient(g, "chi", n, sys_).value == 0.0, (g, n)
+            one = spectral_coefficient(g, "one", n, sys_).value
+            assert one == spectral_coefficient(g, "one", m % G, sys_).value, (g, n)
+
+
 def test_coefficient_index_guard(mn_system):
     with pytest.raises(IndexTooLarge):
         spectral_coefficient(CONSTANT_ONE, "chi", 2 ** (mn_system.L - 4) + 1, mn_system)

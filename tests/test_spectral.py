@@ -111,6 +111,12 @@ def test_translation_probe_rejects_negative_j_window():
         translation_probe(synthetic(0.5), [16, 32, 48], -1)
 
 
+@pytest.mark.parametrize("times", [[48, 16, 32], [48, 48, 48], [16, 32, 32]])
+def test_translation_probe_rejects_times_that_do_not_increase(times):
+    with pytest.raises(ValueError, match=rf"times must strictly increase, got \[{times[0]}, "):
+        translation_probe(synthetic(0.5), times, 2)
+
+
 def test_translation_probe_window_guard():
     with pytest.raises(WindowTooSmall):
         translation_probe(synthetic(0.5, window=64), [128], 2)
@@ -140,6 +146,8 @@ def test_tail_validation():
         WeakLimitCoefficients.from_json('{"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 1, "q": "x"}}')
     with pytest.raises(SpectralError, match="finite"):
         WeakLimitCoefficients.from_json('{"support": {"0": NaN}}')
+    with pytest.raises(InvalidTail, match="unknown tail field 'qq'"):
+        WeakLimitCoefficients.from_json('{"support": {"0": 0.5}, "tail": {"kind": "none", "qq": 0.5}}')
     for name, bad in (("c", "x"), ("q", "x"), ("gamma", None), ("s", math.inf)):
         tail = {"kind": "polynomial", "c": 1.0, "s": 2.0, name: bad}
         with pytest.raises(SpectralError, match=f"tail field '{name}'"):
@@ -159,14 +167,36 @@ def test_non_finite_coefficients_raise_at_construction(name, bad):
         TailDescriptor(kind, **fields)
 
 
-def test_json_roundtrip():
-    coeffs = WeakLimitCoefficients(
-        {-1: 0.25, 0: 0.5}, TailDescriptor("geometric", c=0.25, q=0.5)
-    )
-    again = WeakLimitCoefficients.from_json(coeffs.to_json())
-    assert again.support == coeffs.support
-    assert again.tail == coeffs.tail
-    assert again.restricted == coeffs.restricted
+OWN_TAIL_FIELDS = {
+    "none": {},
+    "geometric": {"c": 0.5, "q": 0.5},
+    "stretched_exponential": {"c": 0.5, "gamma": 0.5},
+    "polynomial": {"c": 0.5, "s": 2.0},
+}
+
+
+@pytest.mark.parametrize("kind, stray", [(kind, name) for kind, own in OWN_TAIL_FIELDS.items()
+                                         for name in ("c", "q", "gamma", "s") if name not in own])
+@pytest.mark.parametrize("path", ["constructor", "from_json", "cli"])
+def test_tail_field_the_kind_does_not_read_is_named(kind, stray, path, tmp_path, capsys):
+    from ergolab import cli
+
+    own = OWN_TAIL_FIELDS[kind]
+    message = f"tail field '{stray}' is not read by kind '{kind}'"
+    text = json.dumps({"support": {"0": 0.5}, "tail": {"kind": kind, **own, stray: 2.0}})
+    if path == "cli":
+        (tmp_path / "coeffs.json").write_text(text)
+        assert cli.main(["spectral", "certify", "--coeffs", str(tmp_path / "coeffs.json")]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "InvalidTail" and error["message"].startswith(message)
+        return
+    with pytest.raises(InvalidTail, match=message):
+        if path == "constructor":
+            TailDescriptor(kind, **own, **{stray: 2.0})
+        else:
+            WeakLimitCoefficients.from_json(text)
+    # left unset (None, or 0 for c) the field is accepted
+    assert TailDescriptor(kind, **own, **{stray: 0.0 if stray == "c" else None}).kind == kind
 
 
 # -- quasi-analyticity test ---------------------------------------------------------------
