@@ -108,14 +108,15 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
     data = substitution.perron(M, tol=tol)
     freqs = substitution.block_frequencies(sub, tol=tol)  # keys in block-alphabet order
     rig = substitution._rigidity_from(freqs, data)
+    names = {b: substitution.word_to_str(b, sub.alphabet_size) for b in freqs}
     report.update(
         {
             "theta": data.theta,
             "letter_frequencies": data.letter_freq.tolist(),
             "perron_residual": data.residual,
             "letter_limit_norms": [float(v.sum()) for v in data.letter_limits],
-            "block_alphabet": [substitution.word_to_str(b, sub.alphabet_size) for b in freqs],
-            "block_frequencies": {substitution.word_to_str(b, sub.alphabet_size): f for b, f in freqs.items()},
+            "block_alphabet": list(names.values()),
+            "block_frequencies": {names[b]: f for b, f in freqs.items()},
             "marginal_check": {
                 str(a): sum(f for (x, _), f in freqs.items() if x == a)
                 for a in range(sub.alphabet_size)
@@ -142,15 +143,17 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
             ),
         }
     if prefix_len:
+        import numpy as np
         prefix = substitution.fixed_point_prefix(sub, prefix_len)
+        n, k = len(prefix), sub.alphabet_size
+        if n <= 2:  # the message prefix_correlation gives a 2-block at shift 0
+            raise substitution.PrefixTooShort("need prefix_len > shift + block length = 2")
+        # prefix_correlation(prefix, (a, b), 0) counts (a, b) at positions 0..n-3, over n - 2
+        counts = np.bincount(prefix[: n - 2] * k + prefix[1 : n - 1], minlength=k * k).tolist()
         checks = {}
-        for b, f in freqs.items():
-            emp = substitution.prefix_correlation(prefix, b, 0)
-            checks[substitution.word_to_str(b, sub.alphabet_size)] = {
-                "empirical": emp,
-                "eigenvector": f,
-                "difference": abs(emp - f),
-            }
+        for (a, b), f in freqs.items():
+            emp = counts[a * k + b] / (n - 2)
+            checks[names[a, b]] = {"empirical": emp, "eigenvector": f, "difference": abs(emp - f)}
         report["empirical_check"] = {"prefix_len": prefix_len, "blocks": checks}
     return report
 

@@ -172,11 +172,12 @@ def translation_probe(
 
     For each j the sequence k -> sigma_hat(n_k + j) estimates the j-th
     Fourier coefficient of the limit; the spread over the last three
-    times indicates stability (threshold 1e-3, recorded per entry).  The
-    times must strictly increase, so the limit is read at the largest.
+    times indicates stability (threshold 1e-3, recorded per entry), so at
+    least three times are needed.  The times must strictly increase, so
+    the limit is read at the largest.
     """
-    if not times:
-        raise ValueError("need at least one time")
+    if len(times) < 3:
+        raise ValueError(f"need at least three times to measure a spread, got {len(times)}")
     if any(s >= t for s, t in zip(times, times[1:])):
         raise ValueError(f"times must strictly increase, got {list(times)}")
     if j_window < 0:
@@ -318,41 +319,69 @@ class BeurlingReport:
     notes: str
 
 
-def _log_tail(coeffs: WeakLimitCoefficients, n: int) -> float:
-    """log of sum_{k <= -n} a_k^2, computed in log space for deep tails."""
-    finite = sum(a * a for k, a in coeffs.support.items() if k <= -n)
-    t = coeffs.tail
-    if t.kind == "none":
-        return math.log(finite) if finite > 0 else -math.inf
-    d0 = max(1, coeffs.k_min + n)  # smallest tail distance k_min - k with k <= -n
+def _logaddexp(x: float, y: float) -> float:
+    lo, hi = sorted((x, y))
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _log_tail_sum(t: TailDescriptor, d0: int) -> float:
+    """log of sum_{d >= d0} of the squared tail coefficient at distance d
+    (see TailDescriptor): exact for a geometric tail, approximate otherwise."""
     if t.kind == "geometric":
         # sum_{d >= d0} c^2 q^(2d) = c^2 q^(2 d0) / (1 - q^2)
-        log_formula = 2 * math.log(t.c) + 2 * d0 * math.log(t.q) - math.log1p(-t.q * t.q)
-    elif t.kind == "stretched_exponential":
+        return 2 * math.log(t.c) + 2 * d0 * math.log(t.q) - math.log1p(-t.q * t.q)
+    import numpy as np
+    if t.kind == "stretched_exponential":
         # c^2 exp(-2 d0^gamma) * theta(d0) with
         # theta = sum_i exp(-2((d0+i)^gamma - d0^gamma)).  Replacing the sum
         # by its integral (substituting u = (d0+x)^gamma - d0^gamma) gives
         # theta ~ 1 + int_0^inf e^(-2u) (1/gamma) (u + d0^gamma)^(1/gamma-1) du,
         # evaluated by trapezoid on [0, 20]; report-quality accuracy only,
         # the verdict never depends on it.
-        import numpy as np
         g = t.gamma
         base = d0**g
         u = np.linspace(0.0, 20.0, 400)
         integrand = np.exp(-2.0 * u) * (1.0 / g) * (u + base) ** (1.0 / g - 1.0)
         theta = 1.0 + float(np.trapezoid(integrand, u))
-        log_formula = 2 * math.log(t.c) - 2 * base + math.log(theta)
-    else:  # polynomial
-        # sum_{d >= d0} c^2 d^(-2s), partial sum plus integral remainder
-        import numpy as np
-        s2 = 2 * t.s
-        d = np.arange(d0, d0 + 2000, dtype=np.float64)
-        total = float((d**-s2).sum()) + (d0 + 2000.0) ** (1 - s2) / (s2 - 1)
-        log_formula = 2 * math.log(t.c) + math.log(total)
-    if finite <= 0:
-        return log_formula
-    lo, hi = sorted((math.log(finite), log_formula))
-    return hi + math.log1p(math.exp(lo - hi))
+        return 2 * math.log(t.c) - 2 * base + math.log(theta)
+    # polynomial: sum_{d >= d0} c^2 d^(-2s), partial sum plus integral remainder
+    s2 = 2 * t.s
+    d = np.arange(d0, d0 + 2000, dtype=np.float64)
+    total = float((d**-s2).sum()) + (d0 + 2000.0) ** (1 - s2) / (s2 - 1)
+    return 2 * math.log(t.c) + math.log(total)
+
+
+def _log_tails(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:
+    """log of sum_{k <= -n} a_k^2 for n = 1..n_max, computed in log space for
+    deep tails; the list ends at the first -inf (nothing left below -n).
+
+    The closed-form tail starts at distance d0(n) = max(1, k_min + n).  A
+    geometric tail is summed in closed form at each d0; a stretched or
+    polynomial one is summed once, at the largest d0, and then downward by
+    log S(d) = logaddexp(log f(d), log S(d + 1)).  The finite-support sum
+    is recomputed only at the n where a support index leaves k <= -n.
+    """
+    support, t = coeffs.support, coeffs.tail
+    d_lo, d_hi = max(1, coeffs.k_min + 1), max(1, coeffs.k_min + n_max)
+    log_sums: dict[int, float] = {}
+    if t.kind in ("stretched_exponential", "polynomial"):
+        log_sums[d_hi] = _log_tail_sum(t, d_hi)
+        for d in range(d_hi - 1, d_lo - 1, -1):
+            decay = 2 * d**t.gamma if t.kind == "stretched_exponential" else 2 * t.s * math.log(d)
+            log_sums[d] = _logaddexp(2 * math.log(t.c) - decay, log_sums[d + 1])
+    tails: list[float] = []
+    for n in range(1, n_max + 1):
+        if n == 1 or 1 - n in support:
+            finite = sum(a * a for k, a in support.items() if k <= -n)
+        if t.kind == "none":
+            tails.append(math.log(finite) if finite > 0 else -math.inf)
+            if finite <= 0:
+                break
+            continue
+        d0 = max(1, coeffs.k_min + n)  # smallest tail distance k_min - k with k <= -n
+        log_formula = log_sums[d0] if log_sums else _log_tail_sum(t, d0)
+        tails.append(log_formula if finite <= 0 else _logaddexp(math.log(finite), log_formula))
+    return tails
 
 
 def check_n_max(n_max: int) -> None:
@@ -370,11 +399,7 @@ def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 600) -> BeurlingR
     """
     check_n_max(n_max)
     verdict, notes = coeffs.tail.verdict()
-    tails = []
-    for n in range(1, n_max + 1):
-        tails.append(_log_tail(coeffs, n))
-        if tails[-1] == -math.inf:
-            break
+    tails = _log_tails(coeffs, n_max)
     sums = tuple(accumulate(lt / (n * n) for n, lt in enumerate(tails, start=1)))
 
     fit = None

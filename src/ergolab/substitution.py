@@ -21,11 +21,19 @@ of M and one of its transpose, and are accepted only when the residual
 From these the rigidity constant alpha = r * rho is formed, with r the
 largest frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1
 for the smallest letter a_r attaining r.
+
+The empirical side reads a prefix of the fixed point u starting at 0.
+u is also the fixed point of every power sigma^j, so the prefix is
+expanded on a power whose images fill a small table, in a few array
+passes instead of one per generation of sigma.  `prefix_correlation`
+scans it for one block; the `subst analyze` report counts all 2-blocks
+in one pass over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 Word = tuple[int, ...]
@@ -141,23 +149,24 @@ def composition_matrix(sub: Substitution) -> np.ndarray:
 def is_primitive(sub: Substitution) -> bool:
     """Some power of the composition matrix is entrywise positive.
 
-    Powers up to the Wielandt bound k^2 - 2k + 2 suffice; positivity
-    patterns are tracked with boolean matrices so entries cannot overflow.
+    A primitive k x k matrix has every power from the Wielandt bound
+    k^2 - 2k + 2 on entrywise positive, so squaring the positivity pattern
+    until its exponent reaches the bound decides primitivity.  Patterns are
+    boolean matrices, whose products cannot overflow.
     """
     return _matrix_is_primitive(composition_matrix(sub))
 
 
 def _matrix_is_primitive(M: np.ndarray) -> bool:
-    import numpy as np
     k = M.shape[0]
-    pattern = (M > 0).astype(np.uint8)
-    bound = k * k - 2 * k + 2
-    P = pattern.copy()
-    for _ in range(bound):
-        if P.all():
-            return True
-        P = ((P @ pattern) > 0).astype(np.uint8)
-    return bool(P.all())
+    P = M > 0
+    exponent = 1
+    while not P.all():
+        if exponent >= k * k - 2 * k + 2:
+            return False
+        P = P @ P
+        exponent *= 2
+    return True
 
 
 @dataclass(frozen=True)
@@ -218,24 +227,50 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
     return PerronData(theta, left, right, limits, residual)
 
 
+# Letters the sigma^j image table of `fixed_point_prefix` may hold; of
+# 64..1024, 256 built 8192-letter prefixes of random 2..5-letter
+# substitutions fastest.
+_POWER_LETTERS = 256
+
+
 def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
-    """First `length` symbols of the one-sided fixed point starting at 0."""
+    """First `length` symbols of the one-sided fixed point starting at 0.
+
+    The fixed point of sigma is also the fixed point of every power
+    sigma^j, so the prefix is expanded on sigma^j: its images are composed
+    in Python, sigma^(j+1)(a) = sigma^j(sigma(a)), while the table holds at
+    most _POWER_LETTERS letters (a bound on letters, not on j, so a slowly
+    growing substitution, say with length-1 images, never expands the whole
+    prefix in Python), and sigma^j(0) is then grown by numpy repeat/gather
+    passes until it reaches `length`.
+    """
     import numpy as np
     if length < 1:
         raise ValueError("length must be positive")
     if not sub.is_fixed_point_capable:
         raise NotFixedPointCapable("image of 0 must start with 0 and grow")
-    lens = np.array([len(img) for img in sub.images], dtype=np.int64)
-    flat = np.array([s for img in sub.images for s in img], dtype=np.int64)
-    starts = np.cumsum(lens) - lens
-    w = np.zeros(1, dtype=np.int64)
+    images = table = sub.images
+    table_lens = [len(img) for img in images]
+    while len(table[0]) < length:
+        grown = [sum(table_lens[s] for s in img) for img in images]
+        if sum(grown) > _POWER_LETTERS:
+            break
+        table = [tuple(chain.from_iterable(table[s] for s in img)) for img in images]
+        table_lens = grown
+    w = np.array(table[0][:length], dtype=np.int64)
+    if len(w) == length:
+        return w
+    lens = np.array(table_lens, dtype=np.int64)
+    flat = np.array(list(chain.from_iterable(table)), dtype=np.int64)
+    stops = lens.cumsum()  # the image of a is flat[stops[a] - lens[a]:stops[a]]
     while len(w) < length:
-        ends = np.cumsum(lens[w])
-        # expand only up to the first letter whose image reaches `length`
-        used = int(np.searchsorted(ends, length)) + 1
-        w, ends = w[:used], ends[:used]
         sizes = lens[w]
-        w = flat[np.repeat(starts[w] - (ends - sizes), sizes) + np.arange(ends[-1])]
+        ends = sizes.cumsum()
+        # expand only up to the first letter whose image reaches `length`
+        used = int(ends.searchsorted(length)) + 1
+        w, sizes, ends = w[:used], sizes[:used], ends[:used]
+        # position p < ends[i] of the image of w[i] reads flat[stops[w[i]] - ends[i] + p]
+        w = flat[(stops[w] - ends).repeat(sizes) + np.arange(ends[-1])]
     return w[:length]
 
 
@@ -286,10 +321,13 @@ def pair_substitution(sub: Substitution) -> dict[Block, tuple[Block, ...]]:
 
 def block_frequencies(sub: Substitution, tol: float = 1e-12) -> dict[Block, float]:
     """Frequencies of admissible 2-blocks (l1-normalized Perron vector)."""
+    import numpy as np
     pair = pair_substitution(sub)
     index = {b: i for i, b in enumerate(pair)}
-    M2 = composition_matrix(Substitution(len(pair), tuple(tuple(index[b] for b in img)
-                                                          for img in pair.values())))
+    m = len(pair)
+    # entry (i, j) counts block i in the image of block j
+    cells = [index[b] * m + j for j, img in enumerate(pair.values()) for b in img]
+    M2 = np.bincount(cells, minlength=m * m).reshape(m, m)
     data = perron(M2, tol=tol)
     return {blk: float(f) for blk, f in zip(pair, data.letter_freq)}
 

@@ -97,6 +97,30 @@ def test_subst_analyze_keys_on_twelve_letters_are_distinct():
     assert sum(report["block_frequencies"].values()) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("system", ["rudin-shapiro", "three-letter"])
+@pytest.mark.parametrize("prefix_len", ["1", "2"])
+def test_subst_analyze_prefix_without_a_counted_block_is_pinned_error(system, prefix_len, capsys):
+    # a 2-block at shift 0 is counted at positions 0..n-3, none when n <= 2
+    code, out = run_cli(["subst", "analyze", "--system", system, "--prefix-len", prefix_len], capsys)
+    assert code == 1
+    assert out == ('{"error": {"message": "need prefix_len > shift + block length = 2", '
+                   '"type": "PrefixTooShort"}}\n')
+
+
+def test_subst_analyze_non_primitive_report_is_pinned(tmp_path, capsys):
+    path = tmp_path / "np.txt"
+    path.write_text("0 -> 01\n1 -> 1\n")
+    code, out = run_cli(["subst", "analyze", "--system", str(path), "--prefix-len", "100"], capsys)
+    assert code == 0
+    config = (f'  "config": {{\n    "command": "analyze",\n    "group": "subst",\n    "prefix_len": 100,\n'
+              f'    "system": "{path}",\n    "tol": 1e-12\n  }},\n')
+    report = ('  "report": {\n    "composition_matrix": [\n      [\n        1,\n        0\n      ],\n'
+              '      [\n        1,\n        1\n      ]\n    ],\n    "primitive": false,\n'
+              '    "system": {\n      "alphabet_size": 2,\n      "images": [\n        "01",\n        "1"\n'
+              '      ],\n      "name": "np"\n    }\n  }\n')
+    assert out == "{\n" + config + report + "}\n"
+
+
 def test_subst_file_input(tmp_path, capsys):
     path = tmp_path / "fib.txt"
     path.write_text("0 -> 01\n1 -> 0\n")
@@ -475,6 +499,17 @@ def test_spectral_translate_times_that_do_not_increase_are_named_error(times, tm
     assert code == 1
     assert json.loads(out)["error"] == {
         "type": "ValueError", "message": f"times must strictly increase, got [{times.replace(',', ', ')}]"}
+
+
+@pytest.mark.parametrize("times", ["48", "16,48"])
+def test_spectral_translate_fewer_than_three_times_is_named_error(times, tmp_path, capsys):
+    csv_path = tmp_path / "series.csv"
+    _write_series(csv_path, range(-64, 65))
+    code, out = run_cli(["spectral", "translate", "--input", str(csv_path), "--times", times], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ValueError",
+        "message": f"need at least three times to measure a spread, got {times.count(',') + 1}"}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12"])

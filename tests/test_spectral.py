@@ -117,9 +117,16 @@ def test_translation_probe_rejects_times_that_do_not_increase(times):
         translation_probe(synthetic(0.5), times, 2)
 
 
+@pytest.mark.parametrize("times", [[], [48], [16, 48]])
+def test_translation_probe_needs_three_times(times):
+    # one time used to give spread 0 and stabilized: true
+    with pytest.raises(ValueError, match=rf"^need at least three times to measure a spread, got {len(times)}$"):
+        translation_probe(synthetic(0.5), times, 2)
+
+
 def test_translation_probe_window_guard():
     with pytest.raises(WindowTooSmall):
-        translation_probe(synthetic(0.5, window=64), [128], 2)
+        translation_probe(synthetic(0.5, window=64), [32, 64, 128], 2)
     one_sided = CorrelationSequence.from_pairs([(n, 1.0) for n in range(65)])
     with pytest.raises(WindowTooSmall):
         translation_probe(one_sided, [1, 2, 3], 3)
@@ -239,20 +246,80 @@ def test_beurling_partial_sums_monotone_for_decaying_tails():
     assert sums[-1] < sums[5]
     assert report.tail_exponent_fit == pytest.approx(1.0, abs=0.05)
     # oracle: np.polyfit on the same log-log points, to rel 1e-12 or abs 1e-12
-    from ergolab.spectral import _log_tail
+    from ergolab.spectral import _log_tails
 
     n_max = len(sums)
-    xs, ys = zip(*((math.log(n), math.log(-_log_tail(GEOMETRIC, n))) for n in range(n_max // 2, n_max + 1)))
+    tails = _log_tails(GEOMETRIC, n_max)
+    xs, ys = zip(*((math.log(n), math.log(-tails[n - 1])) for n in range(n_max // 2, n_max + 1)))
     assert report.tail_exponent_fit == pytest.approx(float(np.polyfit(xs, ys, 1)[0]), rel=1e-12, abs=1e-12)
 
 
 def test_beurling_geometric_tail_value_matches_closed_form():
     # the displayed example: a_k = 2^-|k| has tail sum (4/3) 4^-n
-    from ergolab.spectral import _log_tail
+    from ergolab.spectral import _log_tails
 
+    tails = _log_tails(GEOMETRIC, 50)
     for n in (3, 10, 50):
         expected = math.log((4.0 / 3.0) * 4.0 ** (-n))
-        assert _log_tail(GEOMETRIC, n) == pytest.approx(expected, rel=1e-9)
+        assert tails[n - 1] == pytest.approx(expected, rel=1e-9)
+
+
+# Partial sums that the per-n tail formulas gave (one 2,000-term sum or one
+# 400-point trapezoid for every n), frozen at n = 1, 5, 100, 600 and 4096.
+FROZEN_TAIL_SUMS = [
+    (WeakLimitCoefficients({0: 0.5, 1: 0.25, -3: 0.1}, TailDescriptor("polynomial", c=1.0, s=1.5)),
+     {1: 0.19231883629515992, 5: 0.20930120400605606, 100: -0.6308528397820401,
+      600: -0.7232603077181516, 4096: -0.7443254077643437}),
+    (WeakLimitCoefficients({2: 0.4, 5: 0.1}, TailDescriptor("polynomial", c=0.3, s=1.05)),
+     {1: -3.5258684700355456, 5: -5.417031052602, 100: -6.349852858201112,
+      600: -6.418524296974762, 4096: -6.4331333708429606}),
+    (WeakLimitCoefficients({0: 0.5, -2: 0.2}, TailDescriptor("stretched_exponential", c=1.0, gamma=0.5)),
+     {1: -0.9718169453620922, 5: -1.5367016084587835, 100: -2.465697274642941,
+      600: -2.677643093766818, 4096: -2.7732077822467547}),
+    (WeakLimitCoefficients({0: 1.0}, TailDescriptor("stretched_exponential", c=0.5, gamma=1.5)),
+     {1: -3.1261526124419077, 5: -8.14756398319323, 100: -39.085009994253404,
+      600: -97.01678450574553, 4096: -255.01395628363372}),
+]
+
+
+def stretched_partial_sums_oracle(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:
+    """Partial sums with each stretched tail summed term by term (test oracle):
+    the terms after d0 are taken relative to the first, up to e^-60 of it."""
+    t, sums, total = coeffs.tail, [], 0.0
+    for n in range(1, n_max + 1):
+        finite = sum(a * a for k, a in coeffs.support.items() if k <= -n)
+        d0 = max(1, coeffs.k_min + n)
+        base = d0**t.gamma
+        d = np.arange(d0, math.ceil((base + 30) ** (1 / t.gamma)) + 1, dtype=np.float64)
+        log_tail = 2 * math.log(t.c) - 2 * base + math.log(float(np.exp(-2 * (d**t.gamma - base)).sum()))
+        if finite > 0:
+            log_tail = float(np.logaddexp(math.log(finite), log_tail))
+        total += log_tail / (n * n)
+        sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize("case", range(len(FROZEN_TAIL_SUMS)))
+def test_beurling_partial_sums_match_frozen_per_n_formulas(case):
+    coeffs, frozen = FROZEN_TAIL_SUMS[case]
+    if coeffs.tail.kind == "stretched_exponential":
+        oracle = stretched_partial_sums_oracle(coeffs, 4096)
+    for n_max in (600, 4096):
+        sums = beurling_check(coeffs, n_max).partial_sums
+        assert len(sums) == n_max
+        for n, old in frozen.items():
+            if n > n_max:
+                continue
+            if coeffs.tail.kind == "polynomial":
+                # both sum the same terms; they differ in where the integral
+                # remainder starts: observed 1.2e-7 relative
+                assert sums[n - 1] == pytest.approx(old, rel=1e-6)
+            else:
+                # "1 + integral" overcounts a stretched tail sum (by 1.5 / 1.157
+                # at gamma = 1); summed downward from the largest d0 only the
+                # last few n still see that: observed 5e-7 relative
+                assert sums[n - 1] == pytest.approx(oracle[n - 1], rel=1e-5)
+                assert abs(sums[n - 1] - oracle[n - 1]) < abs(old - oracle[n - 1])
 
 
 @settings(max_examples=30)
@@ -340,7 +407,7 @@ def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
         raise AssertionError("the certificate computed a partial sum")
 
     want = beurling_check(coeffs).verdict
-    monkeypatch.setattr(spectral, "_log_tail", no_sums)
+    monkeypatch.setattr(spectral, "_log_tails", no_sums)
     monkeypatch.setattr(spectral, "beurling_check", no_sums)
     assert singularity_certificate(coeffs).tail_verdict == want
     report = cli.report_spectral_certify(coeffs, 600, True)

@@ -18,6 +18,7 @@ from ergolab.substitution import (
     is_primitive,
     pair_substitution,
     perron,
+    prefix_correlation,
     rigidity_constant,
     word_to_str,
 )
@@ -98,6 +99,34 @@ def test_primitivity_cases():
     assert is_primitive(THREE_LETTER)
     assert is_primitive(FIBONACCI)  # M^2 entrywise positive
     assert not is_primitive(Substitution(2, ((0, 0), (1, 1))))  # letters never mix
+
+
+def primitivity_oracle(M) -> bool:
+    """Some power M^n with n up to the Wielandt bound is positive (test oracle)."""
+    k = len(M)
+    power = [[M[i][j] > 0 for j in range(k)] for i in range(k)]
+    for _ in range(k * k - 2 * k + 2):
+        if all(map(all, power)):
+            return True
+        power = [[any(power[i][t] and M[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+    return all(map(all, power))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                                                    min_size=k, max_size=k)))
+def test_primitivity_by_squaring_matches_power_oracle(M):
+    from ergolab.substitution import _matrix_is_primitive
+
+    assert _matrix_is_primitive(np.array(M)) == primitivity_oracle(M)
+
+
+def test_primitivity_on_257_letters():
+    # every letter maps to all the others: M = J - I, whose square is
+    # positive; 256 paths from a letter back to itself must not count as 0
+    k = 257
+    sub = Substitution(k, tuple(tuple(b for b in range(k) if b != a) for a in range(k)))
+    assert is_primitive(sub)
 
 
 # -- Perron data ---------------------------------------------------------------
@@ -240,6 +269,31 @@ def test_fixed_point_prefix_matches_oracle(sub, length):
     assert got.tolist() == prefix_oracle(sub, length)
 
 
+@st.composite
+def substitutions_with_length_one_images(draw):
+    k = draw(st.integers(2, 5))
+    head = (0,) + tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)))
+    rest = [tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4))) for _ in range(k - 1)]
+    rest[draw(st.integers(0, k - 2))] = (draw(st.integers(0, k - 1)),)
+    return Substitution(k, (head,) + tuple(rest))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixed_point_substitutions() | substitutions_with_length_one_images(), st.data())
+def test_fixed_point_prefix_matches_oracle_at_generation_lengths(sub, data):
+    # |sigma^j(0)| - 1, |sigma^j(0)| and |sigma^j(0)| + 1 sit on either side of
+    # the ends of the sigma^j table and of the numpy passes
+    counts, generations = composition_matrix(sub)[:, 0], [1]  # letter counts of sigma^j(0)
+    while generations[-1] < 1500:
+        generations.append(int(counts.sum()))
+        counts = composition_matrix(sub) @ counts
+    n = data.draw(st.sampled_from(generations))
+    want = prefix_oracle(sub, n + 1)
+    for length in (n - 1, n, n + 1):
+        if length >= 1:
+            assert fixed_point_prefix(sub, length).tolist() == want[:length]
+
+
 def capability_oracle(sub: Substitution) -> bool:
     """image(0) starts with 0 and |image^n(0)| grows for n = 1..5 (test oracle)."""
     if sub.images[0][0] != 0:
@@ -297,6 +351,56 @@ def test_pair_substitution_trivial():
     pair = pair_substitution(Substitution(1, ((0, 0),)))
     assert tuple(pair) == ((0, 0),)
     assert pair[(0, 0)] == ((0, 0), (0, 0))
+
+
+def primitive_substitutions():
+    return fixed_point_substitutions().filter(is_primitive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions())
+def test_block_matrix_is_the_pair_substitution_composition_matrix(sub):
+    # block_frequencies passes M2 to perron; the old construction built a
+    # Substitution over the block alphabet and took its composition matrix
+    from ergolab import substitution
+
+    seen = []
+    real = substitution.perron
+
+    def capture(M, tol=1e-12):
+        seen.append(M)
+        return real(M, tol=tol)
+
+    substitution.perron = capture
+    try:
+        substitution.block_frequencies(sub)
+    except NoConvergence:
+        pass
+    finally:
+        substitution.perron = real
+    pair = pair_substitution(sub)
+    index = {b: i for i, b in enumerate(pair)}
+    old = composition_matrix(Substitution(len(pair), tuple(tuple(index[b] for b in img) for img in pair.values())))
+    assert len(seen) == 1 and np.array_equal(seen[0], old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions(), st.sampled_from([3, 4, 1000]))
+def test_analyze_empirical_check_rows_equal_prefix_correlation(sub, prefix_len):
+    from ergolab import cli
+
+    try:
+        report = cli.report_subst_analyze(sub, 1e-12, prefix_len)
+    except NoConvergence:
+        assume(False)
+    freqs = block_frequencies(sub)
+    prefix = fixed_point_prefix(sub, prefix_len)
+    rows = report["empirical_check"]["blocks"]
+    assert list(rows) == [word_to_str(b, sub.alphabet_size) for b in freqs]
+    for b, f in freqs.items():
+        emp = prefix_correlation(prefix, b, 0)
+        assert rows[word_to_str(b, sub.alphabet_size)] == {"empirical": emp, "eigenvector": f,
+                                                           "difference": abs(emp - f)}
 
 
 def test_pair_blocks_match_long_prefix_scan():
