@@ -18,17 +18,13 @@ the module error name.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
+# lazy modules (see ergolab/__init__): each loads on its first attribute read
 from . import rankone, skew, spectral, substitution
-from .rankone import LevelSet, RankOneSpec
-from .skew import CONSTANT_ONE, FIRST_DIGIT_SIGN, DyadicInterval, SkewSystem
-from .spectral import CorrelationSequence, WeakLimitCoefficients
-from .substitution import RUDIN_SHAPIRO, THREE_LETTER, THREE_LETTER_REFERENCE_ALPHA, Substitution
 
 MAX_STAGES = 30
 MAX_WINDOW = 2**16
@@ -40,22 +36,23 @@ class ParseError(Exception):
 
 # -- input loading -----------------------------------------------------------
 
+# preset names -> module attribute names, read only when a command uses them
 _SUBST_PRESETS = {
-    "rudin-shapiro": RUDIN_SHAPIRO,
-    "three-letter": THREE_LETTER,
+    "rudin-shapiro": "RUDIN_SHAPIRO",
+    "three-letter": "THREE_LETTER",
 }
 
 
-def load_substitution(source: str) -> Substitution:
+def load_substitution(source: str) -> substitution.Substitution:
     if source in _SUBST_PRESETS:
-        return _SUBST_PRESETS[source]
+        return getattr(substitution, _SUBST_PRESETS[source])
     path = Path(source)
     if not path.exists():
         raise ParseError(f"unknown substitution preset or missing file: {source}")
-    return Substitution.from_lines(path.read_text().splitlines(), name=path.stem)
+    return substitution.Substitution.from_lines(path.read_text().splitlines(), name=path.stem)
 
 
-def load_rankone(source: str, stages: int) -> RankOneSpec:
+def load_rankone(source: str, stages: int) -> rankone.RankOneSpec:
     if stages < 1 or stages > MAX_STAGES:
         raise ParseError(f"stages must lie in 1..{MAX_STAGES}")
     if source == "chacon":
@@ -67,8 +64,8 @@ def load_rankone(source: str, stages: int) -> RankOneSpec:
     path = Path(source)
     if not path.exists():
         raise ParseError(f"unknown rank-one preset or missing file: {source}")
-    spec = RankOneSpec.from_lines(path.read_text().splitlines(), name=path.stem)
-    return RankOneSpec(spec.stages[:stages], spec.name)
+    spec = rankone.RankOneSpec.from_lines(path.read_text().splitlines(), name=path.stem)
+    return rankone.RankOneSpec(spec.stages[:stages], spec.name)
 
 
 def _ints(flag: str, text: str, sep: str = ",", n: int = 0) -> list[int]:
@@ -85,15 +82,15 @@ def _ints(flag: str, text: str, sep: str = ",", n: int = 0) -> list[int]:
     return values * (n // len(values)) if n else values
 
 
-_G_PRESETS = {"one": CONSTANT_ONE, "first-digit": FIRST_DIGIT_SIGN}
+_G_PRESETS = {"one": "CONSTANT_ONE", "first-digit": "FIRST_DIGIT_SIGN"}
 
 
 # -- report builders (importable; the CLI is a thin shell) -------------------
 
 
-def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict:
+def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len: int) -> dict:
     M = substitution.composition_matrix(sub)
-    primitive = substitution.is_primitive(sub)
+    primitive = substitution._matrix_is_primitive(M)
     report: dict = {
         "system": {
             "name": sub.name,
@@ -129,8 +126,9 @@ def report_subst_analyze(sub: Substitution, tol: float, prefix_len: int) -> dict
             },
         }
     )
-    if (sub.alphabet_size, sub.images) == (THREE_LETTER.alphabet_size, THREE_LETTER.images):
-        ref = THREE_LETTER_REFERENCE_ALPHA
+    three = substitution.THREE_LETTER
+    if (sub.alphabet_size, sub.images) == (three.alphabet_size, three.images):
+        ref = substitution.THREE_LETTER_REFERENCE_ALPHA
         report["reference_comparison"] = {
             "reference_alpha": ref,
             "computed_alpha": rig.alpha,
@@ -172,12 +170,12 @@ def report_subst_correlate(sub, block, shift, prefix_len) -> dict:
     }
 
 
-def report_rankone_heights(spec: RankOneSpec, n: int) -> dict:
+def report_rankone_heights(spec: rankone.RankOneSpec, n: int) -> dict:
     hs = rankone.heights(spec)[: n + 1]
     return {"system": spec.name or "custom", "stages": len(hs) - 1, "heights": hs}
 
 
-def report_rankone_correlate(spec, N, A: LevelSet, shifts) -> dict:
+def report_rankone_correlate(spec, N, A: rankone.LevelSet, shifts) -> dict:
     mu = float(rankone.level_measure(spec, N, A))
     rows = []
     for m in shifts:
@@ -226,7 +224,7 @@ def report_rankone_rigidity(spec, shifts, sets, N) -> dict:
     }
 
 
-def _skew_header(sys_: SkewSystem) -> dict:
+def _skew_header(sys_: skew.SkewSystem) -> dict:
     return {
         "system": "mathew-nadkarni" if sys_.cocycle is None else "custom-cocycle",
         "atom_level": sys_.K,
@@ -234,7 +232,7 @@ def _skew_header(sys_: SkewSystem) -> dict:
     }
 
 
-def report_skew_correlate(sys_: SkewSystem, A, eps, eps2, m) -> dict:
+def report_skew_correlate(sys_: skew.SkewSystem, A, eps, eps2, m) -> dict:
     bv = skew.skew_correlation(A, eps, eps2, m, sys_)
     return {
         **_skew_header(sys_),
@@ -248,14 +246,14 @@ def report_skew_correlate(sys_: SkewSystem, A, eps, eps2, m) -> dict:
     }
 
 
-def report_skew_spectrum(sys_: SkewSystem, g_name, fiber, window) -> dict:
-    g = _G_PRESETS[g_name]
+def report_skew_spectrum(sys_: skew.SkewSystem, g_name, fiber, window) -> dict:
+    g = getattr(skew, _G_PRESETS[g_name])
     # c(-n) = c(n) exactly, so each |n| is computed once
     coeffs = [skew.spectral_coefficient(g, fiber, n, sys_) for n in range(window + 1)]
     rows = [{"n": n, "value": coeffs[abs(n)].value, "error_bound": coeffs[abs(n)].error_bound}
             for n in range(-window, window + 1)]
-    corr = CorrelationSequence({c.index: (c.value, c.error_bound) for c in coeffs},
-                               source=f"{g_name}:{fiber}")
+    corr = spectral.CorrelationSequence({c.index: (c.value, c.error_bound) for c in coeffs},
+                                        source=f"{g_name}:{fiber}")
     report = {
         **_skew_header(sys_),
         "function": f"{g_name}:{fiber}",
@@ -268,7 +266,7 @@ def report_skew_spectrum(sys_: SkewSystem, g_name, fiber, window) -> dict:
     return report
 
 
-def report_skew_rigidity(sys_: SkewSystem, A, eps, k_lo, k_hi) -> dict:
+def report_skew_rigidity(sys_: skew.SkewSystem, A, eps, k_lo, k_hi) -> dict:
     seq = skew.rigidity_sequence(A, eps, range(k_lo, k_hi + 1), sys_)
     return {
         **_skew_header(sys_),
@@ -282,7 +280,7 @@ def report_skew_rigidity(sys_: SkewSystem, A, eps, k_lo, k_hi) -> dict:
     }
 
 
-def report_spectral_wiener(corr: CorrelationSequence, window: int | None) -> dict:
+def report_spectral_wiener(corr: spectral.CorrelationSequence, window: int | None) -> dict:
     N = window if window is not None else corr.window
     return {
         "source": corr.source,
@@ -315,7 +313,7 @@ def report_spectral_translate(corr, times, j_window) -> dict:
     }
 
 
-def report_spectral_beurling(coeffs: WeakLimitCoefficients, n_max: int) -> dict:
+def report_spectral_beurling(coeffs: spectral.WeakLimitCoefficients, n_max: int) -> dict:
     rep = spectral.beurling_check(coeffs, n_max)
     final = rep.partial_sums[-1] if rep.partial_sums else None
     return {
@@ -388,7 +386,7 @@ def _cmd_rankone_heights(args):
     _emit(report_rankone_heights(spec, args.stages), args)
 
 
-def _set_stage_height(spec: RankOneSpec, stage: int) -> int:
+def _set_stage_height(spec: rankone.RankOneSpec, stage: int) -> int:
     rankone.level_width(spec, stage)  # raises StageOutOfRange outside 0..K
     return spec.stage_heights[stage]
 
@@ -397,20 +395,20 @@ def _cmd_rankone_correlate(args):
     spec = load_rankone(args.system, args.stages)
     h_k = _set_stage_height(spec, args.set_stage)
     levels = range(h_k) if args.levels == "all" else _ints("--levels", args.levels)
-    A = LevelSet(args.set_stage, tuple(levels))
+    A = rankone.LevelSet(args.set_stage, tuple(levels))
     _emit(report_rankone_correlate(spec, spec.num_stages, A, _ints("--shifts", args.shifts)), args)
 
 
 def _cmd_rankone_weaklimit(args):
     spec = load_rankone(args.system, args.stages)
-    A = LevelSet(args.set_stage, (args.level,))
+    A = rankone.LevelSet(args.set_stage, (args.level,))
     lo, hi = _ints("--stage-range", args.stage_range, ":", 2)
     _emit(report_rankone_weaklimit(spec, A, lo, hi, args.j_max, args.margin), args)
 
 
 def _cmd_rankone_rigidity(args):
     spec = load_rankone(args.system, args.stages)
-    sets = [LevelSet(args.set_stage, (l,)) for l in range(_set_stage_height(spec, args.set_stage))]
+    sets = [rankone.LevelSet(args.set_stage, (l,)) for l in range(_set_stage_height(spec, args.set_stage))]
     lo, hi = _ints("--shift-stages", args.shift_stages, ":", 2)
     # h_N is the tower height, never a valid shift
     if not 0 <= lo <= hi < spec.num_stages:
@@ -420,13 +418,13 @@ def _cmd_rankone_rigidity(args):
 
 
 def _cmd_skew_correlate(args):
-    sys_ = SkewSystem(args.atom_level, args.cutoff)
-    A = DyadicInterval.parse(args.interval)
+    sys_ = skew.SkewSystem(args.atom_level, args.cutoff)
+    A = skew.DyadicInterval.parse(args.interval)
     _emit(report_skew_correlate(sys_, A, args.eps, args.eps_prime, args.shift), args)
 
 
 def _cmd_skew_spectrum(args):
-    sys_ = SkewSystem(args.atom_level, args.cutoff)
+    sys_ = skew.SkewSystem(args.atom_level, args.cutoff)
     if not 0 <= args.window <= MAX_WINDOW:
         raise ParseError(f"--window {args.window} outside 0..{MAX_WINDOW}")
     g_name, _, fiber = args.function.partition(":")
@@ -435,6 +433,7 @@ def _cmd_skew_spectrum(args):
     report = report_skew_spectrum(sys_, g_name, fiber, args.window)
     _emit(report, args)
     if args.csv:
+        import csv
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "value", "error_bound"])
@@ -442,8 +441,8 @@ def _cmd_skew_spectrum(args):
 
 
 def _cmd_skew_rigidity(args):
-    sys_ = SkewSystem(args.atom_level, args.cutoff)
-    A = DyadicInterval.parse(args.interval)
+    sys_ = skew.SkewSystem(args.atom_level, args.cutoff)
+    A = skew.DyadicInterval.parse(args.interval)
     lo, hi = _ints("--k-range", args.k_range, ":", 2)
     if lo > hi:
         raise ParseError(f"--k-range {lo}:{hi} is empty")
@@ -453,23 +452,23 @@ def _cmd_skew_rigidity(args):
 
 
 def _cmd_spectral_wiener(args):
-    corr = CorrelationSequence.from_csv(args.input)
+    corr = spectral.CorrelationSequence.from_csv(args.input)
     _emit(report_spectral_wiener(corr, args.window), args)
 
 
 def _cmd_spectral_rajchman(args):
-    corr = CorrelationSequence.from_csv(args.input)
+    corr = spectral.CorrelationSequence.from_csv(args.input)
     _emit(report_spectral_rajchman(corr), args)
 
 
 def _cmd_spectral_translate(args):
-    corr = CorrelationSequence.from_csv(args.input)
+    corr = spectral.CorrelationSequence.from_csv(args.input)
     times = _ints("--times", args.times)
     _emit(report_spectral_translate(corr, times, args.j_window), args)
 
 
-def _load_coeffs(path: str) -> WeakLimitCoefficients:
-    return WeakLimitCoefficients.from_json(Path(path).read_text())
+def _load_coeffs(path: str) -> spectral.WeakLimitCoefficients:
+    return spectral.WeakLimitCoefficients.from_json(Path(path).read_text())
 
 
 def _cmd_spectral_beurling(args):
@@ -480,38 +479,36 @@ def _cmd_spectral_certify(args):
     _emit(report_spectral_certify(_load_coeffs(args.coeffs), args.n_max, not args.limit_is_power), args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ergolab", description=__doc__)
-    sub = ap.add_subparsers(dest="group", required=True)
+def _add(parent, name, fn, **kwargs):
+    p = parent.add_parser(name, **kwargs)
+    p.set_defaults(func=fn)
+    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    return p
 
-    def add(parent, name, fn, **kwargs):
-        p = parent.add_parser(name, **kwargs)
-        p.set_defaults(func=fn)
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-        return p
 
-    g = sub.add_parser("subst").add_subparsers(dest="command", required=True)
-    p = add(g, "analyze", _cmd_subst_analyze)
+def _subst_commands(g) -> None:
+    p = _add(g, "analyze", _cmd_subst_analyze)
     p.add_argument("--system", required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--prefix-len", type=int, default=0)
-    p = add(g, "correlate", _cmd_subst_correlate)
+    p = _add(g, "correlate", _cmd_subst_correlate)
     p.add_argument("--system", required=True)
     p.add_argument("--block", required=True)
     p.add_argument("--shift", type=int, required=True)
     p.add_argument("--prefix-len", type=int, default=MAX_WINDOW)
 
-    g = sub.add_parser("rankone").add_subparsers(dest="command", required=True)
-    p = add(g, "heights", _cmd_rankone_heights)
+
+def _rankone_commands(g) -> None:
+    p = _add(g, "heights", _cmd_rankone_heights)
     p.add_argument("--system", required=True)
     p.add_argument("--stages", type=int, default=10)
-    p = add(g, "correlate", _cmd_rankone_correlate)
+    p = _add(g, "correlate", _cmd_rankone_correlate)
     p.add_argument("--system", required=True)
     p.add_argument("--stages", type=int, default=12)
     p.add_argument("--set-stage", type=int, default=4)
     p.add_argument("--levels", default="all")
     p.add_argument("--shifts", required=True, help="comma-separated shift list")
-    p = add(g, "weaklimit", _cmd_rankone_weaklimit)
+    p = _add(g, "weaklimit", _cmd_rankone_weaklimit)
     p.add_argument("--system", required=True)
     p.add_argument("--stages", type=int, default=24)
     p.add_argument("--set-stage", type=int, default=4)
@@ -519,54 +516,81 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage-range", default="8:12")
     p.add_argument("--j-max", type=int, default=4)
     p.add_argument("--margin", type=int, default=12)
-    p = add(g, "rigidity", _cmd_rankone_rigidity)
+    p = _add(g, "rigidity", _cmd_rankone_rigidity)
     p.add_argument("--system", required=True)
     p.add_argument("--stages", type=int, default=17)
     p.add_argument("--set-stage", type=int, default=4)
     p.add_argument("--shift-stages", default="6:10", help="use tower heights h_lo..h_hi")
 
+
+def _skew_commands(g) -> None:
     skew_system = argparse.ArgumentParser(add_help=False)
     skew_system.add_argument("--atom-level", type=int, default=20)
     skew_system.add_argument("--cutoff", type=int, default=16)
-    g = sub.add_parser("skew").add_subparsers(dest="command", required=True)
-    p = add(g, "correlate", _cmd_skew_correlate, parents=[skew_system])
+    p = _add(g, "correlate", _cmd_skew_correlate, parents=[skew_system])
     p.add_argument("--interval", default="0/2^0")
     p.add_argument("--eps", type=int, default=0)
     p.add_argument("--eps-prime", type=int, default=0)
     p.add_argument("--shift", type=int, required=True)
-    p = add(g, "spectrum", _cmd_skew_spectrum, parents=[skew_system])
+    p = _add(g, "spectrum", _cmd_skew_spectrum, parents=[skew_system])
     p.add_argument("--function", default="one:chi")
     p.add_argument("--window", type=int, default=512)
     p.add_argument("--csv")
-    p = add(g, "rigidity", _cmd_skew_rigidity, parents=[skew_system])
+    p = _add(g, "rigidity", _cmd_skew_rigidity, parents=[skew_system])
     p.add_argument("--interval", default="0/2^0")
     p.add_argument("--eps", type=int, default=0)
     p.add_argument("--k-range", default="10:14")
 
-    g = sub.add_parser("spectral").add_subparsers(dest="command", required=True)
-    p = add(g, "wiener", _cmd_spectral_wiener)
+
+def _spectral_commands(g) -> None:
+    p = _add(g, "wiener", _cmd_spectral_wiener)
     p.add_argument("--input", required=True)
     p.add_argument("--window", type=int, default=None)
-    p = add(g, "rajchman", _cmd_spectral_rajchman)
+    p = _add(g, "rajchman", _cmd_spectral_rajchman)
     p.add_argument("--input", required=True)
-    p = add(g, "translate", _cmd_spectral_translate)
+    p = _add(g, "translate", _cmd_spectral_translate)
     p.add_argument("--input", required=True)
     p.add_argument("--times", required=True)
     p.add_argument("--j-window", type=int, default=3)
-    p = add(g, "beurling", _cmd_spectral_beurling)
+    p = _add(g, "beurling", _cmd_spectral_beurling)
     p.add_argument("--coeffs", required=True)
     p.add_argument("--n-max", type=int, default=600)
-    p = add(g, "certify", _cmd_spectral_certify)
+    p = _add(g, "certify", _cmd_spectral_certify)
     p.add_argument("--coeffs", required=True)
     p.add_argument("--n-max", type=int, default=600)
     p.add_argument("--limit-is-power", action="store_true",
                    help="declare that the limit is itself a power (voids the certificate)")
 
+
+_GROUPS = {"subst": _subst_commands, "rankone": _rankone_commands,
+           "skew": _skew_commands, "spectral": _spectral_commands}
+
+
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every group, or of `group` alone.
+
+    A one-group parser reads that group's command lines as the full parser
+    does: same Namespace, same exit code, same messages (its usage line
+    still lists every group).
+    """
+    ap = argparse.ArgumentParser(prog="ergolab", description=__doc__)
+    metavar = None if group is None else "{" + ",".join(_GROUPS) + "}"
+    sub = ap.add_subparsers(dest="group", required=True, metavar=metavar)
+    for name, add_commands in _GROUPS.items():
+        if group in (None, name):
+            add_commands(sub.add_parser(name).add_subparsers(dest="command", required=True))
     return ap
 
 
+def _parser_for(argv) -> argparse.ArgumentParser:
+    """The one-group parser when argv opens with a group name; the full
+    parser for --help, no argument or an unknown group."""
+    return build_parser(argv[0] if argv and argv[0] in _GROUPS else None)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser_for(argv).parse_args(argv)
     try:
         args.func(args)
     except Exception as exc:  # noqa: BLE001 - error record must name the module error

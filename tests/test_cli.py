@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ergolab
-from ergolab import rankone
+from ergolab import cli, rankone
 from ergolab.cli import (
     main,
     report_rankone_correlate,
@@ -296,17 +296,22 @@ def test_skew_spectrum_window_outside_range_is_parse_error(window, capsys):
     assert error == {"type": "ParseError", "message": f"--window {window} outside 0..65536"}
 
 
+def readme_command_lines() -> list[list[str]]:
+    """The arguments of the README's `ergolab ...` command lines, in order."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("ergolab ")]
+
+
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     # the README examples, in order: `skew spectrum` writes the chi.csv the spectral lines read
-    text = README.read_text()
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "coeffs.json").write_text(text.split("```json\n", 1)[1].split("```", 1)[0])
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("ergolab ")]
+    (tmp_path / "coeffs.json").write_text(README.read_text().split("```json\n", 1)[1].split("```", 1)[0])
+    lines = readme_command_lines()
     assert lines
-    for line in lines:
-        code, out = run_cli(shlex.split(line)[1:], capsys)
-        assert code == 0, (line, out)
+    for argv in lines:
+        code, out = run_cli(argv, capsys)
+        assert code == 0, (argv, out)
         strict_loads(out)
 
 
@@ -573,9 +578,11 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["report"]["heights"] == [1, 4, 13, 40]
 
 
-_NUMPY_PROBE = """
-import json, sys
-loaded = lambda: "numpy" in sys.modules
+_LOAD_PROBE = """
+import json, sys, types
+WATCHED = ("ergolab.substitution", "ergolab.rankone", "ergolab.skew", "ergolab.spectral", "fractions", "numpy")
+# a library module that has not run yet is still an instance of the lazy ModuleType subclass
+loaded = lambda: [name for name in WATCHED if type(sys.modules.get(name)) is types.ModuleType]
 import ergolab
 steps = [["import ergolab", 0, loaded()]]
 from ergolab import cli
@@ -584,6 +591,17 @@ for argv in json.loads(sys.argv[1]):
     steps.append([" ".join(argv), cli.main([*argv, "--out", sys.argv[2]]), loaded()])
 print(json.dumps(steps))
 """
+
+
+def _probe_loads(commands, tmp_path) -> list:
+    """[step, exit code, watched modules loaded so far] for `import ergolab`,
+    `import ergolab.cli` and each command, all run in one new process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, json.dumps(commands), str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_commands_without_arrays_do_not_load_numpy(tmp_path):
@@ -609,16 +627,99 @@ def test_commands_without_arrays_do_not_load_numpy(tmp_path):
         ["spectral", "beurling", "--coeffs", str(coeffs)],
         ["spectral", "rajchman", "--input", str(csv_path)],
         ["spectral", "beurling", "--coeffs", str(geometric)],
+        ["spectral", "beurling", "--coeffs", str(polynomial)],
+        ["spectral", "beurling", "--coeffs", str(stretched)],
         ["spectral", "certify", "--coeffs", str(geometric)],
         ["spectral", "certify", "--coeffs", str(polynomial)],
         ["spectral", "certify", "--coeffs", str(stretched)],
     ]
     control = ["subst", "analyze", "--system", "rudin-shapiro"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps([*commands, control]), str(tmp_path / "out.json")],
-        capture_output=True, text=True, env=_child_env(),
-    )
+    *numpy_free, (_, control_code, control_loaded) = _probe_loads([*commands, control], tmp_path)
+    assert [step for step, code, loaded in numpy_free if code != 0 or "numpy" in loaded] == []
+    assert control_code == 0 and "numpy" in control_loaded  # the probe does see numpy once an array is built
+
+
+def test_each_process_loads_only_the_library_module_it_reads(tmp_path):
+    geometric = tmp_path / "geometric.json"
+    geometric.write_text(json.dumps({"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 0.5, "q": 0.5}}))
+    heights = ["rankone", "heights", "--system", "chacon", "--stages", "5"]
+    certify = ["spectral", "certify", "--coeffs", str(geometric)]
+    assert _probe_loads([heights], tmp_path) == [
+        ["import ergolab", 0, []],
+        ["import ergolab.cli", 0, []],
+        [" ".join(heights), 0, ["ergolab.rankone", "fractions"]],
+    ]
+    assert _probe_loads([certify], tmp_path)[2] == [" ".join(certify), 0, ["ergolab.spectral"]]
+
+
+# what `ergolab/__init__` imported from each module before the modules became lazy
+PACKAGE_EXPORTS = {
+    "substitution": "Substitution PerronData RigidityConstant RUDIN_SHAPIRO THREE_LETTER composition_matrix "
+                    "is_primitive perron fixed_point_prefix pair_substitution block_frequencies "
+                    "rigidity_constant empirical_correlation",
+    "rankone": "RankOneSpec Tower LevelSet BoundedValue chacon_spec staircase_spec historical_chacon_spec "
+               "heights build_tower level_correlation weak_limit_estimate rigidity_scan",
+    "skew": "DyadicInterval DyadicStep SkewSystem odometer_map mn_cocycle cocycle_sum skew_correlation "
+            "spectral_coefficient rigidity_sequence FIRST_DIGIT_SIGN CONSTANT_ONE",
+    "spectral": "CorrelationSequence TailDescriptor WeakLimitCoefficients BeurlingReport wiener_discrete_mass "
+                "rajchman_probe translation_probe beurling_check singularity_certificate",
+}
+
+_EXPORT_PROBE = """
+import json, sys
+import ergolab
+exports = json.loads(sys.argv[1])
+print(json.dumps([f"{module}.{name}" for module, names in exports.items() for name in names.split()
+                  if getattr(ergolab, name) is not getattr(getattr(ergolab, module), name)]))
+"""
+
+
+def test_package_exports_are_the_module_objects():
+    # in a new process, where the first read of each name goes through the lazy modules
+    proc = subprocess.run([sys.executable, "-c", _EXPORT_PROBE, json.dumps(PACKAGE_EXPORTS)],
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    *numpy_free, (_, control_code, control_loaded) = json.loads(proc.stdout.splitlines()[-1])
-    assert [step for step, code, loaded in numpy_free if code != 0 or loaded] == []
-    assert control_code == 0 and control_loaded  # the probe does see numpy once an array is built
+    assert json.loads(proc.stdout) == []
+    names = [name for names in PACKAGE_EXPORTS.values() for name in names.split()]
+    assert sorted(ergolab.__all__) == sorted([*PACKAGE_EXPORTS, *names])
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ergolab.no_such_name
+
+
+def _parse(parser, argv, capsys) -> tuple:
+    """(Namespace or None, exit code or None, stdout, stderr) of parsing argv."""
+    try:
+        namespace, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    out, err = capsys.readouterr()
+    return namespace, code, out, err
+
+
+def _parser_cases() -> list[list[str]]:
+    commands = {
+        "subst": ["analyze --system three-letter --tol 1e-9 --prefix-len 7 --out r.json",
+                  "correlate --system rudin-shapiro --block 0,1 --shift 3 --prefix-len 99"],
+        "rankone": ["heights --system staircase:3", "correlate --system chacon --levels 0,2 --shifts 4",
+                    "weaklimit --system chacon --set-stage 2 --level 1 --j-max 2 --margin 5",
+                    "rigidity --system historical --set-stage 3 --shift-stages 5:7"],
+        "skew": ["correlate --atom-level 12 --cutoff 8 --shift 7", "spectrum --window 64 --csv s.csv",
+                 "rigidity --eps 1 --k-range 3:4"],
+        "spectral": ["wiener --input s.csv --window 40", "rajchman --input s.csv",
+                     "translate --input s.csv --times 1,2,3 --j-window 1",
+                     "beurling --coeffs c.json --n-max 9", "certify --coeffs c.json --limit-is-power"],
+    }
+    per_command = [[group, *line.split()] for group, lines in commands.items() for line in lines]
+    errors = [[], ["bogus"], ["bogus", "heights"], ["rankone"], ["rankone", "bogus"],
+              ["rankone", "heights"], ["rankone", "heights", "--system", "chacon", "--bogus"],
+              ["rankone", "heights", "--system", "chacon", "extra"], ["rankone", "heights", "--stages", "x"],
+              ["--out", "r.json", "rankone", "heights", "--system", "chacon"], ["skew", "--atom-level", "3"]]
+    helps = [["--help"], ["-h"], *([group, "--help"] for group in commands),
+             *([argv[0], argv[1], "-h"] for argv in per_command)]
+    return [*readme_command_lines(), *per_command, *errors, *helps]
+
+
+def test_one_group_parser_parses_as_the_full_parser(capsys):
+    full = cli.build_parser()
+    for argv in _parser_cases():
+        assert _parse(cli._parser_for(argv), argv, capsys) == _parse(full, argv, capsys), argv

@@ -322,6 +322,34 @@ def test_beurling_partial_sums_match_frozen_per_n_formulas(case):
                 assert abs(sums[n - 1] - oracle[n - 1]) < abs(old - oracle[n - 1])
 
 
+def numpy_log_tail_sum(t: TailDescriptor, d0: int) -> float:
+    """The polynomial and stretched tail formulas on numpy arrays (test oracle)."""
+    if t.kind == "stretched_exponential":
+        base = d0**t.gamma
+        u = np.linspace(0.0, 20.0, 400)
+        integrand = np.exp(-2.0 * u) * (1.0 / t.gamma) * (u + base) ** (1.0 / t.gamma - 1.0)
+        return 2 * math.log(t.c) - 2 * base + math.log(1.0 + float(np.trapezoid(integrand, u)))
+    s2 = 2 * t.s
+    d = np.arange(d0, d0 + 2000, dtype=np.float64)
+    return 2 * math.log(t.c) + math.log(float((d**-s2).sum()) + (d0 + 2000.0) ** (1 - s2) / (s2 - 1))
+
+
+@settings(max_examples=200)
+@given(
+    kind=st.sampled_from(["polynomial", "stretched_exponential"]),
+    c=st.floats(min_value=1e-3, max_value=1e3),
+    exponent=st.floats(min_value=0.05, max_value=6.0),
+    d0=st.integers(1, 70_000),
+)
+def test_tail_sum_matches_numpy_formula(kind, c, exponent, d0):
+    from ergolab.spectral import _log_tail_sum
+
+    t = (TailDescriptor("polynomial", c=c, s=1.0 + exponent) if kind == "polynomial"
+         else TailDescriptor("stretched_exponential", c=c, gamma=exponent))
+    # a relative tolerance of 1e-12 on the sum is an absolute one on its log
+    assert abs(_log_tail_sum(t, d0) - numpy_log_tail_sum(t, d0)) <= 1e-12
+
+
 @settings(max_examples=30)
 @given(scale=st.floats(min_value=1e-6, max_value=1e6), shift=st.integers(-40, 40))
 def test_beurling_verdict_invariances(scale, shift):
