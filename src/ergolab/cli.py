@@ -90,7 +90,6 @@ _G_PRESETS = {"one": "CONSTANT_ONE", "first-digit": "FIRST_DIGIT_SIGN"}
 
 def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len: int) -> dict:
     M = substitution.composition_matrix(sub)
-    primitive = substitution._matrix_is_primitive(M)
     report: dict = {
         "system": {
             "name": sub.name,
@@ -98,11 +97,12 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
             "images": [substitution.word_to_str(w, sub.alphabet_size) for w in sub.images],
         },
         "composition_matrix": M.tolist(),
-        "primitive": primitive,
+        "primitive": True,
     }
-    if not primitive:
-        return report
-    data = substitution.perron(M, tol=tol)
+    try:
+        data = substitution.perron(M, tol=tol)
+    except substitution.NotPrimitive:
+        return {**report, "primitive": False}
     freqs = substitution.block_frequencies(sub, tol=tol)  # keys in block-alphabet order
     rig = substitution._rigidity_from(freqs, data)
     names = {b: substitution.word_to_str(b, sub.alphabet_size) for b in freqs}

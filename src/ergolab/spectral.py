@@ -298,7 +298,7 @@ class WeakLimitCoefficients:
             for name, value in tail_raw.items():
                 if name == "kind":
                     continue
-                if name not in ("c", "q", "gamma", "s"):
+                if not any(name in fields for fields in TAIL_FIELDS.values()):
                     raise InvalidTail(f"unknown tail field {name!r}")
                 try:
                     params[name] = float(value)
@@ -324,29 +324,36 @@ def _logaddexp(x: float, y: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _log_tail_sum(t: TailDescriptor, d0: int) -> float:
-    """log of sum_{d >= d0} of the squared tail coefficient at distance d
-    (see TailDescriptor): exact for a geometric tail, approximate otherwise."""
+def _log_term(t: TailDescriptor, d: int) -> float:
+    """log of the squared tail coefficient at distance d (see TailDescriptor)."""
     if t.kind == "geometric":
-        # sum_{d >= d0} c^2 q^(2d) = c^2 q^(2 d0) / (1 - q^2)
-        return 2 * math.log(t.c) + 2 * d0 * math.log(t.q) - math.log1p(-t.q * t.q)
+        return 2 * math.log(t.c) + 2 * d * math.log(t.q)
     if t.kind == "stretched_exponential":
-        # c^2 exp(-2 d0^gamma) * theta(d0) with
-        # theta = sum_i exp(-2((d0+i)^gamma - d0^gamma)).  Replacing the sum
-        # by its integral (substituting u = (d0+x)^gamma - d0^gamma) gives
-        # theta ~ 1 + int_0^inf e^(-2u) (1/gamma) (u + d0^gamma)^(1/gamma-1) du,
-        # evaluated by trapezoid on 400 equally spaced nodes of [0, 20];
-        # report-quality accuracy only, the verdict never depends on it.
-        g = t.gamma
-        base = d0**g
-        u = [20.0 * i / 399 for i in range(400)]
-        f = [math.exp(-2.0 * x) * (1.0 / g) * (x + base) ** (1.0 / g - 1.0) for x in u]
-        theta = 1.0 + math.fsum((b - a) * (fa + fb) / 2.0 for a, b, fa, fb in zip(u, u[1:], f, f[1:]))
-        return 2 * math.log(t.c) - 2 * base + math.log(theta)
-    # polynomial: sum_{d >= d0} c^2 d^(-2s), 2000-term partial sum plus integral remainder
-    s2 = 2 * t.s
-    total = math.fsum(float(d) ** -s2 for d in range(d0, d0 + 2000)) + (d0 + 2000.0) ** (1 - s2) / (s2 - 1)
-    return 2 * math.log(t.c) + math.log(total)
+        return 2 * math.log(t.c) - 2 * d**t.gamma
+    return 2 * math.log(t.c) - 2 * t.s * math.log(d)
+
+
+def _log_tail_sum(t: TailDescriptor, d0: int) -> float:
+    """log of sum_{d >= d0} of the squared tail term f(d) at distance d.
+
+    Exact for a geometric tail.  Otherwise the first 2,000 terms plus the
+    integral of the rest from D = d0 + 2,000, which is f(D) times D / (2s - 1)
+    (polynomial) or times int_0^inf e^(-2u) (u + D^gamma)^(1/gamma - 1) du / gamma
+    (stretched, u = x^gamma - D^gamma; trapezoid on 400 nodes of [0, 20]).  All
+    is summed relative to f(d0), so d0^gamma up to 65536^6 does not underflow.
+    """
+    first = _log_term(t, d0)
+    if t.kind == "geometric":  # c^2 q^(2 d0) / (1 - q^2)
+        return first - math.log1p(-t.q * t.q)
+    D = d0 + 2000
+    if t.kind == "polynomial":
+        rest = D / (2 * t.s - 1)
+    else:
+        h, base = 20.0 / 399, D**t.gamma
+        f = [math.exp(-2 * h * i) * (h * i + base) ** (1 / t.gamma - 1) / t.gamma for i in range(400)]
+        rest = h * (math.fsum(f) - (f[0] + f[-1]) / 2)
+    explicit = math.fsum(math.exp(_log_term(t, d) - first) for d in range(d0, D))
+    return first + math.log(explicit + math.exp(_log_term(t, D) - first) * rest)
 
 
 def _log_tails(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:
@@ -356,7 +363,7 @@ def _log_tails(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:
     The closed-form tail starts at distance d0(n) = max(1, k_min + n).  A
     geometric tail is summed in closed form at each d0; a stretched or
     polynomial one is summed once, at the largest d0, and then downward by
-    log S(d) = logaddexp(log f(d), log S(d + 1)).  The finite-support sum
+    log S(d) = logaddexp(_log_term(d), log S(d + 1)).  The finite-support sum
     is recomputed only at the n where a support index leaves k <= -n.
     """
     support, t = coeffs.support, coeffs.tail
@@ -365,8 +372,7 @@ def _log_tails(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:
     if t.kind in ("stretched_exponential", "polynomial"):
         log_sums[d_hi] = _log_tail_sum(t, d_hi)
         for d in range(d_hi - 1, d_lo - 1, -1):
-            decay = 2 * d**t.gamma if t.kind == "stretched_exponential" else 2 * t.s * math.log(d)
-            log_sums[d] = _logaddexp(2 * math.log(t.c) - decay, log_sums[d + 1])
+            log_sums[d] = _logaddexp(_log_term(t, d), log_sums[d + 1])
     tails: list[float] = []
     for n in range(1, n_max + 1):
         if n == 1 or 1 - n in support:

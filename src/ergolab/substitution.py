@@ -200,8 +200,9 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
     scaled so that left . right = 1, which makes v(a) = left[a] * right the
     limit of M^n e_a / theta^n.  For constant-column-sum matrices
     (constant-length substitutions) theta is the exact integer column sum.
-    NoConvergence is raised when the residual ||M right - theta right||_inf
-    exceeds tol * max(1, theta), or when a vector is not strictly positive.
+    NotPrimitive (the analysis' one primitivity check) is raised when no power
+    of M is entrywise positive, NoConvergence when ||M right - theta right||_inf
+    exceeds tol * max(1, theta) or a vector is not strictly positive.
     """
     if not 0 <= tol < float("inf"):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -283,13 +284,6 @@ def word_to_str(word: Iterable[int], alphabet_size: int = 10) -> str:
 Block = tuple[int, int]
 
 
-def _block_image(sub: Substitution, block: Block) -> tuple[Block, ...]:
-    a, b = block
-    w = sub.images[a] + sub.images[b]
-    n = len(sub.images[a])
-    return tuple((w[i], w[i + 1]) for i in range(n))
-
-
 def pair_substitution(sub: Substitution) -> dict[Block, tuple[Block, ...]]:
     """The induced substitution on admissible 2-blocks: a dict from each
     block to its image blocks, whose keys are the block alphabet in sorted
@@ -299,10 +293,9 @@ def pair_substitution(sub: Substitution) -> dict[Block, tuple[Block, ...]]:
     (0, image(0)[1]) under the block-image map: its n-th image holds every
     2-block that starts inside image^n(0), so the closure is exactly the
     fixed point's 2-block language, rare blocks included, which a fixed
-    prefix scan could miss.
+    prefix scan could miss.  The argument needs the fixed point (checked
+    here: NotFixedPointCapable), not primitivity.
     """
-    if not is_primitive(sub):
-        raise NotPrimitive("pair substitution requires a primitive base")
     if not sub.is_fixed_point_capable:
         raise NotFixedPointCapable("pair substitution requires a fixed point")
     images: dict[Block, tuple[Block, ...]] = {}
@@ -311,16 +304,16 @@ def pair_substitution(sub: Substitution) -> dict[Block, tuple[Block, ...]]:
         blk = frontier.pop()
         if blk in images:
             continue
-        img = _block_image(sub, blk)
-        images[blk] = img
-        for nb in img:
-            if nb not in images:
-                frontier.append(nb)
+        w, n = sub.images[blk[0]] + sub.images[blk[1]], len(sub.images[blk[0]])
+        images[blk] = tuple(zip(w[:n], w[1 : n + 1]))
+        frontier.extend(images[blk])
     return {blk: images[blk] for blk in sorted(images)}
 
 
 def block_frequencies(sub: Substitution, tol: float = 1e-12) -> dict[Block, float]:
-    """Frequencies of admissible 2-blocks (l1-normalized Perron vector)."""
+    """Frequencies of the fixed point's 2-blocks: the l1-normalized Perron
+    vector of M2, whose primitivity `perron(M2)` decides.  M2 is primitive
+    when the base is (Queffelec, LNM 1294), and may be when it is not."""
     import numpy as np
     pair = pair_substitution(sub)
     index = {b: i for i, b in enumerate(pair)}
@@ -346,8 +339,8 @@ def rigidity_constant(sub: Substitution, tol: float = 1e-12) -> RigidityConstant
     Blocks (aa) absent from the language contribute frequency 0; ties are
     broken toward the smallest letter.
     """
-    freqs = block_frequencies(sub, tol=tol)
-    return _rigidity_from(freqs, perron(composition_matrix(sub), tol=tol))
+    data = perron(composition_matrix(sub), tol=tol)  # a non-primitive base fails here
+    return _rigidity_from(block_frequencies(sub, tol=tol), data)
 
 
 def _rigidity_from(freqs: dict[Block, float], data: PerronData) -> RigidityConstant:

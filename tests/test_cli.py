@@ -723,3 +723,37 @@ def test_one_group_parser_parses_as_the_full_parser(capsys):
     full = cli.build_parser()
     for argv in _parser_cases():
         assert _parse(cli._parser_for(argv), argv, capsys) == _parse(full, argv, capsys), argv
+
+
+def test_subst_analyze_builds_m_once_and_decides_primitivity_twice(monkeypatch):
+    # perron(M) and perron(M2) are the only primitivity checks of a report
+    from ergolab import substitution
+
+    calls = {"composition_matrix": 0, "_matrix_is_primitive": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(substitution, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(substitution, name, counted)
+    report_subst_analyze(THREE_LETTER, 1e-12, 64)
+    assert calls == {"composition_matrix": 1, "_matrix_is_primitive": 2}
+
+
+def test_subst_analyze_nan_tol_on_a_non_primitive_file_is_a_named_error(tmp_path, capsys):
+    path = tmp_path / "np.txt"
+    path.write_text("0 -> 01\n1 -> 1\n")  # the pinned non-primitive report's system
+    code, out = run_cli(["subst", "analyze", "--system", str(path), "--tol", "nan"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": "tol must be a finite number >= 0, got nan"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rankone", "heights", "--system", "chacon", "--stages", "0"], "stages must lie in 1..30"),
+    (["rankone", "heights", "--system", "no-such-preset"], "unknown rank-one preset or missing file: no-such-preset"),
+    (["skew", "spectrum", "--atom-level", "12", "--cutoff", "8", "--function", "one:two"],
+     "function must be <one|first-digit>:<one|chi>"),
+])
+def test_parse_errors_name_the_fault(argv, message, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ParseError", "message": message}

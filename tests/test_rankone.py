@@ -494,3 +494,19 @@ def test_rigidity_scan_translation_invariance_of_singletons():
         for l in (0, 1, hs[3] - 1)
     }
     assert len(bounds) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RankOneSpec.from_lines(["3: 0 1 0", "", "# note", "3: 0 x 0"]),
+     "line 4: expected 'p: a_1 ... a_p', got '3: 0 x 0'"),
+    (lambda: LevelSet(1, ()), "level set must be nonempty"),
+    (lambda: correlation_count(chacon_spec(4), 4, LevelSet(1, (0,)), LevelSet(2, (0,)), 1),
+     "cross-correlation requires a common set stage"),
+    (lambda: weak_limit_estimate(chacon_spec(12), LevelSet(1, (0,)), 3, 2, 1), "need 0 <= n_start <= n_stop"),
+    (lambda: weak_limit_estimate(chacon_spec(12), LevelSet(1, (0,)), 2, 3, -1), "j_max must be nonnegative"),
+    (lambda: rigidity_scan(chacon_spec(4), [], [LevelSet(1, (0,))]), "need at least one shift and one set"),
+])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -405,3 +405,26 @@ def test_custom_cocycle_zero_gives_product_behaviour():
         a = spectral_coefficient(FIRST_DIGIT_SIGN, "chi", n, sys_)
         b = spectral_coefficient(FIRST_DIGIT_SIGN, "one", n, sys_)
         assert a.value == pytest.approx(b.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: odometer_map(F(1)), "x must lie in [0, 1)"),
+    (lambda: DyadicInterval(0, -1), "level must be nonnegative"),
+    (lambda: DyadicInterval(4, 2), "numerator outside [0, 2^level)"),
+    (lambda: DyadicStep(1, (1.0,)), "need one value per level atom"),
+    (lambda: SkewSystem(8, 6, DyadicStep(9, (0.0,) * 2**9)), "cocycle breakpoints finer than the atoms"),
+    (lambda: SkewSystem(8, 6, DyadicStep(1, (0.0, 0.5))), "cocycle values must lie in {0, 1}"),
+    (lambda: SkewSystem(8, 6).atom_indices(DyadicInterval(0, 9)), "interval finer than the atom partition"),
+    (lambda: cocycle_sum(DyadicInterval(0, 7), 1, SkewSystem(8, 6)), "atom level must equal the system's atom level"),
+    (lambda: cocycle_sum(DyadicInterval(0, 8), -1, SkewSystem(8, 6)), "m must be nonnegative"),
+    (lambda: skew_correlation(DyadicInterval(0, 0), 2, 0, 1, SkewSystem(8, 6)), "fiber points must be 0 or 1"),
+    (lambda: skew_correlation(DyadicInterval(0, 0), 0, 0, -1, SkewSystem(8, 6)), "m must be nonnegative"),
+    (lambda: skew_correlation(DyadicInterval(0, 9), 0, 0, 1, SkewSystem(8, 6)), "interval finer than the atom partition"),
+    (lambda: spectral_coefficient(CONSTANT_ONE, "two", 1, SkewSystem(8, 6)), "fiber must be 'one' or 'chi'"),
+    (lambda: spectral_coefficient(DyadicStep(9, (1.0,) * 2**9), "chi", 1, SkewSystem(8, 6)),
+     "step function finer than the atom partition"),
+])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

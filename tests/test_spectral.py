@@ -315,23 +315,45 @@ def test_beurling_partial_sums_match_frozen_per_n_formulas(case):
                 # remainder starts: observed 1.2e-7 relative
                 assert sums[n - 1] == pytest.approx(old, rel=1e-6)
             else:
-                # "1 + integral" overcounts a stretched tail sum (by 1.5 / 1.157
-                # at gamma = 1); summed downward from the largest d0 only the
-                # last few n still see that: observed 5e-7 relative
+                # the frozen values took a stretched tail sum as "1 + integral",
+                # which overcounts (1.5 for 1.157 at gamma = 1); the sums now
+                # follow the term-by-term oracle to the last bit
                 assert sums[n - 1] == pytest.approx(oracle[n - 1], rel=1e-5)
                 assert abs(sums[n - 1] - oracle[n - 1]) < abs(old - oracle[n - 1])
 
 
 def numpy_log_tail_sum(t: TailDescriptor, d0: int) -> float:
-    """The polynomial and stretched tail formulas on numpy arrays (test oracle)."""
-    if t.kind == "stretched_exponential":
-        base = d0**t.gamma
-        u = np.linspace(0.0, 20.0, 400)
-        integrand = np.exp(-2.0 * u) * (1.0 / t.gamma) * (u + base) ** (1.0 / t.gamma - 1.0)
-        return 2 * math.log(t.c) - 2 * base + math.log(1.0 + float(np.trapezoid(integrand, u)))
+    """The polynomial tail formula on numpy arrays (test oracle)."""
     s2 = 2 * t.s
     d = np.arange(d0, d0 + 2000, dtype=np.float64)
     return 2 * math.log(t.c) + math.log(float((d**-s2).sum()) + (d0 + 2000.0) ** (1 - s2) / (s2 - 1))
+
+
+def stretched_rule(t: TailDescriptor, d0: int, terms: int) -> float:
+    """log of a stretched tail sum from d0: `terms` terms, then the integral
+    of the rest by a 400-node trapezoid, on numpy arrays (test oracle)."""
+    powers = np.arange(d0, d0 + terms + 1, dtype=np.float64) ** t.gamma  # one pow for every d
+    base, top = float(powers[0]), float(powers[-1])
+    explicit = float(np.exp(-2 * (powers[:-1] - base)).sum())
+    u = np.linspace(0.0, 20.0, 400)
+    f = np.exp(-2 * u) * (u + top) ** (1 / t.gamma - 1) / t.gamma
+    rest = float(((f[1:] + f[:-1]) / 2 * np.diff(u)).sum())
+    return 2 * math.log(t.c) - 2 * base + math.log(explicit + math.exp(-2 * (top - base)) * rest)
+
+
+def stretched_term_by_term(t: TailDescriptor, d0: int) -> float:
+    """log of a stretched tail sum from d0, term by term until a term is
+    below 1e-18 of the running sum (test oracle)."""
+    base, total, start = None, 0.0, d0
+    while True:
+        powers = np.arange(start, start + 4096, dtype=np.float64) ** t.gamma
+        base = float(powers[0]) if base is None else base  # the same pow as the later terms
+        terms = np.exp(-2 * (powers - base))
+        running = total + np.cumsum(terms)
+        small = np.flatnonzero(terms < 1e-18 * running)
+        if small.size:
+            return 2 * math.log(t.c) - 2 * base + math.log(float(running[small[0]]))
+        total, start = float(running[-1]), start + 4096
 
 
 @settings(max_examples=200)
@@ -344,10 +366,25 @@ def numpy_log_tail_sum(t: TailDescriptor, d0: int) -> float:
 def test_tail_sum_matches_numpy_formula(kind, c, exponent, d0):
     from ergolab.spectral import _log_tail_sum
 
-    t = (TailDescriptor("polynomial", c=c, s=1.0 + exponent) if kind == "polynomial"
-         else TailDescriptor("stretched_exponential", c=c, gamma=exponent))
-    # a relative tolerance of 1e-12 on the sum is an absolute one on its log
-    assert abs(_log_tail_sum(t, d0) - numpy_log_tail_sum(t, d0)) <= 1e-12
+    # a relative tolerance on a sum is an absolute one on its log
+    if kind == "polynomial":
+        t = TailDescriptor("polynomial", c=c, s=1.0 + exponent)
+        assert abs(_log_tail_sum(t, d0) - numpy_log_tail_sum(t, d0)) <= 1e-12
+        return
+    t = TailDescriptor("stretched_exponential", c=c, gamma=exponent)
+    got = _log_tail_sum(t, d0)
+    # the log itself is exact only to its last bits: -2 d0^gamma reaches -2e29
+    ulps = 4 * math.ulp(got)
+    assert abs(got - stretched_rule(t, d0, 2000)) <= 1e-12 + ulps
+    if exponent < 0.5:
+        # the trapezoid on [0, 20] limits the rule: 40,000 explicit terms moved it by up to 4.9e-4
+        assert abs(got - stretched_rule(t, d0, 40_000)) <= 1e-3
+        return
+    # like the polynomial rule, the integral from D leaves out the end term
+    # f(D)/2 of the sum; near gamma = 0.5 and d0 = 70,000 that is 5.7e-7 of it
+    exact = stretched_term_by_term(t, d0)
+    end_term = 2 * math.log(c) - 2 * (d0 + 2000) ** exponent
+    assert abs(got - exact) <= 1e-9 + math.exp(end_term - exact) + ulps
 
 
 @settings(max_examples=30)
@@ -441,3 +478,17 @@ def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
     report = cli.report_spectral_certify(coeffs, 600, True)
     assert report["beurling_verdict"] == want
     assert (report["verdict"] == "singular") == (want == "holds")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CorrelationSequence({1: (0.5, 0.0)}), ValueError, "sequence must include n = 0"),
+    (lambda: CorrelationSequence({0: (0.0, 0.0)}), ValueError, "sigma_hat(0) must be positive"),
+    (lambda: TailDescriptor("geometric", c=0.0, q=0.5), InvalidTail, "tail amplitude c must be positive"),
+    (lambda: TailDescriptor("stretched_exponential", c=1.0, gamma=-0.5), InvalidTail,
+     "stretched tail needs gamma > 0"),
+    (lambda: WeakLimitCoefficients({}), ValueError, "finite support must be nonempty"),
+])
+def test_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -542,3 +542,61 @@ def test_empirical_block_outside_alphabet():
         empirical_correlation(RUDIN_SHAPIRO, (9,), 1, 64)
     with pytest.raises(ValueError, match=r"outside 0\.\.3"):
         empirical_correlation(RUDIN_SHAPIRO, (0, -1), 1, 64)
+
+
+# -- non-primitive bases: perron decides -------------------------------------------
+
+# letter 2 never meets 0 and 1, so M is not primitive, but the fixed point
+# from 0 is Thue-Morse's and its 2-block matrix is primitive
+THUE_MORSE_AND_TWO = Substitution(3, ((0, 1), (1, 0), (2, 2)))
+# 0 occurs once in the fixed point 0111..., so M2 is not primitive either
+ONE_ZERO = Substitution(2, ((0, 1), (1, 1)))
+
+
+def test_pair_substitution_is_the_closure_on_a_non_primitive_base():
+    assert pair_substitution(THUE_MORSE_AND_TWO) == pair_substitution(Substitution(2, ((0, 1), (1, 0))))
+    assert pair_substitution(ONE_ZERO) == {(0, 1): ((0, 1), (1, 1)), (1, 1): ((1, 1), (1, 1))}
+    with pytest.raises(NotFixedPointCapable):  # a fixed point is what it needs
+        pair_substitution(Substitution(2, ((0,), (1, 1))))
+
+
+def test_block_frequencies_need_a_primitive_block_matrix_only():
+    freqs = block_frequencies(THUE_MORSE_AND_TWO)
+    assert list(freqs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(freqs.values()) == pytest.approx([1 / 6, 1 / 3, 1 / 3, 1 / 6], abs=1e-12)
+    with pytest.raises(NotPrimitive, match="matrix has no entrywise-positive power"):
+        block_frequencies(ONE_ZERO)
+
+
+@pytest.mark.parametrize("sub", [THUE_MORSE_AND_TWO, ONE_ZERO])
+def test_rigidity_and_analyze_reject_a_non_primitive_base(sub):
+    from ergolab import cli
+
+    with pytest.raises(NotPrimitive):
+        rigidity_constant(sub)
+    report = cli.report_subst_analyze(sub, 1e-12, 64)
+    assert report["primitive"] is False and "block_frequencies" not in report
+
+
+# -- input checks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Substitution(0, ()), ValueError, "alphabet_size must be positive"),
+    (lambda: Substitution.from_lines(["0 -> 01", "", "# note", "1 01"]), ValueError,
+     r"line 4: bad substitution line '1 01'"),
+    (lambda: Substitution.from_lines(["0 -> 01", "0 -> 1"]), ValueError, "duplicate image for letter 0"),
+    (lambda: Substitution.from_lines(["", "# only a comment"]), ValueError, "empty substitution definition"),
+    (lambda: Substitution.from_lines(["0 -> 02", "2 -> 0"]), ValueError, "letters must be 0..k-1 with no gaps"),
+    (lambda: perron(composition_matrix(THREE_LETTER), tol=0), NoConvergence,
+     r"Perron residual \S+ exceeds tol=0"),
+    # the dominant eigenvalue of a matrix with a negative entry need not have a positive vector
+    (lambda: perron(np.array([[1, 1], [1, -3]])), NoConvergence, "eigenvector failed strict positivity"),
+    (lambda: fixed_point_prefix(RUDIN_SHAPIRO, 0), ValueError, "length must be positive"),
+    (lambda: pair_substitution(Substitution(2, ((1, 0), (0, 1)))), NotFixedPointCapable,
+     "pair substitution requires a fixed point"),
+    (lambda: prefix_correlation(np.zeros(8, dtype=np.int64), (0,), -1), ValueError, "shift must be nonnegative"),
+])
+def test_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
