@@ -11,39 +11,14 @@ The four library modules `substitution`, `rankone`, `skew` and
 (`importlib.util.LazyLoader`): each one runs on the first access to one
 of its attributes, so `import ergolab` and `import ergolab.cli` load
 none of them and a CLI process loads only the module its command
-reads.  Once loaded, a module is a plain module again.  The names listed
-in `_EXPORTS` are served from their modules on first access
-(`ergolab.Substitution is ergolab.substitution.Substitution`).
+reads.  Once loaded, a module is a plain module again.  Names are
+imported from their modules (`from ergolab.substitution import
+Substitution`, or `ergolab.rankone.heights`).
 """
 
 import importlib.util
 import sys
 
-_EXPORTS = {
-    "substitution": (
-        "Substitution", "PerronData", "RigidityConstant", "RUDIN_SHAPIRO", "THREE_LETTER",
-        "composition_matrix", "is_primitive", "perron", "fixed_point_prefix", "pair_substitution",
-        "block_frequencies", "rigidity_constant", "empirical_correlation",
-    ),
-    "rankone": (
-        "RankOneSpec", "Tower", "LevelSet", "BoundedValue", "chacon_spec", "staircase_spec",
-        "historical_chacon_spec", "heights", "build_tower", "level_correlation",
-        "weak_limit_estimate", "rigidity_scan",
-    ),
-    "skew": (
-        "DyadicInterval", "DyadicStep", "SkewSystem", "odometer_map", "mn_cocycle", "cocycle_sum",
-        "skew_correlation", "spectral_coefficient", "rigidity_sequence", "FIRST_DIGIT_SIGN",
-        "CONSTANT_ONE",
-    ),
-    "spectral": (
-        "CorrelationSequence", "TailDescriptor", "WeakLimitCoefficients", "BeurlingReport",
-        "wiener_discrete_mass", "rajchman_probe", "translation_probe", "beurling_check",
-        "singularity_certificate",
-    ),
-}
-_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_EXPORTS, *_ORIGIN]
 __version__ = "0.1.0"
 
 
@@ -61,12 +36,4 @@ def _lazy_module(name: str):
     return module
 
 
-globals().update({name: _lazy_module(name) for name in _EXPORTS})
-
-
-def __getattr__(name: str):
-    """PEP 562 hook: serve a re-exported name from its module, once."""
-    if name not in _ORIGIN:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(globals()[_ORIGIN[name]], name)
-    return value
+globals().update({name: _lazy_module(name) for name in ("substitution", "rankone", "skew", "spectral")})

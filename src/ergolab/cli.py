@@ -7,12 +7,12 @@ Subcommands mirror the library surface:
     skew     correlate | spectrum | rigidity
     spectral wiener | rajchman | translate | beurling | certify
 
-Every run emits a single JSON report (stdout or --out) that embeds the
-exact configuration used, so identical configs give byte-identical
-reports; `skew spectrum` can also write its coefficient series as CSV
-via --csv.
-Failures exit nonzero with a machine-readable error record preserving
-the module error name.
+Every run emits exactly one JSON document: either the report (stdout or
+--out), which embeds the exact configuration used, so identical configs
+give byte-identical reports, or an error record on stdout that keeps the
+module error name, with exit code 1.  `skew spectrum` can also write its
+coefficient series as CSV via --csv; the CSV is written before anything
+is emitted, so a failed write emits only its error record.
 """
 
 from __future__ import annotations
@@ -371,19 +371,19 @@ def _check_prefix_len(prefix_len: int, least: int) -> None:
 def _cmd_subst_analyze(args):
     sub = load_substitution(args.system)
     _check_prefix_len(args.prefix_len, 0)  # 0 skips the empirical check
-    _emit(report_subst_analyze(sub, args.tol, args.prefix_len), args)
+    return report_subst_analyze(sub, args.tol, args.prefix_len)
 
 
 def _cmd_subst_correlate(args):
     sub = load_substitution(args.system)
     _check_prefix_len(args.prefix_len, 1)
     block = tuple(_ints("--block", args.block, "," if "," in args.block else ""))
-    _emit(report_subst_correlate(sub, block, args.shift, args.prefix_len), args)
+    return report_subst_correlate(sub, block, args.shift, args.prefix_len)
 
 
 def _cmd_rankone_heights(args):
     spec = load_rankone(args.system, args.stages)
-    _emit(report_rankone_heights(spec, args.stages), args)
+    return report_rankone_heights(spec, args.stages)
 
 
 def _set_stage_height(spec: rankone.RankOneSpec, stage: int) -> int:
@@ -396,14 +396,14 @@ def _cmd_rankone_correlate(args):
     h_k = _set_stage_height(spec, args.set_stage)
     levels = range(h_k) if args.levels == "all" else _ints("--levels", args.levels)
     A = rankone.LevelSet(args.set_stage, tuple(levels))
-    _emit(report_rankone_correlate(spec, spec.num_stages, A, _ints("--shifts", args.shifts)), args)
+    return report_rankone_correlate(spec, spec.num_stages, A, _ints("--shifts", args.shifts))
 
 
 def _cmd_rankone_weaklimit(args):
     spec = load_rankone(args.system, args.stages)
     A = rankone.LevelSet(args.set_stage, (args.level,))
     lo, hi = _ints("--stage-range", args.stage_range, ":", 2)
-    _emit(report_rankone_weaklimit(spec, A, lo, hi, args.j_max, args.margin), args)
+    return report_rankone_weaklimit(spec, A, lo, hi, args.j_max, args.margin)
 
 
 def _cmd_rankone_rigidity(args):
@@ -414,13 +414,13 @@ def _cmd_rankone_rigidity(args):
     if not 0 <= lo <= hi < spec.num_stages:
         raise ParseError(f"shift stages {lo}:{hi} outside 0:{spec.num_stages - 1}")
     shifts = rankone.heights(spec)[lo : hi + 1]
-    _emit(report_rankone_rigidity(spec, shifts, sets, spec.num_stages), args)
+    return report_rankone_rigidity(spec, shifts, sets, spec.num_stages)
 
 
 def _cmd_skew_correlate(args):
     sys_ = skew.SkewSystem(args.atom_level, args.cutoff)
     A = skew.DyadicInterval.parse(args.interval)
-    _emit(report_skew_correlate(sys_, A, args.eps, args.eps_prime, args.shift), args)
+    return report_skew_correlate(sys_, A, args.eps, args.eps_prime, args.shift)
 
 
 def _cmd_skew_spectrum(args):
@@ -431,13 +431,13 @@ def _cmd_skew_spectrum(args):
     if g_name not in _G_PRESETS or fiber not in ("one", "chi"):
         raise ParseError("function must be <one|first-digit>:<one|chi>")
     report = report_skew_spectrum(sys_, g_name, fiber, args.window)
-    _emit(report, args)
-    if args.csv:
+    if args.csv:  # written before the report is emitted, so a failed write emits only its error
         import csv
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "value", "error_bound"])
             writer.writerows([r["n"], r["value"], r["error_bound"]] for r in report["coefficients"])
+    return report
 
 
 def _cmd_skew_rigidity(args):
@@ -448,23 +448,23 @@ def _cmd_skew_rigidity(args):
         raise ParseError(f"--k-range {lo}:{hi} is empty")
     if lo < 0:
         raise ParseError(f"--k-range {lo}:{hi} starts below k = 0")
-    _emit(report_skew_rigidity(sys_, A, args.eps, lo, hi), args)
+    return report_skew_rigidity(sys_, A, args.eps, lo, hi)
 
 
 def _cmd_spectral_wiener(args):
     corr = spectral.CorrelationSequence.from_csv(args.input)
-    _emit(report_spectral_wiener(corr, args.window), args)
+    return report_spectral_wiener(corr, args.window)
 
 
 def _cmd_spectral_rajchman(args):
     corr = spectral.CorrelationSequence.from_csv(args.input)
-    _emit(report_spectral_rajchman(corr), args)
+    return report_spectral_rajchman(corr)
 
 
 def _cmd_spectral_translate(args):
     corr = spectral.CorrelationSequence.from_csv(args.input)
     times = _ints("--times", args.times)
-    _emit(report_spectral_translate(corr, times, args.j_window), args)
+    return report_spectral_translate(corr, times, args.j_window)
 
 
 def _load_coeffs(path: str) -> spectral.WeakLimitCoefficients:
@@ -472,11 +472,11 @@ def _load_coeffs(path: str) -> spectral.WeakLimitCoefficients:
 
 
 def _cmd_spectral_beurling(args):
-    _emit(report_spectral_beurling(_load_coeffs(args.coeffs), args.n_max), args)
+    return report_spectral_beurling(_load_coeffs(args.coeffs), args.n_max)
 
 
 def _cmd_spectral_certify(args):
-    _emit(report_spectral_certify(_load_coeffs(args.coeffs), args.n_max, not args.limit_is_power), args)
+    return report_spectral_certify(_load_coeffs(args.coeffs), args.n_max, not args.limit_is_power)
 
 
 def _add(parent, name, fn, **kwargs):
@@ -592,7 +592,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser_for(argv).parse_args(argv)
     try:
-        args.func(args)
+        _emit(args.func(args), args)
     except Exception as exc:  # noqa: BLE001 - error record must name the module error
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")

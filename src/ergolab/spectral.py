@@ -339,21 +339,32 @@ def _log_tail_sum(t: TailDescriptor, d0: int) -> float:
     Exact for a geometric tail.  Otherwise the first 2,000 terms plus the
     integral of the rest from D = d0 + 2,000, which is f(D) times D / (2s - 1)
     (polynomial) or times int_0^inf e^(-2u) (u + D^gamma)^(1/gamma - 1) du / gamma
-    (stretched, u = x^gamma - D^gamma; trapezoid on 400 nodes of [0, 20]).  All
-    is summed relative to f(d0), so d0^gamma up to 65536^6 does not underflow.
+    (stretched, u = x^gamma - D^gamma; trapezoid on 400 nodes of [0, 20], or
+    of a window that covers the integrand's peak at u = (1/gamma - 1)/2 - D^gamma
+    when that is positive).  All is summed relative to f(d0), so d0^gamma up
+    to 65536^6 does not underflow, and the integral is taken as a log, so a
+    small gamma does not overflow.
     """
     first = _log_term(t, d0)
     if t.kind == "geometric":  # c^2 q^(2 d0) / (1 - q^2)
         return first - math.log1p(-t.q * t.q)
     D = d0 + 2000
     if t.kind == "polynomial":
-        rest = D / (2 * t.s - 1)
+        log_rest = math.log(D / (2 * t.s - 1))
     else:
-        h, base = 20.0 / 399, D**t.gamma
-        f = [math.exp(-2 * h * i) * (h * i + base) ** (1 / t.gamma - 1) / t.gamma for i in range(400)]
-        rest = h * (math.fsum(f) - (f[0] + f[-1]) / 2)
+        base, k = D**t.gamma, 1 / t.gamma - 1
+        # [0, 20] when the integrand falls from u = 0; else its peak +- 20 and
+        # about 12 of its standard deviations, sqrt(k + 1)/2 ~ sqrt(peak/2)
+        peak = max(0.0, k / 2 - base)
+        reach = 20 + 6 * math.sqrt(2 * peak)
+        lo = max(0.0, peak - reach)
+        h = (peak + reach - lo) / 399
+        logs = [-2 * u + k * math.log(u + base) - math.log(t.gamma) for u in (lo + h * i for i in range(400))]
+        top = max(logs)
+        f = [math.exp(v - top) for v in logs]
+        log_rest = top + math.log(h * (math.fsum(f) - (f[0] + f[-1]) / 2))
     explicit = math.fsum(math.exp(_log_term(t, d) - first) for d in range(d0, D))
-    return first + math.log(explicit + math.exp(_log_term(t, D) - first) * rest)
+    return first + _logaddexp(math.log(explicit), _log_term(t, D) - first + log_rest)
 
 
 def _log_tails(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:

@@ -331,11 +331,14 @@ def numpy_log_tail_sum(t: TailDescriptor, d0: int) -> float:
 
 def stretched_rule(t: TailDescriptor, d0: int, terms: int) -> float:
     """log of a stretched tail sum from d0: `terms` terms, then the integral
-    of the rest by a 400-node trapezoid, on numpy arrays (test oracle)."""
+    of the rest by a 400-node trapezoid on [0, 20], widened around the
+    integrand's peak when it lies right of 0, on numpy arrays (test oracle)."""
     powers = np.arange(d0, d0 + terms + 1, dtype=np.float64) ** t.gamma  # one pow for every d
     base, top = float(powers[0]), float(powers[-1])
     explicit = float(np.exp(-2 * (powers[:-1] - base)).sum())
-    u = np.linspace(0.0, 20.0, 400)
+    peak = max(0.0, (1 / t.gamma - 1) / 2 - top)
+    reach = 20 + 6 * math.sqrt(2 * peak)
+    u = np.linspace(max(0.0, peak - reach), peak + reach, 400)
     f = np.exp(-2 * u) * (u + top) ** (1 / t.gamma - 1) / t.gamma
     rest = float(((f[1:] + f[:-1]) / 2 * np.diff(u)).sum())
     return 2 * math.log(t.c) - 2 * base + math.log(explicit + math.exp(-2 * (top - base)) * rest)
@@ -377,7 +380,7 @@ def test_tail_sum_matches_numpy_formula(kind, c, exponent, d0):
     ulps = 4 * math.ulp(got)
     assert abs(got - stretched_rule(t, d0, 2000)) <= 1e-12 + ulps
     if exponent < 0.5:
-        # the trapezoid on [0, 20] limits the rule: 40,000 explicit terms moved it by up to 4.9e-4
+        # the trapezoid's step limits the rule: 40,000 explicit terms moved it by up to 4.9e-4
         assert abs(got - stretched_rule(t, d0, 40_000)) <= 1e-3
         return
     # like the polynomial rule, the integral from D leaves out the end term
@@ -385,6 +388,41 @@ def test_tail_sum_matches_numpy_formula(kind, c, exponent, d0):
     exact = stretched_term_by_term(t, d0)
     end_term = 2 * math.log(c) - 2 * (d0 + 2000) ** exponent
     assert abs(got - exact) <= 1e-9 + math.exp(end_term - exact) + ulps
+
+
+def stretched_tail_integral(t: TailDescriptor, D: int) -> float:
+    """log of int_D^inf c^2 exp(-2 x^gamma) dx = c^2 Gamma(a, 2 D^gamma) / (gamma 2^a),
+    a = 1/gamma, with the regularized lower gamma function P(a, z) summed by
+    its series, z^a e^-z / Gamma(a + 1) * sum_n z^n / ((a + 1) ... (a + n))
+    (test oracle)."""
+    a, z = 1 / t.gamma, 2 * D**t.gamma
+    term, series, n = 1.0, 1.0, 0
+    while term > 1e-17 * series:
+        n += 1
+        term *= z / (a + n)
+        series += term
+    lower = math.exp(a * math.log(z) - z - math.lgamma(a + 1)) * series
+    return 2 * math.log(t.c) + math.lgamma(a) + math.log1p(-lower) - math.log(t.gamma) - a * math.log(2)
+
+
+@settings(max_examples=100)
+@given(
+    gamma=st.floats(min_value=0.001, max_value=0.05),
+    c=st.floats(min_value=1e-3, max_value=1e3),
+    d0=st.integers(1, 70_000),
+    step=st.integers(1, 5_000),
+)
+def test_small_gamma_tail_sum_falls_with_d0_and_matches_incomplete_gamma(gamma, c, d0, step):
+    from ergolab.spectral import _log_tail_sum
+
+    # for small gamma the integral's peak lies far right of D, where [0, 20] missed it
+    t = TailDescriptor("stretched_exponential", c=c, gamma=gamma)
+    got, later = _log_tail_sum(t, d0), _log_tail_sum(t, d0 + step)
+    # S(d0) - S(d0 + step) is often far below an ulp of log S here, so rounding may tie or flip it
+    assert later <= got + 8 * math.ulp(got)
+    explicit = 2 * math.log(c) + math.log(math.fsum(math.exp(-2 * d**gamma) for d in range(d0, d0 + 2000)))
+    exact = float(np.logaddexp(explicit, stretched_tail_integral(t, d0 + 2000)))
+    assert abs(got - exact) <= 1e-8
 
 
 @settings(max_examples=30)
