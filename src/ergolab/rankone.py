@@ -42,11 +42,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "RankOneSpec",
@@ -82,18 +81,14 @@ class ShiftOutOfRange(RankOneError):
     pass
 
 
-@dataclass(frozen=True)
 class RankOneSpec:
     """Cutting/spacer schedule: one (p, spacers) pair per stage."""
 
-    stages: tuple[tuple[int, tuple[int, ...]], ...]
-    name: str | None = None
-
-    def __post_init__(self):
-        if not self.stages:
+    def __init__(self, stages: Sequence[tuple[int, Sequence[int]]], name: str | None = None):
+        if not stages:
             raise ValueError("need at least one stage")
         norm = []
-        for p, spacers in self.stages:
+        for p, spacers in stages:
             p = int(p)
             spacers = tuple(int(a) for a in spacers)
             if p < 2:
@@ -103,7 +98,8 @@ class RankOneSpec:
             if any(a < 0 for a in spacers):
                 raise ValueError("spacer counts must be nonnegative")
             norm.append((p, spacers))
-        object.__setattr__(self, "stages", tuple(norm))
+        self.stages = tuple(norm)
+        self.name = name
 
     @property
     def num_stages(self) -> int:
@@ -188,8 +184,7 @@ def level_width(spec: RankOneSpec, N: int) -> Fraction:
     return spec.stage_widths[N]
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     height: int
     level_width: Fraction
     total_mass: Fraction
@@ -214,21 +209,19 @@ def build_tower(spec: RankOneSpec, N: int) -> Tower:
     )
 
 
-@dataclass(frozen=True)
 class LevelSet:
     """A union of levels of the stage-k tower, indexed in [0, h_k)."""
 
-    stage: int
-    levels: tuple[int, ...]
+    __slots__ = ("stage", "levels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(sorted({int(l) for l in self.levels})))
+    def __init__(self, stage: int, levels: Iterable[int]):
+        self.stage = stage
+        self.levels = tuple(sorted({int(l) for l in levels}))
         if not self.levels:
             raise ValueError("level set must be nonempty")
 
 
-@dataclass(frozen=True)
-class BoundedValue:
+class BoundedValue(NamedTuple):
     value: float
     error_bound: float
 
@@ -409,8 +402,7 @@ def _level_correlations(spec: RankOneSpec, N: int, A: LevelSet, shifts: Sequence
     ]
 
 
-@dataclass(frozen=True)
-class CoefficientEstimate:
+class CoefficientEstimate(NamedTuple):
     """Weight of the j-step lagged component of the weak limit along h_n."""
 
     index: int

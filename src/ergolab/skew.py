@@ -27,8 +27,8 @@ is a sum over the residues mod 2^max(c, l).
 The skew product acts on [0,1) x Z2 by T_phi(x, g) = (Tx, phi(x) + g)
 with the uniform fiber measure (mass 1/2 per fiber point).  The atom
 level K and the cutoff L of a `SkewSystem` fix the query windows,
-2^(K-4) for correlations and 2^(L-4) for spectral coefficients; no table
-of atoms is built.
+2^(K-4) for correlations and 2^(L-4) for spectral coefficients, floored
+to an integer (0 below level 4); no table of atoms is built.
 """
 
 from __future__ import annotations
@@ -103,18 +103,17 @@ def mn_cocycle(x: Fraction) -> int:
     return 0 if offset < Fraction(1, 2 ** (n + 2)) else 1
 
 
-@dataclass(frozen=True)
 class DyadicInterval:
     """[numerator / 2^level, (numerator + 1) / 2^level)."""
 
-    numerator: int
-    level: int
+    __slots__ = ("numerator", "level")
 
-    def __post_init__(self):
-        if self.level < 0:
+    def __init__(self, numerator: int, level: int):
+        if level < 0:
             raise ValueError("level must be nonnegative")
-        if not 0 <= self.numerator < 2**self.level:
+        if not 0 <= numerator < 2**level:
             raise ValueError("numerator outside [0, 2^level)")
+        self.numerator, self.level = numerator, level
 
     @property
     def width(self) -> Fraction:
@@ -129,17 +128,15 @@ class DyadicInterval:
         return cls(int(num_s), int(den_s[2:]))
 
 
-@dataclass(frozen=True)
 class DyadicStep:
     """A step function constant on the dyadic atoms of a given level."""
 
-    level: int
-    values: tuple[float, ...]
+    __slots__ = ("level", "values")
 
-    def __post_init__(self):
-        if len(self.values) != 2**self.level:
+    def __init__(self, level: int, values: Sequence[float]):
+        if len(values) != 2**level:
             raise ValueError("need one value per level atom")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        self.level, self.values = level, tuple(float(v) for v in values)
 
 
 FIRST_DIGIT_SIGN = DyadicStep(1, (1.0, -1.0))
@@ -221,7 +218,7 @@ class SkewSystem:
         return 2**self.K
 
     def max_window(self) -> int:
-        return 2 ** (self.K - 4)
+        return 1 << self.K >> 4
 
     def atom_indices(self, interval: DyadicInterval) -> np.ndarray:
         if interval.level > self.K:
@@ -315,7 +312,7 @@ def spectral_coefficient(
     """
     if fiber not in ("one", "chi"):
         raise ValueError("fiber must be 'one' or 'chi'")
-    limit = 2 ** (sys.L - 4)
+    limit = 1 << sys.L >> 4
     if abs(n) > limit:
         raise IndexTooLarge(f"|n| must be <= 2^(L-4) = {limit}")
     if g.level > sys.K:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "CorrelationSequence",
@@ -59,15 +58,14 @@ class IndexGap(SpectralError):
     pass
 
 
-@dataclass
 class CorrelationSequence:
     """sigma_hat values on a symmetric index window, with error bounds."""
 
-    values: dict[int, tuple[float, float]]
-    source: str = ""
+    __slots__ = ("values", "source")
 
-    def __post_init__(self):
-        self.values = {int(n): (float(v), float(e)) for n, (v, e) in self.values.items()}
+    def __init__(self, values: dict[int, tuple[float, float]], source: str = ""):
+        self.values = {int(n): (float(v), float(e)) for n, (v, e) in values.items()}
+        self.source = source
         if 0 not in self.values:
             raise ValueError("sequence must include n = 0")
         if self.values[0][0] <= 0:
@@ -128,8 +126,7 @@ def wiener_discrete_mass(corr: CorrelationSequence, N: int | None = None) -> flo
     return total / N
 
 
-@dataclass(frozen=True)
-class RajchmanStats:
+class RajchmanStats(NamedTuple):
     outer_quartile_max: float
     envelope_slope: float
 
@@ -158,8 +155,7 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return sxy / sum((x - mx) ** 2 for x in xs)
 
 
-@dataclass(frozen=True)
-class TranslationEstimate:
+class TranslationEstimate(NamedTuple):
     limit: float
     spread: float
     stabilized: bool
@@ -213,7 +209,6 @@ TAIL_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
 class TailDescriptor:
     """Closed-form left tail below the finite support.
 
@@ -228,32 +223,30 @@ class TailDescriptor:
     None, or 0 for c.
     """
 
-    kind: str = "none"
-    c: float = 0.0
-    q: float | None = None
-    gamma: float | None = None
-    s: float | None = None
+    __slots__ = ("kind", "c", "q", "gamma", "s")
 
-    def __post_init__(self):
-        if self.kind not in TAIL_FIELDS:
-            raise InvalidTail(f"unknown tail kind {self.kind!r}")
-        values = {"c": self.c, "q": self.q, "gamma": self.gamma, "s": self.s}
+    def __init__(self, kind: str = "none", c: float = 0.0, q: float | None = None,
+                 gamma: float | None = None, s: float | None = None):
+        if kind not in TAIL_FIELDS:
+            raise InvalidTail(f"unknown tail kind {kind!r}")
+        values = {"c": c, "q": q, "gamma": gamma, "s": s}
         for name, value in values.items():
             if value is not None and not math.isfinite(value):
                 raise InvalidTail(f"tail field {name!r} must be a finite number, got {value!r}")
         for name, value in values.items():
-            if name not in TAIL_FIELDS[self.kind] and value is not None and (name != "c" or value != 0):
-                takes = ", ".join(TAIL_FIELDS[self.kind]) or "no field"
-                raise InvalidTail(f"tail field {name!r} is not read by kind {self.kind!r}, which takes {takes}")
-        if self.kind != "none":
-            if self.c <= 0:
+            if name not in TAIL_FIELDS[kind] and value is not None and (name != "c" or value != 0):
+                takes = ", ".join(TAIL_FIELDS[kind]) or "no field"
+                raise InvalidTail(f"tail field {name!r} is not read by kind {kind!r}, which takes {takes}")
+        if kind != "none":
+            if c <= 0:
                 raise InvalidTail("tail amplitude c must be positive")
-            if self.kind == "geometric" and not (self.q and 0 < self.q < 1):
+            if kind == "geometric" and not (q and 0 < q < 1):
                 raise InvalidTail("geometric tail needs 0 < q < 1")
-            if self.kind == "stretched_exponential" and not (self.gamma and self.gamma > 0):
+            if kind == "stretched_exponential" and not (gamma and gamma > 0):
                 raise InvalidTail("stretched tail needs gamma > 0")
-            if self.kind == "polynomial" and not (self.s and self.s > 1):
+            if kind == "polynomial" and not (s and s > 1):
                 raise InvalidTail("polynomial tail needs s > 1")
+        self.kind, self.c, self.q, self.gamma, self.s = kind, c, q, gamma, s
 
     def verdict(self) -> tuple[str, str]:
         """Does sum log(sum_{k <= -n} a_k^2) / n^2 diverge? ("holds" | "fails", why)"""
@@ -268,22 +261,19 @@ class TailDescriptor:
         return "holds", "log tail ~ -2 n^gamma with gamma >= 1; terms do not vanish faster than c/n"
 
 
-@dataclass(frozen=True)
 class WeakLimitCoefficients:
     """A two-sided coefficient sequence with a closed-form left tail."""
 
-    support: dict[int, float]
-    tail: TailDescriptor = TailDescriptor()
-    restricted: bool = field(init=False)
+    __slots__ = ("support", "tail", "restricted")
 
-    def __post_init__(self):
-        support = {int(i): float(a) for i, a in self.support.items()}
-        object.__setattr__(self, "support", support)
-        if not support:
+    def __init__(self, support: dict[int, float], tail: TailDescriptor = TailDescriptor()):
+        self.support = {int(i): float(a) for i, a in support.items()}
+        if not self.support:
             raise ValueError("finite support must be nonempty")
-        if not all(map(math.isfinite, support.values())):
-            raise ValueError(f"support coefficients must be finite, got {support}")
-        object.__setattr__(self, "restricted", any(a > 0 for a in support.values()))
+        if not all(map(math.isfinite, self.support.values())):
+            raise ValueError(f"support coefficients must be finite, got {self.support}")
+        self.tail = tail
+        self.restricted = any(a > 0 for a in self.support.values())
 
     @property
     def k_min(self) -> int:
@@ -311,8 +301,7 @@ class WeakLimitCoefficients:
             raise SpectralError(f"malformed coefficient file: {type(exc).__name__}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class BeurlingReport:
+class BeurlingReport(NamedTuple):
     verdict: str  # holds | fails
     partial_sums: tuple[float, ...]
     tail_exponent_fit: float | None
@@ -433,8 +422,7 @@ def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 600) -> BeurlingR
     )
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     verdict: str
     alpha_lower_bound: float | None
     tail_verdict: str

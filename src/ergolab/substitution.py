@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
@@ -63,21 +63,18 @@ def _as_word(w: Iterable[int]) -> Word:
     return tuple(int(s) for s in w)
 
 
-@dataclass(frozen=True)
 class Substitution:
     """A map letter -> nonempty word over {0..alphabet_size-1}."""
 
-    alphabet_size: int
-    images: tuple[Word, ...]
-    name: str | None = None
+    __slots__ = ("alphabet_size", "images", "name")
 
-    def __post_init__(self):
-        k = self.alphabet_size
+    def __init__(self, alphabet_size: int, images: Sequence[Iterable[int]], name: str | None = None):
+        k = alphabet_size
         if k < 1:
             raise ValueError("alphabet_size must be positive")
-        if len(self.images) != k:
+        if len(images) != k:
             raise ValueError("need exactly one image per letter")
-        object.__setattr__(self, "images", tuple(_as_word(w) for w in self.images))
+        self.alphabet_size, self.images, self.name = k, tuple(_as_word(w) for w in images), name
         for w in self.images:
             if not w:
                 raise ValueError("images must be nonempty")
@@ -325,8 +322,7 @@ def block_frequencies(sub: Substitution, tol: float = 1e-12) -> dict[Block, floa
     return {blk: float(f) for blk, f in zip(pair, data.letter_freq)}
 
 
-@dataclass(frozen=True)
-class RigidityConstant:
+class RigidityConstant(NamedTuple):
     r: float
     rho: float
     alpha: float

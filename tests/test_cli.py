@@ -606,7 +606,8 @@ def test_console_script_entry_point():
 
 _LOAD_PROBE = """
 import json, sys, types
-WATCHED = ("ergolab.substitution", "ergolab.rankone", "ergolab.skew", "ergolab.spectral", "fractions", "numpy")
+WATCHED = ("ergolab.substitution", "ergolab.rankone", "ergolab.skew", "ergolab.spectral", "fractions", "numpy",
+           "dataclasses", "inspect")
 # a library module that has not run yet is still an instance of the lazy ModuleType subclass
 loaded = lambda: [name for name in WATCHED if type(sys.modules.get(name)) is types.ModuleType]
 import ergolab
@@ -671,14 +672,23 @@ def test_commands_without_arrays_do_not_load_numpy(tmp_path):
 def test_each_process_loads_only_the_library_module_it_reads(tmp_path):
     geometric = tmp_path / "geometric.json"
     geometric.write_text(json.dumps({"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 0.5, "q": 0.5}}))
-    heights = ["rankone", "heights", "--system", "chacon", "--stages", "5"]
-    certify = ["spectral", "certify", "--coeffs", str(geometric)]
-    assert _probe_loads([heights], tmp_path) == [
-        ["import ergolab", 0, []],
-        ["import ergolab.cli", 0, []],
-        [" ".join(heights), 0, ["ergolab.rankone", "fractions"]],
-    ]
-    assert _probe_loads([certify], tmp_path)[2] == [" ".join(certify), 0, ["ergolab.spectral"]]
+    # the library records are NamedTuples or plain classes; skew.SpectralCoefficient and
+    # substitution.PerronData are the only dataclasses, so only skew and subst import dataclasses
+    expected = {
+        ("rankone", "heights", "--system", "chacon", "--stages", "5"): ["ergolab.rankone", "fractions"],
+        ("spectral", "certify", "--coeffs", str(geometric)): ["ergolab.spectral"],
+        ("skew", "correlate", "--atom-level", "14", "--cutoff", "12", "--shift", "5"):
+            ["ergolab.rankone", "ergolab.skew", "fractions", "dataclasses", "inspect"],
+        ("subst", "analyze", "--system", "rudin-shapiro"):
+            ["ergolab.substitution", "numpy", "dataclasses", "inspect"],
+    }
+    for argv, modules in expected.items():
+        (_, _, preloaded), cli_step, (step, code, loaded) = _probe_loads([list(argv)], tmp_path)
+        # measured from `import ergolab`, so an interpreter that preloads, say, inspect still passes
+        assert set(preloaded) <= {"dataclasses", "inspect"}
+        assert cli_step == ["import ergolab.cli", 0, preloaded]
+        new = [name for name in modules if name not in preloaded]
+        assert [step, code, [name for name in loaded if name not in preloaded]] == [" ".join(argv), 0, new]
 
 
 def _parse(parser, argv, capsys) -> tuple:

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from ergolab.rankone import (
     BoundedValue,
+    CoefficientEstimate,
     LevelSet,
     RankOneSpec,
     ShiftOutOfRange,
     StageOutOfRange,
+    Tower,
     _differences,
     _level_correlations,
     _pair_counts,
@@ -110,6 +112,22 @@ def test_spec_validation():
         RankOneSpec(((2, (0, -1)),))
     with pytest.raises(ValueError, match=r"line 2: .*'3 0 1 0'"):
         RankOneSpec.from_lines(["2: 0 1", "3 0 1 0"])
+
+
+def test_types_keep_their_fields_and_keywords():
+    # records are NamedTuples in the old field order; the validated inputs keep
+    # their positional order, keyword names and defaults
+    assert Tower._fields == ("height", "level_width", "total_mass", "column_word")
+    assert BoundedValue._fields == ("value", "error_bound")
+    assert CoefficientEstimate._fields == ("index", "value", "spread", "error_bound")
+    assert build_tower(historical_chacon_spec(2), 2) == (7, Fraction(1, 4), Fraction(7, 4), "BBSBBSS")
+    bv = BoundedValue(value=0.25, error_bound=0.0)
+    assert (bv.value, bv.error_bound, bv.exact) == (0.25, 0.0, True)
+    assert not BoundedValue(0.25, 1e-9).exact
+    spec = RankOneSpec(stages=[(2.0, [0, 1])], name="two")
+    assert (spec.stages, spec.name, RankOneSpec(spec.stages).name) == (((2, (0, 1)),), "two", None)
+    A = LevelSet(stage=2, levels=[5, 0, 5])
+    assert (A.stage, A.levels) == (2, (0, 5))
 
 
 def test_preset_schedules():
@@ -497,6 +515,10 @@ def test_rigidity_scan_translation_invariance_of_singletons():
 
 
 @pytest.mark.parametrize("call, message", [
+    (lambda: RankOneSpec(()), "need at least one stage"),
+    (lambda: RankOneSpec(((1, (0,)),)), "cutting parameter must be >= 2"),
+    (lambda: RankOneSpec(((2, (0,)),)), "need one spacer count per column"),
+    (lambda: RankOneSpec(((2, (0, -1)),)), "spacer counts must be nonnegative"),
     (lambda: RankOneSpec.from_lines(["3: 0 1 0", "", "# note", "3: 0 x 0"]),
      "line 4: expected 'p: a_1 ... a_p', got '3: 0 x 0'"),
     (lambda: LevelSet(1, ()), "level set must be nonempty"),

@@ -112,6 +112,13 @@ def test_system_validation():
             DyadicInterval.parse(text)
 
 
+def test_types_keep_their_keywords():
+    A = DyadicInterval(numerator=1, level=2)
+    assert (A.numerator, A.level, A.width) == (1, 2, F(1, 4))
+    g = DyadicStep(level=1, values=[0, 1])
+    assert (g.level, g.values) == (1, (0.0, 1.0))
+
+
 def test_tower_order_is_bit_reversal(mn_small):
     # tower position of atom t equals the odometer orbit index of t
     K = mn_small.K
@@ -396,6 +403,20 @@ def test_closed_forms_for_any_step_function(g):
 def test_coefficient_index_guard(mn_system):
     with pytest.raises(IndexTooLarge):
         spectral_coefficient(CONSTANT_ONE, "chi", 2 ** (mn_system.L - 4) + 1, mn_system)
+
+
+def test_window_caps_below_level_four_are_integer_floors():
+    # 2^(K-4) at K = 3 and 2^(L-4) at L = 3 are 1/2, floored to 0: only index 0 is in range
+    low_k, low_l = SkewSystem(3, 2), SkewSystem(5, 3)
+    assert low_k.max_window() == 0 and type(low_k.max_window()) is int
+    assert skew_correlation(DyadicInterval(0, 0), 0, 0, 0, low_k).value == 0.5
+    with pytest.raises(IndexTooLarge, match=r"^shift 1 exceeds 2\^\(K-4\) = 0$"):
+        skew_correlation(DyadicInterval(0, 0), 0, 0, 1, low_k)
+    with pytest.raises(IndexTooLarge, match=r"^window 1 exceeds 2\^\(K-4\) = 0$"):
+        cocycle_sum(DyadicInterval(0, 3), 1, low_k)
+    assert spectral_coefficient(CONSTANT_ONE, "chi", 0, low_l).value == 1.0
+    with pytest.raises(IndexTooLarge, match=r"^\|n\| must be <= 2\^\(L-4\) = 0$"):
+        spectral_coefficient(CONSTANT_ONE, "chi", 1, low_l)
 
 
 def test_custom_cocycle_zero_gives_product_behaviour():

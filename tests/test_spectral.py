@@ -8,10 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.spectral import (
+    BeurlingReport,
+    CertificateReport,
     CorrelationSequence,
+    IndexGap,
     InvalidTail,
+    RajchmanStats,
     SpectralError,
     TailDescriptor,
+    TranslationEstimate,
     WeakLimitCoefficients,
     WindowTooSmall,
     beurling_check,
@@ -133,6 +138,24 @@ def test_translation_probe_window_guard():
 
 
 # -- coefficient sets -------------------------------------------------------------------
+
+
+def test_types_keep_their_fields_and_keywords():
+    assert RajchmanStats._fields == ("outer_quartile_max", "envelope_slope")
+    assert TranslationEstimate._fields == ("limit", "spread", "stabilized")
+    assert BeurlingReport._fields == ("verdict", "partial_sums", "tail_exponent_fit", "notes")
+    assert CertificateReport._fields == ("verdict", "alpha_lower_bound", "tail_verdict", "nonpower_asserted", "notes")
+    corr = CorrelationSequence({"0": (1, 0)})
+    assert (corr.values, corr.source) == ({0: (1.0, 0.0)}, "")
+    assert CorrelationSequence(values={0: (1.0, 0.0)}, source="s").source == "s"
+    none = TailDescriptor()
+    assert (none.kind, none.c, none.q, none.gamma, none.s) == ("none", 0.0, None, None, None)
+    tail = TailDescriptor("geometric", c=0.25, q=0.5)
+    assert (tail.kind, tail.c, tail.q, tail.gamma, tail.s) == ("geometric", 0.25, 0.5, None, None)
+    assert TailDescriptor(kind="polynomial", c=1.0, s=2.0).s == 2.0
+    coeffs = WeakLimitCoefficients({"-1": 1, 0: 0.5}, tail)
+    assert (coeffs.support, coeffs.tail, coeffs.restricted) == ({-1: 1.0, 0: 0.5}, tail, True)
+    assert WeakLimitCoefficients(support={0: 0.5}).tail.kind == "none"
 
 
 def test_restricted_flag():
@@ -525,6 +548,10 @@ def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
     (lambda: TailDescriptor("stretched_exponential", c=1.0, gamma=-0.5), InvalidTail,
      "stretched tail needs gamma > 0"),
     (lambda: WeakLimitCoefficients({}), ValueError, "finite support must be nonempty"),
+    (lambda: CorrelationSequence({0: (1.0, 0.0), 2: (0.5, 0.0)}), IndexGap, "no value for index n = 1"),
+    (lambda: TailDescriptor("nonsense"), InvalidTail, "unknown tail kind 'nonsense'"),
+    (lambda: TailDescriptor("geometric", c=1.0, q=1.5), InvalidTail, "geometric tail needs 0 < q < 1"),
+    (lambda: TailDescriptor("polynomial", c=1.0, s=0.5), InvalidTail, "polynomial tail needs s > 1"),
 ])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error) as info:

@@ -10,6 +10,7 @@ from ergolab.substitution import (
     NotFixedPointCapable,
     NotPrimitive,
     PrefixTooShort,
+    RigidityConstant,
     Substitution,
     block_frequencies,
     composition_matrix,
@@ -38,6 +39,14 @@ def test_validation_rejects_bad_images():
         Substitution(1, ((),))  # empty image
     with pytest.raises(ValueError, match=r"line 2: .*'1 -> 1x'"):
         Substitution.from_lines(["0 -> 01", "1 -> 1x"])
+
+
+def test_types_keep_their_fields_and_keywords():
+    sub = Substitution(2, [[0, 1], "0"], name="fibonacci")
+    assert (sub.alphabet_size, sub.images, sub.name) == (2, FIBONACCI.images, "fibonacci")
+    assert Substitution(alphabet_size=2, images=FIBONACCI.images).name is None
+    assert RigidityConstant._fields == ("r", "rho", "alpha", "witness_letter")
+    assert rigidity_constant(RUDIN_SHAPIRO).witness_letter == rigidity_constant(RUDIN_SHAPIRO)[3]
 
 
 def test_from_lines_digit_and_index_formats():
@@ -583,6 +592,9 @@ def test_rigidity_and_analyze_reject_a_non_primitive_base(sub):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Substitution(0, ()), ValueError, "alphabet_size must be positive"),
+    (lambda: Substitution(2, ((0, 1),)), ValueError, "need exactly one image per letter"),
+    (lambda: Substitution(1, ((),)), ValueError, "images must be nonempty"),
+    (lambda: Substitution(2, ((0, 2), (1,))), ValueError, "image symbol out of alphabet range"),
     (lambda: Substitution.from_lines(["0 -> 01", "", "# note", "1 01"]), ValueError,
      r"line 4: bad substitution line '1 01'"),
     (lambda: Substitution.from_lines(["0 -> 01", "0 -> 1"]), ValueError, "duplicate image for letter 0"),
