@@ -69,12 +69,11 @@ def load_rankone(source: str, stages: int) -> rankone.RankOneSpec:
 
 
 def _ints(flag: str, text: str, sep: str = ",", n: int = 0) -> list[int]:
-    """The integers of `text` split at `sep` (one per character when `sep` is
-    empty).  With `n` set there must be 1 or n of them and a lone one is
-    repeated, so the range `6` reads as `6:6`.  Anything else is a
-    ParseError naming the flag and the text."""
+    """The integers of `text` split at `sep`.  With `n` set there must be 1
+    or n of them and a lone one is repeated, so the range `6` reads as
+    `6:6`.  Anything else is a ParseError naming the flag and the text."""
     try:
-        values = [int(x) for x in (text.split(sep) if sep else text)]
+        values = [int(x) for x in text.split(sep)]
     except ValueError:
         values = []
     if not values or n and len(values) not in (1, n):
@@ -111,7 +110,7 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
             "theta": data.theta,
             "letter_frequencies": data.letter_freq.tolist(),
             "perron_residual": data.residual,
-            "letter_limit_norms": [float(v.sum()) for v in data.letter_limits],
+            "letter_limit_norms": [float((left * data.letter_freq).sum()) for left in data.left_vec],
             "block_alphabet": list(names.values()),
             "block_frequencies": {names[b]: f for b, f in freqs.items()},
             "marginal_check": {
@@ -377,7 +376,12 @@ def _cmd_subst_analyze(args):
 def _cmd_subst_correlate(args):
     sub = load_substitution(args.system)
     _check_prefix_len(args.prefix_len, 1)
-    block = tuple(_ints("--block", args.block, "," if "," in args.block else ""))
+    try:
+        block = substitution.str_to_word(args.block, sub.alphabet_size)
+    except ValueError:
+        block = ()
+    if not block:
+        raise ParseError(f"--block expects integers, got {args.block!r}")
     return report_subst_correlate(sub, block, args.shift, args.prefix_len)
 
 

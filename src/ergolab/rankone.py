@@ -47,27 +47,6 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
-__all__ = [
-    "RankOneSpec",
-    "Tower",
-    "LevelSet",
-    "BoundedValue",
-    "CoefficientEstimate",
-    "StageOutOfRange",
-    "ShiftOutOfRange",
-    "chacon_spec",
-    "staircase_spec",
-    "historical_chacon_spec",
-    "heights",
-    "level_width",
-    "build_tower",
-    "correlation_count",
-    "level_correlation",
-    "level_measure",
-    "weak_limit_estimate",
-    "rigidity_scan",
-]
-
 
 class RankOneError(Exception):
     pass

@@ -39,24 +39,6 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
-__all__ = [
-    "Boundary",
-    "BOUNDARY",
-    "DyadicInterval",
-    "DyadicStep",
-    "SkewSystem",
-    "SpectralCoefficient",
-    "IndexTooLarge",
-    "odometer_map",
-    "mn_cocycle",
-    "cocycle_sum",
-    "skew_correlation",
-    "spectral_coefficient",
-    "rigidity_sequence",
-    "FIRST_DIGIT_SIGN",
-    "CONSTANT_ONE",
-]
-
 from .rankone import BoundedValue
 
 

@@ -21,24 +21,6 @@ import math
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
-__all__ = [
-    "CorrelationSequence",
-    "TailDescriptor",
-    "WeakLimitCoefficients",
-    "BeurlingReport",
-    "RajchmanStats",
-    "TranslationEstimate",
-    "CertificateReport",
-    "WindowTooSmall",
-    "InvalidTail",
-    "IndexGap",
-    "wiener_discrete_mass",
-    "rajchman_probe",
-    "translation_probe",
-    "beurling_check",
-    "singularity_certificate",
-]
-
 STABILIZATION_SPREAD = 1e-3  # spread over the last three times counted as stable
 
 

@@ -93,35 +93,37 @@ class Substitution:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], name: str | None = None) -> "Substitution":
-        """Parse the `i -> w` text format.
-
-        `w` is a digit string for alphabets up to 10 letters, or
-        whitespace-separated indices.
-        """
-        mapping: dict[int, Word] = {}
+        """Parse the `i -> w` text format, with each `w` read by `str_to_word`
+        once the alphabet size k (the largest letter i, plus one) is known."""
+        mapping: dict[int, tuple[str, str]] = {}  # letter -> (its image text, the error naming its line)
         for n, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            bad = ValueError(f"line {n}: bad substitution line {raw!r}")
-            if "->" not in line:
-                raise bad
-            lhs, rhs = line.split("->", 1)
-            rhs = rhs.strip()
+            bad = f"line {n}: bad substitution line {raw!r}"
+            lhs, arrow, rhs = line.partition("->")
+            if not arrow:
+                raise ValueError(bad)
             try:
                 letter = int(lhs)
-                word = _as_word(rhs.split() if " " in rhs else rhs)
             except ValueError:
-                raise bad from None
+                raise ValueError(bad) from None
             if letter in mapping:
                 raise ValueError(f"duplicate image for letter {letter}")
-            mapping[letter] = word
+            mapping[letter] = rhs, bad
         if not mapping:
             raise ValueError("empty substitution definition")
         k = max(mapping) + 1
         if sorted(mapping) != list(range(k)):
             raise ValueError("letters must be 0..k-1 with no gaps")
-        return cls(k, tuple(mapping[i] for i in range(k)), name=name)
+        images = []
+        for i in range(k):
+            rhs, bad = mapping[i]
+            try:
+                images.append(str_to_word(rhs, k))
+            except ValueError:
+                raise ValueError(bad) from None
+        return cls(k, images, name=name)
 
 
 RUDIN_SHAPIRO = Substitution(4, ((0, 2), (3, 2), (0, 1), (3, 1)), name="rudin-shapiro")
@@ -134,13 +136,14 @@ THREE_LETTER_REFERENCE_ALPHA = 0.3104979673e-7
 
 def composition_matrix(sub: Substitution) -> np.ndarray:
     """k x k integer matrix; entry (i, j) counts letter i in image(j)."""
+    return _count_matrix(sub.alphabet_size, sub.images)
+
+
+def _count_matrix(size: int, images: Iterable[Iterable[int]]) -> np.ndarray:
+    """size x size integer matrix; entry (i, j) counts i in images[j]."""
     import numpy as np
-    k = sub.alphabet_size
-    M = np.zeros((k, k), dtype=np.int64)
-    for j, w in enumerate(sub.images):
-        for s in w:
-            M[s, j] += 1
-    return M
+    cells = [i * size + j for j, w in enumerate(images) for i in w]
+    return np.bincount(cells, minlength=size * size).reshape(size, size)
 
 
 def is_primitive(sub: Substitution) -> bool:
@@ -171,7 +174,6 @@ class PerronData:
     theta: float
     left_vec: np.ndarray
     letter_freq: np.ndarray
-    letter_limits: tuple[np.ndarray, ...]
     residual: float
 
 
@@ -216,13 +218,12 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
         theta = float(col_sums[0])
 
     left = left_raw / float(left_raw @ right)
-    limits = tuple(left[a] * right for a in range(M.shape[0]))
     residual = float(np.abs(A @ right - theta * right).max())
     if residual > tol * max(1.0, theta):
         raise NoConvergence(f"Perron residual {residual:.3e} exceeds tol={tol}")
     if right.min() <= 0 or left.min() <= 0:
         raise NoConvergence("eigenvector failed strict positivity")
-    return PerronData(theta, left, right, limits, residual)
+    return PerronData(theta, left, right, residual)
 
 
 # Letters the sigma^j image table of `fixed_point_prefix` may hold; of
@@ -273,9 +274,18 @@ def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
 
 
 def word_to_str(word: Iterable[int], alphabet_size: int = 10) -> str:
-    """A word in the format `Substitution.from_lines` reads: a digit string
-    on alphabets of up to 10 letters, else space-separated indices."""
+    """A word in the format `str_to_word` reads: a digit string on
+    alphabets of up to 10 letters, else space-separated indices."""
     return (" " if alphabet_size > 10 else "").join(str(int(s)) for s in word)
+
+
+def str_to_word(text: str, alphabet_size: int = 10) -> Word:
+    """The inverse of `word_to_str`: letter indices separated by commas or
+    by whitespace, where a lone token on an alphabet of up to 10 letters
+    holds one letter per digit.  A token that is no integer raises
+    ValueError; letters are not range-checked here."""
+    tokens = text.split(",") if "," in text else text.split()
+    return _as_word(tokens[0] if len(tokens) == 1 and alphabet_size <= 10 else tokens)
 
 
 Block = tuple[int, int]
@@ -286,17 +296,21 @@ def pair_substitution(sub: Substitution) -> dict[Block, tuple[Block, ...]]:
     block to its image blocks, whose keys are the block alphabet in sorted
     order.
 
-    The blocks are the closure of the fixed point's first 2-block
-    (0, image(0)[1]) under the block-image map: its n-th image holds every
-    2-block that starts inside image^n(0), so the closure is exactly the
-    fixed point's 2-block language, rare blocks included, which a fixed
-    prefix scan could miss.  The argument needs the fixed point (checked
-    here: NotFixedPointCapable), not primitivity.
+    The blocks are the closure under the block-image map of the first
+    2-block of the first image with two letters, whose n-th image holds
+    every 2-block that starts inside image^n of it.  For a primitive
+    substitution that seed is in the 2-block language and its closure is
+    the whole language, rare blocks included, which a fixed prefix scan
+    could miss.  When image(0) = 0w the seed is the first block
+    (0, image(0)[1]) of the fixed point at 0, so the closure is that fixed
+    point's 2-block language whether or not the base is primitive.  With
+    no image of two letters there is no seed (NotFixedPointCapable).
     """
-    if not sub.is_fixed_point_capable:
-        raise NotFixedPointCapable("pair substitution requires a fixed point")
+    seed = next((w[:2] for w in sub.images if len(w) > 1), None)
+    if seed is None:
+        raise NotFixedPointCapable("pair substitution needs an image of two or more letters")
     images: dict[Block, tuple[Block, ...]] = {}
-    frontier = [(0, sub.images[0][1])]
+    frontier = [seed]
     while frontier:
         blk = frontier.pop()
         if blk in images:
@@ -308,16 +322,12 @@ def pair_substitution(sub: Substitution) -> dict[Block, tuple[Block, ...]]:
 
 
 def block_frequencies(sub: Substitution, tol: float = 1e-12) -> dict[Block, float]:
-    """Frequencies of the fixed point's 2-blocks: the l1-normalized Perron
-    vector of M2, whose primitivity `perron(M2)` decides.  M2 is primitive
+    """Frequencies of the 2-blocks of `pair_substitution`: the l1-normalized
+    Perron vector of M2, whose primitivity `perron(M2)` decides.  M2 is primitive
     when the base is (Queffelec, LNM 1294), and may be when it is not."""
-    import numpy as np
     pair = pair_substitution(sub)
     index = {b: i for i, b in enumerate(pair)}
-    m = len(pair)
-    # entry (i, j) counts block i in the image of block j
-    cells = [index[b] * m + j for j, img in enumerate(pair.values()) for b in img]
-    M2 = np.bincount(cells, minlength=m * m).reshape(m, m)
+    M2 = _count_matrix(len(pair), ([index[b] for b in img] for img in pair.values()))
     data = perron(M2, tol=tol)
     return {blk: float(f) for blk, f in zip(pair, data.letter_freq)}
 
@@ -344,7 +354,7 @@ def _rigidity_from(freqs: dict[Block, float], data: PerronData) -> RigidityConst
     diag = [freqs.get((a, a), 0.0) for a in range(len(data.letter_freq))]
     r = max(diag)
     witness = diag.index(r)
-    rho = float(data.letter_limits[witness].sum())
+    rho = float((data.left_vec[witness] * data.letter_freq).sum())
     return RigidityConstant(r=r, rho=rho, alpha=r * rho, witness_letter=witness)
 
 

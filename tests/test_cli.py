@@ -122,6 +122,33 @@ def test_subst_analyze_non_primitive_report_is_pinned(tmp_path, capsys):
     assert out == "{\n" + config + report + "}\n"
 
 
+def test_subst_analyze_needs_a_fixed_point_only_for_the_prefix(tmp_path, capsys):
+    path = tmp_path / "golden.txt"
+    path.write_text("0 -> 10\n1 -> 0\n")
+    code, out = run_cli(["subst", "analyze", "--system", str(path)], capsys)
+    assert code == 0
+    phi = (1 + 5**0.5) / 2
+    freqs = json.loads(out)["report"]["block_frequencies"]
+    assert list(freqs) == ["00", "01", "10"]
+    assert list(freqs.values()) == pytest.approx([phi**-3, phi**-2, phi**-2], abs=1e-12)
+    code, out = run_cli(["subst", "analyze", "--system", str(path), "--prefix-len", "64"], capsys)
+    assert code == 1 and json.loads(out)["error"]["type"] == "NotFixedPointCapable"
+
+
+def test_subst_correlate_reads_a_one_letter_block_above_nine(tmp_path, capsys):
+    lines = [f"{i} -> {i} {(i + 1) % 12} {(i + 11) % 12}" for i in range(12)]
+    lines[9] = "9 -> 10"
+    path = tmp_path / "twelve.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(["subst", "correlate", "--system", str(path), "--block", "10", "--shift", "3",
+                         "--prefix-len", "2000"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    sub = Substitution.from_lines(lines)
+    assert report["block"] == "10"
+    assert report["correlation"] == empirical_correlation(sub, (10,), 3, 2000) > 0
+
+
 def test_subst_file_input(tmp_path, capsys):
     path = tmp_path / "fib.txt"
     path.write_text("0 -> 01\n1 -> 0\n")
@@ -263,12 +290,14 @@ def test_rankone_rigidity_shift_stages_beyond_schedule_is_parse_error(stages, ca
         (["rankone", "heights", "--system", "staircase:x"], "--system", "x"),
         (["rankone", "correlate", "--system", "chacon", "--stages", "10", "--shifts", "1,y"], "--shifts", "1,y"),
         (["subst", "correlate", "--system", "rudin-shapiro", "--block", "0x", "--shift", "1"], "--block", "0x"),
+        (["subst", "correlate", "--system", "rudin-shapiro", "--block", "", "--shift", "1"], "--block", ""),
+        (["subst", "correlate", "--system", "rudin-shapiro", "--block", "0,,2", "--shift", "1"], "--block", "0,,2"),
         (["skew", "rigidity", "--k-range", "10-14"], "--k-range", "10-14"),
         (["rankone", "weaklimit", "--system", "historical", "--stage-range", "8:x"], "--stage-range", "8:x"),
         (["spectral", "translate", "--input", "@series.csv", "--times", "16,z"], "--times", "16,z"),
     ],
-    ids=["shift-stages", "levels", "staircase", "correlate-shifts", "block", "k-range",
-         "stage-range", "times"],
+    ids=["shift-stages", "levels", "staircase", "correlate-shifts", "block", "empty-block", "block-commas",
+         "k-range", "stage-range", "times"],
 )
 def test_malformed_integer_argument_is_parse_error(args, flag, bad, tmp_path, capsys):
     _write_series(tmp_path / "series.csv", range(-64, 65))

@@ -21,6 +21,7 @@ from ergolab.substitution import (
     perron,
     prefix_correlation,
     rigidity_constant,
+    str_to_word,
     word_to_str,
 )
 
@@ -54,6 +55,39 @@ def test_from_lines_digit_and_index_formats():
     assert sub.images == RUDIN_SHAPIRO.images
     sub2 = Substitution.from_lines(["0 -> 0 1", "1 -> 0"])
     assert sub2.images == FIBONACCI.images
+    assert Substitution.from_lines(["0 -> 0,1", "1 -> 0"]).images == FIBONACCI.images
+
+
+def test_from_lines_reads_a_one_letter_word_above_nine_on_twelve_letters():
+    # each image is read once the alphabet size is known, so `10` is the
+    # letter 10 on 12 letters, not the two digits 1, 0
+    lines = [f"{i} -> {i} {(i + 1) % 12}" for i in range(12)]
+    lines[9] = "9 -> 10"
+    sub = Substitution.from_lines(lines)
+    assert sub.alphabet_size == 12 and sub.images[9] == (10,)
+    assert sub.images[11] == (11, 0)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 30).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1,
+                                                                              max_size=12))))
+def test_str_to_word_inverts_word_to_str(data):
+    k, w = data
+    assert str_to_word(word_to_str(w, k), k) == tuple(w)
+
+
+@pytest.mark.parametrize("text, k, word", [
+    ("021", 4, (0, 2, 1)), ("0,2,1", 4, (0, 2, 1)), ("0 2\t1", 4, (0, 2, 1)), ("10", 10, (1, 0)),
+    ("10", 11, (10,)), ("1 0", 11, (1, 0)), ("1,0", 11, (1, 0)), (" 3, 11 ", 12, (3, 11)), ("", 4, ()),
+])
+def test_str_to_word_separators(text, k, word):
+    assert str_to_word(text, k) == word
+
+
+@pytest.mark.parametrize("text", ["0x", "0,,1", "0,1,", "0 1,2", "1.5"])
+def test_str_to_word_rejects_a_token_that_is_no_integer(text):
+    with pytest.raises(ValueError):
+        str_to_word(text, 12)
 
 
 def test_fixed_point_capability():
@@ -176,7 +210,7 @@ def test_letter_limits_match_iterative_oracle():
         data = perron(M.astype(np.int64))
         n = 40
         P = np.linalg.matrix_power(M, n) / data.theta**n
-        for a, v in enumerate(data.letter_limits):
+        for a, v in enumerate(np.outer(data.left_vec, data.letter_freq)):
             assert np.allclose(P[:, a], v, atol=1e-6), (sub.name, a)
 
 
@@ -206,7 +240,7 @@ def test_perron_residual_and_limits_on_random_substitutions(sub):
     # M^n e_a / theta^n; |lambda_2| / theta reaches ~0.985 in this family,
     # so n = 2^14 leaves a truncation error far below the tolerance
     P = np.linalg.matrix_power(M / data.theta, 2**14)
-    for a, v in enumerate(data.letter_limits):
+    for a, v in enumerate(np.outer(data.left_vec, data.letter_freq)):
         assert np.allclose(P[:, a], v, atol=1e-6), (sub.images, a)
         assert v.min() > 0, (sub.images, a)  # so ||v||_1 is v.sum() in the reports
 
@@ -214,7 +248,7 @@ def test_perron_residual_and_limits_on_random_substitutions(sub):
 def test_perron_constant_length_limit_norms_are_one():
     for sub in (RUDIN_SHAPIRO, THREE_LETTER):
         data = perron(composition_matrix(sub))
-        for v in data.letter_limits:
+        for v in np.outer(data.left_vec, data.letter_freq):
             assert abs(np.abs(v).sum() - 1.0) < 1e-10
 
 
@@ -474,6 +508,45 @@ def test_block_frequencies_trivial():
     assert block_frequencies(Substitution(1, ((0, 0),))) == {(0, 0): 1.0}
 
 
+def test_block_frequencies_without_a_fixed_point_at_zero():
+    # 0 -> 10, 1 -> 0 is primitive with no fixed point starting at 0; its
+    # 2-block frequencies are 1/phi^3, 1/phi^2, 1/phi^2
+    phi = (1 + 5**0.5) / 2
+    sub = Substitution(2, ((1, 0), (0,)))
+    assert not sub.is_fixed_point_capable
+    freqs = block_frequencies(sub)
+    assert list(freqs) == [(0, 0), (0, 1), (1, 0)]
+    assert list(freqs.values()) == pytest.approx([phi**-3, phi**-2, phi**-2], abs=1e-12)
+    # the reversed images have a fixed point at 0: the same numbers, blocks reversed
+    assert block_frequencies(Substitution(2, ((0, 1), (0,)))) == pytest.approx(
+        {(b, a): f for (a, b), f in freqs.items()}, abs=1e-12)
+
+
+@st.composite
+def any_primitive_substitutions(draw):
+    k = draw(st.integers(2, 5))
+    images = tuple(tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4))) for _ in range(k))
+    sub = Substitution(k, images)
+    assume(is_primitive(sub))
+    return sub
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_primitive_substitutions())
+def test_reversed_images_reverse_the_block_frequencies(sub):
+    # reversing every image reverses every word of the language, so block
+    # ab of the reversed system has the frequency of ba; either side is
+    # often not fixed-point capable
+    rev = Substitution(sub.alphabet_size, tuple(w[::-1] for w in sub.images))
+    try:
+        freqs, rev_freqs = block_frequencies(sub), block_frequencies(rev)
+    except NoConvergence:
+        assume(False)
+    assert sorted(rev_freqs) == sorted((b, a) for a, b in freqs)
+    for (a, b), f in freqs.items():
+        assert abs(rev_freqs[b, a] - f) <= 1e-12, (sub.images, (a, b))
+
+
 def test_block_frequencies_match_eig_oracle():
     pair = pair_substitution(THREE_LETTER)
     index = {b: i for i, b in enumerate(pair)}
@@ -565,8 +638,8 @@ ONE_ZERO = Substitution(2, ((0, 1), (1, 1)))
 def test_pair_substitution_is_the_closure_on_a_non_primitive_base():
     assert pair_substitution(THUE_MORSE_AND_TWO) == pair_substitution(Substitution(2, ((0, 1), (1, 0))))
     assert pair_substitution(ONE_ZERO) == {(0, 1): ((0, 1), (1, 1)), (1, 1): ((1, 1), (1, 1))}
-    with pytest.raises(NotFixedPointCapable):  # a fixed point is what it needs
-        pair_substitution(Substitution(2, ((0,), (1, 1))))
+    # no fixed point at 0: the seed is (1, 1), the first block of the first two-letter image
+    assert pair_substitution(Substitution(2, ((0,), (1, 1)))) == {(1, 1): ((1, 1), (1, 1))}
 
 
 def test_block_frequencies_need_a_primitive_block_matrix_only():
@@ -605,8 +678,8 @@ def test_rigidity_and_analyze_reject_a_non_primitive_base(sub):
     # the dominant eigenvalue of a matrix with a negative entry need not have a positive vector
     (lambda: perron(np.array([[1, 1], [1, -3]])), NoConvergence, "eigenvector failed strict positivity"),
     (lambda: fixed_point_prefix(RUDIN_SHAPIRO, 0), ValueError, "length must be positive"),
-    (lambda: pair_substitution(Substitution(2, ((1, 0), (0, 1)))), NotFixedPointCapable,
-     "pair substitution requires a fixed point"),
+    (lambda: pair_substitution(Substitution(1, ((0,),))), NotFixedPointCapable,
+     "pair substitution needs an image of two or more letters"),
     (lambda: prefix_correlation(np.zeros(8, dtype=np.int64), (0,), -1), ValueError, "shift must be nonnegative"),
 ])
 def test_input_checks_name_the_fault(call, error, message):
