@@ -102,8 +102,13 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
         data = substitution.perron(M, tol=tol)
     except substitution.NotPrimitive:
         return {**report, "primitive": False}
-    freqs = substitution.block_frequencies(sub, tol=tol)  # keys in block-alphabet order
-    rig = substitution._rigidity_from(freqs, data)
+    if prefix_len:  # before the block solve, so a substitution without a fixed point at 0 costs none
+        prefix = substitution.fixed_point_prefix(sub, prefix_len)
+        if len(prefix) <= 2:  # the message prefix_correlation gives a 2-block at shift 0
+            raise substitution.PrefixTooShort("need prefix_len > shift + block length = 2")
+    pair = substitution.pair_substitution(sub)
+    freqs = substitution._block_frequencies(sub, pair, data, tol)  # keys in block-alphabet order
+    rig = substitution._rigidity_from(freqs, data, tol)
     names = {b: substitution.word_to_str(b, sub.alphabet_size) for b in freqs}
     report.update(
         {
@@ -141,10 +146,7 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
         }
     if prefix_len:
         import numpy as np
-        prefix = substitution.fixed_point_prefix(sub, prefix_len)
         n, k = len(prefix), sub.alphabet_size
-        if n <= 2:  # the message prefix_correlation gives a 2-block at shift 0
-            raise substitution.PrefixTooShort("need prefix_len > shift + block length = 2")
         # prefix_correlation(prefix, (a, b), 0) counts (a, b) at positions 0..n-3, over n - 2
         counts = np.bincount(prefix[: n - 2] * k + prefix[1 : n - 1], minlength=k * k).tolist()
         checks = {}

@@ -13,14 +13,17 @@ of M and one of its transpose, and are accepted only when the residual
   * letter frequencies  = l1-normalized right Perron eigenvector of M,
   * per-letter limits   v(a) = lim M^n e_a / theta^n, realized here as
     left[a] * right under the normalization left . right = 1,
-  * 2-block (cylinder) frequencies = right Perron eigenvector of the
-    composition matrix of the induced substitution on admissible
-    2-blocks, where the image of block (ab) consists of the first
-    |image(a)| consecutive 2-blocks of image(a)image(b).
+  * 2-block (cylinder) frequencies = the solution v of one linear system
+    of size |blocks| built from the letter data (Queffelec, LNM 1294): in
+    u = sigma(u) every 2-block lies inside some image(c) or straddles
+    image(c)image(d), so theta v = A f + B v, where A(ab, c) counts ab
+    inside image(c) and B sends block cd to (last letter of image(c),
+    first letter of image(d)).  B maps the blocks to themselves, so its
+    spectral radius is 1 < theta and v is unique.
 
 From these the rigidity constant alpha = r * rho is formed, with r the
 largest frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1
-for the smallest letter a_r attaining r.
+for the smallest letter a_r whose (aa) frequency is within tol * r of r.
 
 The empirical side reads a prefix of the fixed point u starting at 0.
 u is also the fixed point of every power sigma^j, so the prefix is
@@ -136,14 +139,10 @@ THREE_LETTER_REFERENCE_ALPHA = 0.3104979673e-7
 
 def composition_matrix(sub: Substitution) -> np.ndarray:
     """k x k integer matrix; entry (i, j) counts letter i in image(j)."""
-    return _count_matrix(sub.alphabet_size, sub.images)
-
-
-def _count_matrix(size: int, images: Iterable[Iterable[int]]) -> np.ndarray:
-    """size x size integer matrix; entry (i, j) counts i in images[j]."""
     import numpy as np
-    cells = [i * size + j for j, w in enumerate(images) for i in w]
-    return np.bincount(cells, minlength=size * size).reshape(size, size)
+    k = sub.alphabet_size
+    cells = [i * k + j for j, w in enumerate(sub.images) for i in w]
+    return np.bincount(cells, minlength=k * k).reshape(k, k)
 
 
 def is_primitive(sub: Substitution) -> bool:
@@ -322,14 +321,51 @@ def pair_substitution(sub: Substitution) -> dict[Block, tuple[Block, ...]]:
 
 
 def block_frequencies(sub: Substitution, tol: float = 1e-12) -> dict[Block, float]:
-    """Frequencies of the 2-blocks of `pair_substitution`: the l1-normalized
-    Perron vector of M2, whose primitivity `perron(M2)` decides.  M2 is primitive
-    when the base is (Queffelec, LNM 1294), and may be when it is not."""
+    """Frequencies of the 2-blocks of `pair_substitution`, from the Perron
+    data of M restricted to the letters of those blocks, whose primitivity
+    `perron` decides.  With a primitive base that is M itself; on a
+    non-primitive base the fixed point at 0 may still use a primitive part
+    of M (0->01, 1->10, 2->22 gives Thue-Morse's 1/6, 1/3, 1/3, 1/6)."""
+    import numpy as np
     pair = pair_substitution(sub)
+    letters = _block_letters(pair)
+    data = perron(composition_matrix(sub)[np.ix_(letters, letters)], tol=tol)
+    return _block_frequencies(sub, pair, data, tol)
+
+
+def _block_letters(pair: dict[Block, tuple[Block, ...]]) -> list[int]:
+    return sorted({a for blk in pair for a in blk})
+
+
+def _block_frequencies(
+    sub: Substitution, pair: dict[Block, tuple[Block, ...]], data: PerronData, tol: float
+) -> dict[Block, float]:
+    """The frequencies v of `pair`'s blocks from one solve of
+    (theta I - B) v = A f (see the module docstring), with f and theta from
+    `data`, the Perron data of M on the letters of those blocks.  B(cd) is
+    the last block of cd's image.  NoConvergence is raised when
+    ||(theta I - B) v - A f||_inf exceeds tol * max(1, theta) or v is not
+    strictly positive.
+    """
+    import numpy as np
+    n = len(pair)
+    if n == 1:  # one block has frequency 1, also where theta = 1 makes theta I - B singular
+        return dict.fromkeys(pair, 1.0)
     index = {b: i for i, b in enumerate(pair)}
-    M2 = _count_matrix(len(pair), ([index[b] for b in img] for img in pair.values()))
-    data = perron(M2, tol=tol)
-    return {blk: float(f) for blk, f in zip(pair, data.letter_freq)}
+    rhs = [0.0] * n
+    for c, f in zip(_block_letters(pair), data.letter_freq.tolist(), strict=True):
+        w = sub.images[c]
+        for blk in zip(w, w[1:]):
+            rhs[index[blk]] += f
+    T = np.diag(np.full(n, data.theta))
+    T[[index[img[-1]] for img in pair.values()], np.arange(n)] -= 1.0
+    v = np.linalg.solve(T, rhs)
+    residual = float(np.abs(T @ v - rhs).max())
+    if residual > tol * max(1.0, data.theta):
+        raise NoConvergence(f"block residual {residual:.3e} exceeds tol={tol}")
+    if v.min() <= 0:
+        raise NoConvergence("block frequencies failed strict positivity")
+    return dict(zip(pair, (v / v.sum()).tolist()))
 
 
 class RigidityConstant(NamedTuple):
@@ -342,18 +378,20 @@ class RigidityConstant(NamedTuple):
 def rigidity_constant(sub: Substitution, tol: float = 1e-12) -> RigidityConstant:
     """alpha = r * rho with r the top repeated-letter block frequency.
 
-    Blocks (aa) absent from the language contribute frequency 0; ties are
-    broken toward the smallest letter.
+    Blocks (aa) absent from the language contribute frequency 0; ties
+    (frequencies within tol * r of r) are broken toward the smallest letter.
     """
     data = perron(composition_matrix(sub), tol=tol)  # a non-primitive base fails here
-    return _rigidity_from(block_frequencies(sub, tol=tol), data)
+    return _rigidity_from(_block_frequencies(sub, pair_substitution(sub), data, tol), data, tol)
 
 
-def _rigidity_from(freqs: dict[Block, float], data: PerronData) -> RigidityConstant:
-    """The rigidity constant from the 2-block frequencies and the Perron data of M."""
+def _rigidity_from(freqs: dict[Block, float], data: PerronData, tol: float) -> RigidityConstant:
+    """The rigidity constant from the 2-block frequencies and the Perron data
+    of M.  Frequencies within tol * r of the top one r tie, since equal
+    frequencies can differ in the last bits."""
     diag = [freqs.get((a, a), 0.0) for a in range(len(data.letter_freq))]
     r = max(diag)
-    witness = diag.index(r)
+    witness = next(a for a, x in enumerate(diag) if r - x <= tol * r)
     rho = float((data.left_vec[witness] * data.letter_freq).sum())
     return RigidityConstant(r=r, rho=rho, alpha=r * rho, witness_letter=witness)
 

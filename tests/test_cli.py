@@ -759,18 +759,36 @@ def test_one_group_parser_parses_as_the_full_parser(capsys):
         assert _parse(cli._parser_for(argv), argv, capsys) == _parse(full, argv, capsys), argv
 
 
-def test_subst_analyze_builds_m_once_and_decides_primitivity_twice(monkeypatch):
-    # perron(M) and perron(M2) are the only primitivity checks of a report
-    from ergolab import substitution
-
-    calls = {"composition_matrix": 0, "_matrix_is_primitive": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(substitution, name), _name=name):
+def _count_calls(monkeypatch, module, names) -> dict:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(substitution, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_subst_analyze_builds_m_once_and_decides_primitivity_once(monkeypatch):
+    # perron(M) is the only primitivity check and the only eigenproblem of a
+    # report: its two eig calls are for M and M.T, and the blocks take one solve
+    import numpy as np
+    from ergolab import substitution
+
+    calls = _count_calls(monkeypatch, substitution, ("composition_matrix", "_matrix_is_primitive"))
+    eig = _count_calls(monkeypatch, np.linalg, ("eig",))
     report_subst_analyze(THREE_LETTER, 1e-12, 64)
-    assert calls == {"composition_matrix": 1, "_matrix_is_primitive": 2}
+    assert calls == {"composition_matrix": 1, "_matrix_is_primitive": 1} and eig == {"eig": 2}
+
+
+def test_subst_analyze_rejects_a_missing_fixed_point_before_building_blocks(monkeypatch):
+    from ergolab import substitution
+
+    calls = _count_calls(monkeypatch, substitution, ("pair_substitution",))
+    golden = Substitution(2, ((1, 0), (0,)))  # primitive, image(0) starts with 1
+    with pytest.raises(substitution.NotFixedPointCapable):
+        report_subst_analyze(golden, 1e-12, 64)
+    assert calls == {"pair_substitution": 0}
 
 
 def test_subst_analyze_nan_tol_on_a_non_primitive_file_is_a_named_error(tmp_path, capsys):

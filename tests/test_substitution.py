@@ -401,33 +401,6 @@ def primitive_substitutions():
 
 
 @settings(max_examples=40, deadline=None)
-@given(primitive_substitutions())
-def test_block_matrix_is_the_pair_substitution_composition_matrix(sub):
-    # block_frequencies passes M2 to perron; the old construction built a
-    # Substitution over the block alphabet and took its composition matrix
-    from ergolab import substitution
-
-    seen = []
-    real = substitution.perron
-
-    def capture(M, tol=1e-12):
-        seen.append(M)
-        return real(M, tol=tol)
-
-    substitution.perron = capture
-    try:
-        substitution.block_frequencies(sub)
-    except NoConvergence:
-        pass
-    finally:
-        substitution.perron = real
-    pair = pair_substitution(sub)
-    index = {b: i for i, b in enumerate(pair)}
-    old = composition_matrix(Substitution(len(pair), tuple(tuple(index[b] for b in img) for img in pair.values())))
-    assert len(seen) == 1 and np.array_equal(seen[0], old)
-
-
-@settings(max_examples=40, deadline=None)
 @given(primitive_substitutions(), st.sampled_from([3, 4, 1000]))
 def test_analyze_empirical_check_rows_equal_prefix_correlation(sub, prefix_len):
     from ergolab import cli
@@ -531,6 +504,31 @@ def any_primitive_substitutions(draw):
     return sub
 
 
+def pair_perron_oracle(pair) -> np.ndarray:
+    """The l1-normalized Perron vector of the composition matrix M2 of the
+    induced substitution on blocks, in the order of `pair`."""
+    index = {b: i for i, b in enumerate(pair)}
+    M2 = np.zeros((len(pair), len(pair)))
+    for j, img in enumerate(pair.values()):
+        for b in img:
+            M2[index[b], j] += 1
+    eigvals, eigvecs = np.linalg.eig(M2)
+    v = eigvecs[:, np.argmax(np.abs(eigvals))].real
+    return v / v.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(primitive_substitutions(), any_primitive_substitutions()))
+def test_block_frequencies_are_the_perron_vector_of_the_pair_substitution(sub):
+    try:
+        freqs = block_frequencies(sub)
+    except NoConvergence:
+        assume(False)
+    pair = pair_substitution(sub)
+    assert list(freqs) == list(pair)
+    assert np.abs(np.array(list(freqs.values())) - pair_perron_oracle(pair)).max() <= 1e-14, sub.images
+
+
 @settings(max_examples=80, deadline=None)
 @given(any_primitive_substitutions())
 def test_reversed_images_reverse_the_block_frequencies(sub):
@@ -549,15 +547,7 @@ def test_reversed_images_reverse_the_block_frequencies(sub):
 
 def test_block_frequencies_match_eig_oracle():
     pair = pair_substitution(THREE_LETTER)
-    index = {b: i for i, b in enumerate(pair)}
-    M2 = np.zeros((len(pair), len(pair)))
-    for j, img in enumerate(pair.values()):
-        for b in img:
-            M2[index[b], j] += 1
-    eigvals, eigvecs = np.linalg.eig(M2)
-    i = np.argmax(np.abs(eigvals))
-    v = np.abs(eigvecs[:, i].real)
-    v /= v.sum()
+    v = pair_perron_oracle(pair)
     freqs = block_frequencies(THREE_LETTER)
     for blk, expected in zip(pair, v):
         assert abs(freqs[blk] - expected) < 1e-9
@@ -586,6 +576,23 @@ def test_rigidity_three_letter_witness():
     freqs = block_frequencies(THREE_LETTER)
     assert rig.r == max(freqs.get((a, a), 0.0) for a in range(3))
     assert rig.alpha == pytest.approx(rig.r, abs=1e-10)
+
+
+@pytest.mark.parametrize("images, rho", [
+    (((0, 0, 1, 1), (0, 1, 1, 0)), 1.0),  # 00 and 11 both 1/4
+    (((0, 0, 1, 1), (0, 1)), 4 / 3),  # 00 and 11 both 1/6; letter 1 has rho 2/3
+])
+def test_rigidity_tied_blocks_take_the_smallest_letter(images, rho):
+    # two routes to one frequency can differ in the last bits, so a float
+    # argmax would let rounding pick the witness
+    from ergolab import cli
+
+    sub = Substitution(2, images)
+    rig = rigidity_constant(sub)
+    freqs = block_frequencies(sub)
+    assert freqs[0, 0] == pytest.approx(freqs[1, 1], abs=1e-15)
+    assert rig.witness_letter == 0 and rig.rho == pytest.approx(rho, abs=1e-12)
+    assert cli.report_subst_analyze(sub, 1e-12, 0)["rigidity_constant"] == rig._asdict()
 
 
 def test_rigidity_requires_primitive():
@@ -631,7 +638,7 @@ def test_empirical_block_outside_alphabet():
 # letter 2 never meets 0 and 1, so M is not primitive, but the fixed point
 # from 0 is Thue-Morse's and its 2-block matrix is primitive
 THUE_MORSE_AND_TWO = Substitution(3, ((0, 1), (1, 0), (2, 2)))
-# 0 occurs once in the fixed point 0111..., so M2 is not primitive either
+# 0 occurs once in the fixed point 0111..., so M on the letters of its blocks is not primitive
 ONE_ZERO = Substitution(2, ((0, 1), (1, 1)))
 
 
