@@ -307,21 +307,21 @@ def _log_term(t: TailDescriptor, d: int) -> float:
 def _log_tail_sum(t: TailDescriptor, d0: int) -> float:
     """log of sum_{d >= d0} of the squared tail term f(d) at distance d.
 
-    Exact for a geometric tail.  Otherwise the first 2,000 terms plus the
-    integral of the rest from D = d0 + 2,000, which is f(D) times D / (2s - 1)
-    (polynomial) or times int_0^inf e^(-2u) (u + D^gamma)^(1/gamma - 1) du / gamma
-    (stretched, u = x^gamma - D^gamma; trapezoid on 400 nodes of [0, 20], or
-    of a window that covers the integrand's peak at u = (1/gamma - 1)/2 - D^gamma
-    when that is positive).  All is summed relative to f(d0), so d0^gamma up
-    to 65536^6 does not underflow, and the integral is taken as a log, so a
-    small gamma does not overflow.
+    Exact for a geometric tail.  Otherwise the first 2,000 terms plus the rest from
+    D = d0 + 2,000: f(D) times D / (2s - 1) + 1/2 + s / (6D), the integral and the
+    Euler-Maclaurin end terms (polynomial), or times the integral
+    int_0^inf e^(-2u) (u + D^gamma)^(1/gamma - 1) du / gamma (stretched, u = x^gamma -
+    D^gamma; trapezoid on 400 nodes of [0, 20], or of a window that covers the
+    integrand's peak at u = (1/gamma - 1)/2 - D^gamma when that is positive).  All
+    is summed relative to f(d0), so d0^gamma up to 65536^6 does not underflow, and
+    the integral is taken as a log, so a small gamma does not overflow.
     """
     first = _log_term(t, d0)
     if t.kind == "geometric":  # c^2 q^(2 d0) / (1 - q^2)
         return first - math.log1p(-t.q * t.q)
     D = d0 + 2000
     if t.kind == "polynomial":
-        log_rest = math.log(D / (2 * t.s - 1))
+        log_rest = math.log(D / (2 * t.s - 1) + 0.5 + t.s / (6 * D))
     else:
         base, k = D**t.gamma, 1 / t.gamma - 1
         # [0, 20] when the integrand falls from u = 0; else its peak +- 20 and

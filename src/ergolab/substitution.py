@@ -26,17 +26,17 @@ largest frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1
 for the smallest letter a_r whose (aa) frequency is within tol * r of r.
 
 The empirical side reads a prefix of the fixed point u starting at 0.
-u is also the fixed point of every power sigma^j, so the prefix is
-expanded on a power whose images fill a small table, in a few array
-passes instead of one per generation of sigma.  `prefix_correlation`
-scans it for one block; the `subst analyze` report counts all 2-blocks
-in one pass over it.
+u is also the fixed point of every power sigma^j, so one step (each letter
+of a word replaced by its table image) composes sigma^j, then grows u with
+each prefix letter expanded once.  `prefix_correlation` scans it for one
+block; the `subst analyze` report counts all 2-blocks in one pass over it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
@@ -225,51 +225,50 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
     return PerronData(theta, left, right, residual)
 
 
-# Letters the sigma^j image table of `fixed_point_prefix` may hold; of
-# 64..1024, 256 built 8192-letter prefixes of random 2..5-letter
-# substitutions fastest.
-_POWER_LETTERS = 256
+# Letters the sigma^j image table of `fixed_point_prefix` may hold: of
+# 512..8192, 4096 built each measured class of prefix (CHANGES.md) within
+# 1.3x of the fastest bound.
+_POWER_LETTERS = 4096
 
 
 def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
-    """First `length` symbols of the one-sided fixed point starting at 0.
+    """First `length` symbols of the one-sided fixed point u starting at 0.
 
-    The fixed point of sigma is also the fixed point of every power
-    sigma^j, so the prefix is expanded on sigma^j: its images are composed
-    in Python, sigma^(j+1)(a) = sigma^j(sigma(a)), while the table holds at
-    most _POWER_LETTERS letters (a bound on letters, not on j, so a slowly
-    growing substitution, say with length-1 images, never expands the whole
-    prefix in Python), and sigma^j(0) is then grown by numpy repeat/gather
-    passes until it reaches `length`.
+    u is also the fixed point of every power sigma^j, so composing sigma^j and
+    growing u are one step: a word of array("I") bytes becomes the join of its
+    letters' table images.  The step squares the table, sigma^(2j)(a) =
+    sigma^j(sigma^j(a)), while it holds at most _POWER_LETTERS letters, so even
+    length-1 images take O(log j) steps.  Then each pass appends to w =
+    sigma^j(u[:done]), a prefix of u, only the images of the letters from `done`
+    up to the one whose image reaches `length`: no letter is expanded twice.
     """
     import numpy as np
+    from array import array
     if length < 1:
         raise ValueError("length must be positive")
     if not sub.is_fixed_point_capable:
         raise NotFixedPointCapable("image of 0 must start with 0 and grow")
-    images = table = sub.images
-    table_lens = [len(img) for img in images]
-    while len(table[0]) < length:
-        grown = [sum(table_lens[s] for s in img) for img in images]
-        if sum(grown) > _POWER_LETTERS:
+    size = array("I").itemsize
+    table = [array("I", img).tobytes() for img in sub.images]
+    lens = [len(img) for img in table]  # in bytes, as are all lengths below
+
+    def step(word: bytes) -> bytes:
+        return b"".join(map(table.__getitem__, memoryview(word).cast("I")))
+
+    while len(table[0]) < size * length:
+        grown = [sum(map(lens.__getitem__, memoryview(img).cast("I"))) for img in table]
+        if sum(grown) > size * _POWER_LETTERS:
             break
-        table = [tuple(chain.from_iterable(table[s] for s in img)) for img in images]
-        table_lens = grown
-    w = np.array(table[0][:length], dtype=np.int64)
-    if len(w) == length:
-        return w
-    lens = np.array(table_lens, dtype=np.int64)
-    flat = np.array(list(chain.from_iterable(table)), dtype=np.int64)
-    stops = lens.cumsum()  # the image of a is flat[stops[a] - lens[a]:stops[a]]
-    while len(w) < length:
-        sizes = lens[w]
-        ends = sizes.cumsum()
-        # expand only up to the first letter whose image reaches `length`
-        used = int(ends.searchsorted(length)) + 1
-        w, sizes, ends = w[:used], sizes[:used], ends[:used]
-        # position p < ends[i] of the image of w[i] reads flat[stops[w[i]] - ends[i] + p]
-        w = flat[(stops[w] - ends).repeat(sizes) + np.arange(ends[-1])]
-    return w[:length]
+        table, lens = [step(img) for img in table], grown
+    word, done = table[0], 1
+    while len(word) < size * length:
+        need = size * length - len(word)
+        # enough letters to reach `length` even if every image is the shortest
+        chunk = word[size * done : size * (done - -need // min(lens))]
+        ends = list(accumulate(map(lens.__getitem__, memoryview(chunk).cast("I"))))
+        chunk = chunk[: size * (bisect_left(ends, need) + 1)]
+        word, done = word + step(chunk), done + len(chunk) // size
+    return np.frombuffer(word, np.uintc, length).astype(np.int64)
 
 
 def word_to_str(word: Iterable[int], alphabet_size: int = 10) -> str:
@@ -424,7 +423,7 @@ def empirical_correlation(
 
     Brute-force counterpart of the eigenvector frequencies.
     """
-    block = _as_word(block)
-    if not all(0 <= s < sub.alphabet_size for s in block):
-        raise ValueError(f"block {word_to_str(block)} has a letter outside 0..{sub.alphabet_size - 1}")
+    block, k = _as_word(block), sub.alphabet_size
+    if not all(0 <= s < k for s in block):
+        raise ValueError(f"block {' '.join(map(str, block))} has a letter outside 0..{k - 1}")
     return prefix_correlation(fixed_point_prefix(sub, prefix_len), block, shift)

@@ -346,10 +346,12 @@ def test_beurling_partial_sums_match_frozen_per_n_formulas(case):
 
 
 def numpy_log_tail_sum(t: TailDescriptor, d0: int) -> float:
-    """The polynomial tail formula on numpy arrays (test oracle)."""
-    s2 = 2 * t.s
+    """The polynomial tail formula on numpy arrays: 2,000 terms, then the
+    integral from D and the end terms f(D)/2 - f'(D)/12 (test oracle)."""
+    s2, D = 2 * t.s, d0 + 2000.0
     d = np.arange(d0, d0 + 2000, dtype=np.float64)
-    return 2 * math.log(t.c) + math.log(float((d**-s2).sum()) + (d0 + 2000.0) ** (1 - s2) / (s2 - 1))
+    rest = D**-s2 * (D / (s2 - 1) + 0.5 + t.s / (6 * D))
+    return 2 * math.log(t.c) + math.log(float((d**-s2).sum()) + rest)
 
 
 def stretched_rule(t: TailDescriptor, d0: int, terms: int) -> float:
@@ -406,11 +408,23 @@ def test_tail_sum_matches_numpy_formula(kind, c, exponent, d0):
         # the trapezoid's step limits the rule: 40,000 explicit terms moved it by up to 4.9e-4
         assert abs(got - stretched_rule(t, d0, 40_000)) <= 1e-3
         return
-    # like the polynomial rule, the integral from D leaves out the end term
-    # f(D)/2 of the sum; near gamma = 0.5 and d0 = 70,000 that is 5.7e-7 of it
+    # unlike the polynomial rule, the stretched integral from D leaves out the end
+    # term f(D)/2 of the sum; near gamma = 0.5 and d0 = 70,000 that is 5.7e-7 of it
     exact = stretched_term_by_term(t, d0)
     end_term = 2 * math.log(c) - 2 * (d0 + 2000) ** exponent
     assert abs(got - exact) <= 1e-9 + math.exp(end_term - exact) + ulps
+
+
+@pytest.mark.parametrize("s, d0", [(7.0, 26_000), (1.5, 1000)])
+def test_polynomial_tail_sum_matches_a_long_explicit_sum(s, d0):
+    from ergolab.spectral import _log_tail_sum
+
+    # 200,000 terms by fsum, then the rest from E by the integral and the end
+    # terms; the first term that leaves out, f'''(E)/720, is below 1e-25 of the sum
+    E = d0 + 200_000
+    head = math.fsum(d ** (-2 * s) for d in range(d0, E))
+    want = math.log(head + E ** (-2 * s) * (E / (2 * s - 1) + 0.5 + s / (6 * E)))
+    assert abs(math.expm1(_log_tail_sum(TailDescriptor("polynomial", c=1.0, s=s), d0) - want)) <= 1e-12
 
 
 def stretched_tail_integral(t: TailDescriptor, D: int) -> float:

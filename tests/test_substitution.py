@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from ergolab.substitution import (
     RUDIN_SHAPIRO,
     THREE_LETTER,
+    _POWER_LETTERS,
     NoConvergence,
     NotFixedPointCapable,
     NotPrimitive,
@@ -335,6 +339,57 @@ def test_fixed_point_prefix_matches_oracle_at_generation_lengths(sub, data):
     for length in (n - 1, n, n + 1):
         if length >= 1:
             assert fixed_point_prefix(sub, length).tolist() == want[:length]
+
+
+def slow_closed_forms(length: int) -> list[tuple[Substitution, list[int]]]:
+    """Fixed points whose length grows linearly or quadratically in the
+    generation, where `prefix_oracle` is quadratic in `length` (test oracle)."""
+    quadratic, i = [0], 0
+    while len(quadratic) < length:
+        quadratic += [1] + [2] * i  # 0 1 12 122 1222 ...
+        i += 1
+    return [
+        (Substitution(3, ((0, 1, 2), (1,), (2,))), ([0] + [1, 2] * length)[:length]),  # 0 12 12 12 ...
+        (Substitution(3, ((0, 1), (1, 2), (2,))), quadratic[:length]),
+    ]
+
+
+def test_fixed_point_prefix_grows_slow_substitutions():
+    n = 65_536
+    for sub, want in slow_closed_forms(n):
+        for length in (1, 2, 3, _POWER_LETTERS - 1, _POWER_LETTERS, _POWER_LETTERS + 1, 8192, n):
+            assert fixed_point_prefix(sub, length).tolist() == want[:length]
+
+
+def wide_substitution() -> Substitution:
+    """Images of 1 to 3 letters over 300 letters, so letters above 255 need 4-byte items."""
+    rng = random.Random(300)
+    return Substitution(300, [(0, 299, 1)] + [tuple(rng.choices(range(300), k=rng.randint(1, 3))) for _ in range(299)])
+
+
+@pytest.mark.parametrize("sub", [RUDIN_SHAPIRO, THREE_LETTER, FIBONACCI, wide_substitution()])
+def test_fixed_point_prefix_at_the_table_bound(sub):
+    want = prefix_oracle(sub, 8192)
+    assert max(want) == sub.alphabet_size - 1
+    for length in (1, _POWER_LETTERS - 1, _POWER_LETTERS, _POWER_LETTERS + 1, 8192):
+        assert fixed_point_prefix(sub, length).tolist() == want[:length]
+
+
+@pytest.mark.parametrize("sub, head", [
+    (Substitution(2, ((0, 1), (1,) * 4000)), [0]),  # one more power would hold 16M letters
+    # the letters after 0 1 2 1 read image(2) 1 image(2)^2000, each 2 expanding to 2,000 letters
+    (Substitution(3, ((0, 1, 2), (1,), (2,) * 2000)), [0, 1, 2, 1] + [2] * 2000 + [1]),
+])
+def test_fixed_point_prefix_memory_is_bounded_by_table_and_length(sub, head):
+    n = 65_536
+    tracemalloc.start()
+    try:
+        prefix = fixed_point_prefix(sub, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prefix.tolist() == head + [sub.alphabet_size - 1] * (n - len(head))
+    assert peak < 4 * n * 8
 
 
 def capability_oracle(sub: Substitution) -> bool:
@@ -685,6 +740,9 @@ def test_rigidity_and_analyze_reject_a_non_primitive_base(sub):
     # the dominant eigenvalue of a matrix with a negative entry need not have a positive vector
     (lambda: perron(np.array([[1, 1], [1, -3]])), NoConvergence, "eigenvector failed strict positivity"),
     (lambda: fixed_point_prefix(RUDIN_SHAPIRO, 0), ValueError, "length must be positive"),
+    # the block as separate letters, which read back, not as the digit strings 112 and 0-1
+    (lambda: empirical_correlation(THREE_LETTER, (1, 12), 1, 64), ValueError, r"block 1 12 has a letter outside 0\.\.2"),
+    (lambda: empirical_correlation(RUDIN_SHAPIRO, (0, -1), 1, 64), ValueError, r"block 0 -1 has a letter outside 0\.\.3"),
     (lambda: pair_substitution(Substitution(1, ((0,),))), NotFixedPointCapable,
      "pair substitution needs an image of two or more letters"),
     (lambda: prefix_correlation(np.zeros(8, dtype=np.int64), (0,), -1), ValueError, "shift must be nonnegative"),
