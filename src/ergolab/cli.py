@@ -110,18 +110,18 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
     freqs = substitution._block_frequencies(sub, pair, data, tol)  # keys in block-alphabet order
     rig = substitution._rigidity_from(freqs, data, tol)
     names = {b: substitution.word_to_str(b, sub.alphabet_size) for b in freqs}
+    marginals = [0] * sub.alphabet_size  # each letter's blocks added in block order; 0 where it has none
+    for (a, _), f in freqs.items():
+        marginals[a] += f
     report.update(
         {
             "theta": data.theta,
             "letter_frequencies": data.letter_freq.tolist(),
             "perron_residual": data.residual,
-            "letter_limit_norms": [float((left * data.letter_freq).sum()) for left in data.left_vec],
+            "letter_limit_norms": (data.left_vec[:, None] * data.letter_freq).sum(axis=1).tolist(),
             "block_alphabet": list(names.values()),
             "block_frequencies": {names[b]: f for b, f in freqs.items()},
-            "marginal_check": {
-                str(a): sum(f for (x, _), f in freqs.items() if x == a)
-                for a in range(sub.alphabet_size)
-            },
+            "marginal_check": {str(a): m for a, m in enumerate(marginals)},
             "rigidity_constant": {
                 "r": rig.r,
                 "rho": rig.rho,

@@ -7,19 +7,22 @@ containing every letter), the associated subshift is uniquely ergodic and
 all frequency questions reduce to Perron-Frobenius data of the
 composition matrix M, whose entry (i, j) counts occurrences of letter i
 in the image of letter j.  The data come from one eigen-decomposition
-of M and one of its transpose, and are accepted only when the residual
-||M right - theta right||_inf is at most tol * max(1, theta):
+of M, plus one of its transpose when the image lengths differ (with
+constant length q the left vector is all ones, since 1^T M = q 1^T), and
+are accepted only when the residual ||M right - theta right||_inf is at
+most tol * max(1, theta):
 
   * letter frequencies  = l1-normalized right Perron eigenvector of M,
   * per-letter limits   v(a) = lim M^n e_a / theta^n, realized here as
     left[a] * right under the normalization left . right = 1,
   * 2-block (cylinder) frequencies = the solution v of one linear system
-    of size |blocks| built from the letter data (Queffelec, LNM 1294): in
-    u = sigma(u) every 2-block lies inside some image(c) or straddles
-    image(c)image(d), so theta v = A f + B v, where A(ab, c) counts ab
-    inside image(c) and B sends block cd to (last letter of image(c),
-    first letter of image(d)).  B maps the blocks to themselves, so its
-    spectral radius is 1 < theta and v is unique.
+    built from the letter data (Queffelec, LNM 1294): in u = sigma(u)
+    every 2-block lies inside some image(c) or straddles image(c)image(d),
+    so theta v = A f + B v, where A(ab, c) counts ab inside image(c) and B
+    sends block cd to (last letter of image(c), first letter of image(d)).
+    B maps the blocks to themselves, so its spectral radius is 1 < theta
+    and v is unique; it is solved along B's functional graph in
+    O(|blocks|) time and memory, with no matrix.
 
 From these the rigidity constant alpha = r * rho is formed, with r the
 largest frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1
@@ -37,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from math import fsum
 from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
@@ -193,14 +197,16 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
     """Perron-Frobenius data of a primitive nonnegative integer matrix.
 
     theta and the right eigenvector come from one eigen-decomposition of
-    M, the left eigenvector from one of M.T.  The right eigenvector is
-    normalized to l1-sum 1 (letter frequencies); the left eigenvector is
-    scaled so that left . right = 1, which makes v(a) = left[a] * right the
-    limit of M^n e_a / theta^n.  For constant-column-sum matrices
-    (constant-length substitutions) theta is the exact integer column sum.
-    NotPrimitive (the analysis' one primitivity check) is raised when no power
-    of M is entrywise positive, NoConvergence when ||M right - theta right||_inf
-    exceeds tol * max(1, theta) or a vector is not strictly positive.
+    M.  The right eigenvector is normalized to l1-sum 1 (letter
+    frequencies); the left eigenvector is scaled so that left . right = 1,
+    which makes v(a) = left[a] * right the limit of M^n e_a / theta^n.  For
+    constant-column-sum matrices (constant-length substitutions) theta is
+    the exact integer column sum q and the left vector is exactly all ones,
+    since 1^T M = q 1^T; other matrices take it from one eigen-decomposition
+    of M.T.  NotPrimitive (the analysis' one primitivity check) is raised
+    when no power of M is entrywise positive, NoConvergence when
+    ||M right - theta right||_inf exceeds tol * max(1, theta) or a vector is
+    not strictly positive.
     """
     if not 0 <= tol < float("inf"):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -210,13 +216,13 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
         raise NotPrimitive("matrix has no entrywise-positive power")
     A = M.astype(float)
     theta, right = _dominant_eigenvector(A)
-    _, left_raw = _dominant_eigenvector(A.T)
 
     col_sums = M.sum(axis=0)
     if np.all(col_sums == col_sums[0]):
-        theta = float(col_sums[0])
-
-    left = left_raw / float(left_raw @ right)
+        theta, left = float(col_sums[0]), np.ones(len(A))
+    else:
+        _, left_raw = _dominant_eigenvector(A.T)
+        left = left_raw / float(left_raw @ right)
     residual = float(np.abs(A @ right - theta * right).max())
     if residual > tol * max(1.0, theta):
         raise NoConvergence(f"Perron residual {residual:.3e} exceeds tol={tol}")
@@ -324,7 +330,8 @@ def block_frequencies(sub: Substitution, tol: float = 1e-12) -> dict[Block, floa
     data of M restricted to the letters of those blocks, whose primitivity
     `perron` decides.  With a primitive base that is M itself; on a
     non-primitive base the fixed point at 0 may still use a primitive part
-    of M (0->01, 1->10, 2->22 gives Thue-Morse's 1/6, 1/3, 1/3, 1/6)."""
+    of M (0->01, 1->10, 2->22 gives Thue-Morse's 1/6, 1/3, 1/3, 1/6).
+    The blocks take the O(|blocks|) solve of `_block_frequencies`."""
     import numpy as np
     pair = pair_substitution(sub)
     letters = _block_letters(pair)
@@ -339,14 +346,20 @@ def _block_letters(pair: dict[Block, tuple[Block, ...]]) -> list[int]:
 def _block_frequencies(
     sub: Substitution, pair: dict[Block, tuple[Block, ...]], data: PerronData, tol: float
 ) -> dict[Block, float]:
-    """The frequencies v of `pair`'s blocks from one solve of
-    (theta I - B) v = A f (see the module docstring), with f and theta from
-    `data`, the Perron data of M on the letters of those blocks.  B(cd) is
-    the last block of cd's image.  NoConvergence is raised when
-    ||(theta I - B) v - A f||_inf exceeds tol * max(1, theta) or v is not
-    strictly positive.
+    """The frequencies v of `pair`'s blocks, the solution of
+    (theta I - B) v = A f (see the module docstring) with f and theta from
+    `data`, the Perron data of M on the letters of those blocks.
+
+    B(cd), the last block of cd's image, is cd's one successor, so
+    theta v(x) = (A f)(x) + the sum of v over x's predecessors, solved in
+    O(|blocks|) along B's functional graph.  Tree blocks go first, each
+    after all of its predecessors.  What is left are the cycles
+    c0 -> ... -> c(L-1) -> c0: one pass round a cycle from v(c0) = 0 gives x,
+    and v(c0) = x + v(c0) theta^-L, so v(c0) = x / (1 - theta^-L); a second
+    pass fills in the rest.  Every term is positive, so nothing cancels.
+    NoConvergence is raised when ||(theta I - B) v - A f||_inf exceeds
+    tol * max(1, theta) or v is not strictly positive.
     """
-    import numpy as np
     n = len(pair)
     if n == 1:  # one block has frequency 1, also where theta = 1 makes theta I - B singular
         return dict.fromkeys(pair, 1.0)
@@ -356,15 +369,46 @@ def _block_frequencies(
         w = sub.images[c]
         for blk in zip(w, w[1:]):
             rhs[index[blk]] += f
-    T = np.diag(np.full(n, data.theta))
-    T[[index[img[-1]] for img in pair.values()], np.arange(n)] -= 1.0
-    v = np.linalg.solve(T, rhs)
-    residual = float(np.abs(T @ v - rhs).max())
-    if residual > tol * max(1.0, data.theta):
+    theta = data.theta
+    succ = [index[img[-1]] for img in pair.values()]
+    preds = [0] * n  # predecessors not yet solved
+    for j in succ:
+        preds[j] += 1
+    v = [0.0] * n
+    acc = rhs[:]  # rhs plus v over the solved predecessors
+    ready = [i for i in range(n) if not preds[i]]
+    while ready:
+        i = ready.pop()
+        v[i] = acc[i] / theta
+        j = succ[i]
+        acc[j] += v[i]
+        preds[j] -= 1
+        if not preds[j]:
+            ready.append(j)
+    for c0 in range(n):  # what is left are cycles, each block waiting on its cycle predecessor
+        if not preds[c0]:
+            continue
+        cycle = [c0]
+        while succ[cycle[-1]] != c0:
+            cycle.append(succ[cycle[-1]])
+        x = 0.0
+        for i in cycle[1:] + cycle[:1]:
+            x = (acc[i] + x) / theta
+        v[c0] = x / (1.0 - theta ** -len(cycle))
+        for prev, i in zip(cycle, cycle[1:]):
+            v[i] = (acc[i] + v[prev]) / theta
+        for i in cycle:
+            preds[i] = 0
+    pred_sum = [0.0] * n
+    for i, j in enumerate(succ):
+        pred_sum[j] += v[i]
+    residual = max(abs(theta * vi - p - r) for vi, p, r in zip(v, pred_sum, rhs))
+    if residual > tol * max(1.0, theta):
         raise NoConvergence(f"block residual {residual:.3e} exceeds tol={tol}")
-    if v.min() <= 0:
+    if min(v) <= 0:
         raise NoConvergence("block frequencies failed strict positivity")
-    return dict(zip(pair, (v / v.sum()).tolist()))
+    total = fsum(v)
+    return dict(zip(pair, (vi / total for vi in v)))
 
 
 class RigidityConstant(NamedTuple):

@@ -771,14 +771,17 @@ def _count_calls(monkeypatch, module, names) -> dict:
 
 def test_subst_analyze_builds_m_once_and_decides_primitivity_once(monkeypatch):
     # perron(M) is the only primitivity check and the only eigenproblem of a
-    # report: its two eig calls are for M and M.T, and the blocks take one solve
+    # report: constant length takes the all-ones left vector, so one eig call
+    # (for M), other lengths a second one for M.T; the blocks take no solve
     import numpy as np
     from ergolab import substitution
 
     calls = _count_calls(monkeypatch, substitution, ("composition_matrix", "_matrix_is_primitive"))
-    eig = _count_calls(monkeypatch, np.linalg, ("eig",))
+    linalg = _count_calls(monkeypatch, np.linalg, ("eig", "solve"))
     report_subst_analyze(THREE_LETTER, 1e-12, 64)
-    assert calls == {"composition_matrix": 1, "_matrix_is_primitive": 1} and eig == {"eig": 2}
+    assert calls == {"composition_matrix": 1, "_matrix_is_primitive": 1} and linalg == {"eig": 1, "solve": 0}
+    report_subst_analyze(Substitution(2, ((0, 0, 1, 1), (0, 1))), 1e-12, 64)
+    assert calls == {"composition_matrix": 2, "_matrix_is_primitive": 2} and linalg == {"eig": 3, "solve": 0}
 
 
 def test_subst_analyze_rejects_a_missing_fixed_point_before_building_blocks(monkeypatch):

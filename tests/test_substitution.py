@@ -1,9 +1,10 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ergolab.substitution import (
@@ -254,6 +255,17 @@ def test_perron_constant_length_limit_norms_are_one():
         data = perron(composition_matrix(sub))
         for v in np.outer(data.left_vec, data.letter_freq):
             assert abs(np.abs(v).sum() - 1.0) < 1e-10
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 5), st.integers(2, 4), st.data())
+def test_perron_constant_length_left_vector_is_all_ones(k, q, data):
+    # 1^T M = q 1^T, so the left vector is all ones, not an eigen-solve's approximation
+    word = st.lists(st.integers(0, k - 1), min_size=q, max_size=q)
+    sub = Substitution(k, [data.draw(word) for _ in range(k)])
+    assume(is_primitive(sub))
+    perron_data = perron(composition_matrix(sub))
+    assert perron_data.left_vec.tolist() == [1.0] * k and perron_data.theta == q
 
 
 def test_perron_rejects_nonprimitive():
@@ -598,6 +610,78 @@ def test_reversed_images_reverse_the_block_frequencies(sub):
     assert sorted(rev_freqs) == sorted((b, a) for a, b in freqs)
     for (a, b), f in freqs.items():
         assert abs(rev_freqs[b, a] - f) <= 1e-12, (sub.images, (a, b))
+
+
+def exact_block_frequencies(sub: Substitution, pair, data) -> list[Fraction]:
+    """Fraction elimination of (theta I - B) v = A f, with theta and f read
+    exactly from their floats, then v / sum(v), in the order of `pair`."""
+    index = {b: i for i, b in enumerate(pair)}
+    n = len(pair)
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n)]  # [theta I - B | A f]
+    for i in range(n):
+        rows[i][i] += Fraction(data.theta)
+    for j, img in enumerate(pair.values()):
+        rows[index[img[-1]]][j] -= 1
+    letters = sorted({a for blk in pair for a in blk})
+    for c, f in zip(letters, data.letter_freq.tolist(), strict=True):
+        for blk in zip(sub.images[c], sub.images[c][1:]):
+            rows[index[blk]][n] += Fraction(f)
+    for col in range(n):
+        p = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[p] = rows[p], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                m = rows[r][col] / rows[col][col]
+                rows[r] = [x - m * y for x, y in zip(rows[r], rows[col])]
+    v = [rows[i][n] / rows[i][i] for i in range(n)]
+    return [x / sum(v) for x in v]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(primitive_substitutions(), any_primitive_substitutions()))
+# B's functional graph: Rudin-Shapiro has two 2-cycles and four tree blocks;
+# 0 -> 012, 1 -> 01, 2 -> 0 a 2-cycle, a fixed block and two tree blocks
+@example(RUDIN_SHAPIRO)
+@example(Substitution(3, ((0, 1, 2), (0, 1), (0,))))
+def test_block_frequencies_match_an_exact_fraction_solve(sub):
+    # the largest error measured on 20,480 random primitive substitutions of
+    # 2-5 letters (images of 1-4 letters) was 1.25e-16; the bound is twice that
+    data, freqs, pair = perron(composition_matrix(sub)), block_frequencies(sub), pair_substitution(sub)
+    exact = exact_block_frequencies(sub, pair, data)
+    assert max(abs(Fraction(f) - e) for f, e in zip(freqs.values(), exact, strict=True)) <= 2.5e-16, sub.images
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(primitive_substitutions(), any_primitive_substitutions()))
+def test_analyze_marginals_and_limit_norms_equal_their_per_letter_sums(sub):
+    # the report builds both in one pass; these per-letter sums are the reference, bit for bit
+    from ergolab import cli
+
+    report = cli.report_subst_analyze(sub, 1e-12, 0)
+    data, freqs = perron(composition_matrix(sub)), block_frequencies(sub)
+    assert report["marginal_check"] == {
+        str(a): sum(f for (x, _), f in freqs.items() if x == a) for a in range(sub.alphabet_size)}
+    assert report["letter_limit_norms"] == [float((left * data.letter_freq).sum()) for left in data.left_vec]
+
+
+def dense_block_substitution(n: int) -> Substitution:
+    """0 -> 0 1 and i -> (i + 1) mod n, 7i mod n: 5,078 blocks at n = 100."""
+    return Substitution(n, [(0, 1)] + [((i + 1) % n, 7 * i % n) for i in range(1, n)])
+
+
+def test_analyze_memory_is_linear_in_the_blocks():
+    from ergolab import cli
+
+    sub = dense_block_substitution(100)
+    tracemalloc.start()
+    try:
+        report = cli.report_subst_analyze(sub, 1e-12, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(report["block_frequencies"])
+    assert n == 5078
+    assert peak < n * n * 8 / 20  # a dense (theta I - B) would take 206 MB
 
 
 def test_block_frequencies_match_eig_oracle():
