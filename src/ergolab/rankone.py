@@ -9,9 +9,13 @@ j-th copy, so heights satisfy
 
 Level widths w_N = 1 / (p_0 ... p_{N-1}) are exact rationals, and mass is
 left unnormalized because correlation ratios are normalization-invariant.
-A `RankOneSpec` computes its heights and widths once, on first use.  A set
-A of stage-k levels has mu(A) = |A| * w_k in every stage-N tower, and each
-public call first checks 0 <= k <= N <= K and A's levels in [0, h_k).
+A `RankOneSpec` computes its heights and its copy counts p_0 ... p_{N-1}
+(integers) once, on first use.  A set A of stage-k levels has
+mu(A) = |A| * w_k in every stage-N tower, and each public call first
+checks 0 <= k <= N <= K and A's levels in [0, h_k).  `level_width` and
+`level_measure` return `Fraction`s; a correlation value is an integer
+count over the stage-N copy count, rounded once by int/int true division
+(correctly rounded in CPython, as `float(Fraction)` is).
 
 Correlations mu(T^m A cap A) for a union A of stage-k levels are pure
 combinatorics of the stage-N column word: a stage-k level l occupies the
@@ -29,7 +33,7 @@ from stage N down to the set's stage serves a whole batch of shifts: the
 lags it still has to visit are kept as runs of consecutive lags, each
 packed into one big int with a fixed-width lane per shift, wide enough
 that no lane carries into the next (see `_pair_counts`).  Nothing is
-kept between calls but a schedule's heights, widths and offset
+kept between calls but a schedule's heights, copy counts and offset
 differences.  Points whose m-step image leaves the stage-N column are
 charged wholly to the error bound m * level_width, which vanishes as N
 grows.
@@ -45,6 +49,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -93,14 +98,10 @@ class RankOneSpec:
         return tuple(hs)
 
     @cached_property
-    def stage_widths(self) -> tuple[Fraction, ...]:
-        """Level width 1 / (p_0 ... p_{N-1}) of the stage-N tower, for each N."""
-        widths = [Fraction(1)]
-        copies = 1
-        for p, _ in self.stages:
-            copies *= p
-            widths.append(Fraction(1, copies))
-        return tuple(widths)
+    def stage_copies(self) -> tuple[int, ...]:
+        """p_0 ... p_{N-1}, the copies of the stage-0 level in the stage-N
+        column (the inverse level width), for each N."""
+        return tuple(accumulate((p for p, _ in self.stages), mul, initial=1))
 
     @cached_property
     def stage_differences(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -160,7 +161,7 @@ def heights(spec: RankOneSpec) -> list[int]:
 def level_width(spec: RankOneSpec, N: int) -> Fraction:
     if N < 0 or N > spec.num_stages:
         raise StageOutOfRange(f"stage {N} outside 0..{spec.num_stages}")
-    return spec.stage_widths[N]
+    return Fraction(1, spec.stage_copies[N])
 
 
 class Tower(NamedTuple):
@@ -335,7 +336,7 @@ def level_measure(spec: RankOneSpec, N: int, A: LevelSet) -> Fraction:
     """mu(A) = |A| * w_k for a set A of stage-k levels, checked against
     the stage-N tower; the stage-N copies of A carry the same mass."""
     _check_level_set(spec, A, N)
-    return len(A.levels) * spec.stage_widths[A.stage]
+    return Fraction(len(A.levels), spec.stage_copies[A.stage])
 
 
 def correlation_count(
@@ -353,32 +354,29 @@ def level_correlation(spec: RankOneSpec, N: int, A: LevelSet, m: int) -> Bounded
     """mu(T^m A cap A) with the in-tower count exact and the top window
     (positions whose m-step image leaves stage-N knowledge) charged to
     error_bound = m * level_width."""
-    mass = level_measure(spec, N, A)
+    _check_level_set(spec, A, N)
     hs = spec.stage_heights
     if m < 0 or m >= hs[N]:
         raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
     if m == 0:
-        return BoundedValue(value=float(mass), error_bound=0.0)
-    w = spec.stage_widths[N]
-    count = correlation_count(spec, N, A, A, m)
-    return BoundedValue(value=float(count * w), error_bound=float(m * w))
+        return BoundedValue(value=len(A.levels) / spec.stage_copies[A.stage], error_bound=0.0)
+    copies = spec.stage_copies[N]
+    return BoundedValue(value=correlation_count(spec, N, A, A, m) / copies, error_bound=m / copies)
 
 
 def _level_correlations(spec: RankOneSpec, N: int, A: LevelSet, shifts: Sequence[int]) -> list[BoundedValue]:
     """`level_correlation` for each shift, with the counts of all nonzero
     shifts from one pair-count sweep; the set and every shift are checked
     before any count is made."""
-    mass = BoundedValue(value=float(level_measure(spec, N, A)), error_bound=0.0)
+    _check_level_set(spec, A, N)
     hs = spec.stage_heights
     if any(m < 0 or m >= hs[N] for m in shifts):
         raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
-    w = spec.stage_widths[N]
+    mass = BoundedValue(value=len(A.levels) / spec.stage_copies[A.stage], error_bound=0.0)
+    copies = spec.stage_copies[N]
     moving = [m for m in shifts if m]
     counts = dict(zip(moving, _pair_counts(spec, A.stage, A.levels, A.levels, N, moving)))
-    return [
-        BoundedValue(value=float(counts[m] * w), error_bound=float(m * w)) if m else mass
-        for m in shifts
-    ]
+    return [BoundedValue(value=counts[m] / copies, error_bound=m / copies) if m else mass for m in shifts]
 
 
 class CoefficientEstimate(NamedTuple):

@@ -24,6 +24,14 @@ its value is 0 or +-2^-l, exactly.  A user-supplied `DyadicStep`
 cocycle of level c is periodic with period 2^c in tower positions, so D
 is a sum over the residues mod 2^max(c, l).
 
+Every value is a dyadic rational, and the kernels never build a
+`Fraction`: D is carried as an integer numerator over 2^t, a step
+function as integer numerators over one common power of two (every
+finite float is p/2^e), and each reported float is one int/int true
+division, which CPython rounds correctly, as `float(Fraction)` does.
+`Fraction` appears only at the API: `odometer_map`, `mn_cocycle` and
+`DyadicInterval.width`.
+
 The skew product acts on [0,1) x Z2 by T_phi(x, g) = (Tx, phi(x) + g)
 with the uniform fiber measure (mass 1/2 per fiber point).  The atom
 level K and the cutoff L of a `SkewSystem` fix the query windows,
@@ -33,6 +41,7 @@ to an integer (0 below level 4); no table of atoms is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -110,24 +119,35 @@ class DyadicInterval:
         return cls(int(num_s), int(den_s[2:]))
 
 
-class DyadicStep:
-    """A step function constant on the dyadic atoms of a given level."""
+def _bit_reverse(num: int, level: int) -> int:
+    """Tower position of the level-`level` dyadic with numerator `num`."""
+    return int(format(num, f"0{level}b")[::-1], 2) if level else 0
 
-    __slots__ = ("level", "values")
+
+class DyadicStep:
+    """A step function constant on the dyadic atoms of a given level.
+
+    `_tower` lists its values in tower order as integer numerators over
+    the common denominator `_denominator`, a power of two; both are built
+    once, with the step function.
+    """
+
+    __slots__ = ("level", "values", "_tower", "_denominator")
 
     def __init__(self, level: int, values: Sequence[float]):
         if len(values) != 2**level:
             raise ValueError("need one value per level atom")
-        self.level, self.values = level, tuple(float(v) for v in values)
+        values = tuple(float(v) for v in values)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("step values must be finite")
+        ratios = [values[_bit_reverse(r, level)].as_integer_ratio() for r in range(2**level)]
+        Q = max(q for _, q in ratios)
+        self.level, self.values = level, values
+        self._tower, self._denominator = tuple(p * (Q // q) for p, q in ratios), Q
 
 
 FIRST_DIGIT_SIGN = DyadicStep(1, (1.0, -1.0))
 CONSTANT_ONE = DyadicStep(0, (1.0,))
-
-
-def _bit_reverse(num: int, level: int) -> int:
-    """Tower position of the level-`level` dyadic with numerator `num`."""
-    return int(format(num, f"0{level}b")[::-1], 2) if level else 0
 
 
 def _bit_reverse_permutation(K: int) -> np.ndarray:
@@ -139,8 +159,9 @@ def _bit_reverse_permutation(K: int) -> np.ndarray:
     return r
 
 
-def _band_mass(a: int, l: int, m: int) -> Fraction:
-    """D(a, l, m) for the band cocycle phi(z) = fold(z + 1), one digit per step.
+def _band_mass(a: int, l: int, m: int) -> int:
+    """The sign s in {-1, 0, 1} of D(a, l, m) = s * 2^-l for the band
+    cocycle phi(z) = fold(z + 1), one digit per step.
 
     Each step halves the mass, so |D| is 2^-l or 0.  Lemma: D(a, l, m) = 0
     once m >= 1 and 2m >= 2^l; the bound is sharp.  Induction on m, where a
@@ -150,15 +171,15 @@ def _band_mass(a: int, l: int, m: int) -> Fraction:
     = +-D(0, 1, 1)/2 +- D(1, 1, 1)/2, so D(1, 1, 1) = 0.  m >= 2: one step
     from level l2 = max(l, 2) leaves 1 <= m' < m with 2m' >= 2^(l2 - 1).
     """
-    sign, mass = 1, Fraction(1, 2**l)
+    flips = 0
     while m:
-        if 2 * m >= 2**l:
-            return Fraction(0)
+        if 2 * m >= 1 << l:
+            return 0
         # n in (z, z + m]: odd n add bit 1 of n (one per n = 3 mod 4),
         # even n = 2n' add fold(n') with n' in (z >> 1, (z + m) >> 1]
-        sign *= (-1) ** (((a + m + 1) >> 2) - ((a + 1) >> 2))
+        flips += ((a + m + 1) >> 2) - ((a + 1) >> 2)
         a, l, m = a >> 1, l - 1, ((a & 1) + m) >> 1
-    return sign * mass
+    return -1 if flips & 1 else 1
 
 
 class SkewSystem:
@@ -183,9 +204,8 @@ class SkewSystem:
             if any(v not in (0.0, 1.0) for v in cocycle.values):
                 raise ValueError("cocycle values must lie in {0, 1}")
             # prefix sums of one period of the cocycle in tower order
-            period = [int(cocycle.values[_bit_reverse(j, cocycle.level)])
-                      for j in range(2**cocycle.level)]
-            self._period_prefix = [0, *accumulate(period)]
+            # (values in {0, 1} have denominator 1)
+            self._period_prefix = [0, *accumulate(cocycle._tower)]
         self.K = atom_level
         self.L = boundary_cutoff
         self.cocycle = cocycle
@@ -210,13 +230,16 @@ class SkewSystem:
         start = interval.numerator << (self.K - interval.level)
         return np.arange(start, start + count, dtype=np.int64)
 
-    def _signed_mass(self, a: int, l: int, m: int) -> Fraction:
-        """D(a, l, m): the integral of (-1)^phi_m over the tower class a mod 2^l.
+    def _signed_mass(self, a: int, l: int, m: int) -> tuple[int, int]:
+        """D(a, l, m) = s / 2^t as (s, t): the integral of (-1)^phi_m over
+        the tower class a mod 2^l.
 
-        The band cocycle runs the digit loop; a custom one sums a period.
+        The band cocycle runs the digit loop, with t = l; a custom one of
+        level c sums a period, with t = max(c, l).  Either way t depends on
+        l and the cocycle only.
         """
         if self.cocycle is None:
-            return _band_mass(a, l, m)
+            return _band_mass(a, l, m), l
         P = self._period_prefix
         C = len(P) - 1
 
@@ -225,7 +248,7 @@ class SkewSystem:
 
         top = max(self.cocycle.level, l)
         total = sum((-1) ** (phi_sum(r + m) - phi_sum(r)) for r in range(a, 2**top, 2**l))
-        return Fraction(total, 2**top)
+        return total, top
 
 
 def cocycle_sum(atom: DyadicInterval, m: int, sys: SkewSystem) -> int | Boundary:
@@ -240,10 +263,10 @@ def cocycle_sum(atom: DyadicInterval, m: int, sys: SkewSystem) -> int | Boundary
         raise ValueError("m must be nonnegative")
     if m > sys.max_window():
         raise IndexTooLarge(f"window {m} exceeds 2^(K-4) = {sys.max_window()}")
-    D = sys._signed_mass(_bit_reverse(atom.numerator, sys.K), sys.K, m)
-    if D == 0:
+    s, _ = sys._signed_mass(_bit_reverse(atom.numerator, sys.K), sys.K, m)
+    if s == 0:
         return BOUNDARY
-    return 0 if D > 0 else 1
+    return 0 if s > 0 else 1
 
 
 def skew_correlation(
@@ -265,11 +288,12 @@ def skew_correlation(
         raise IndexTooLarge(f"shift {m} exceeds 2^(K-4) = {sys.max_window()}")
     if A.level > sys.K:
         raise ValueError("interval finer than the atom partition")
-    value = Fraction(0)
+    value = 0.0
     if m % 2**A.level == 0:
-        D = sys._signed_mass(_bit_reverse(A.numerator, A.level), A.level, m)
-        value = (A.width + D if eps == eps2 else A.width - D) / 4
-    return BoundedValue(value=float(value), error_bound=0.0)
+        s, t = sys._signed_mass(_bit_reverse(A.numerator, A.level), A.level, m)
+        # (|A| +- D) / 4 = (2^(t - l) +- s) / 2^(t + 2)
+        value = ((1 << (t - A.level)) + (s if eps == eps2 else -s)) / (1 << (t + 2))
+    return BoundedValue(value=value, error_bound=0.0)
 
 
 @dataclass(frozen=True)
@@ -299,13 +323,18 @@ def spectral_coefficient(
         raise IndexTooLarge(f"|n| must be <= 2^(L-4) = {limit}")
     if g.level > sys.K:
         raise ValueError("step function finer than the atom partition")
-    m, G = abs(n), 2**g.level
-    tower = [Fraction(g.values[_bit_reverse(r, g.level)]) for r in range(G)]
-    value = Fraction(0)
-    for r in range(G):
-        weight = Fraction(1, G) if fiber == "one" else sys._signed_mass(r, g.level, m)
-        value += tower[r] * tower[(r + m) % G] * weight
-    return SpectralCoefficient(index=n, value=float(value), error_bound=0.0)
+    # g(r) g(r + m) over the tower classes r, in units of 1/Q^2 for g = tower/Q
+    tower, shift = g._tower, abs(n) % 2**g.level
+    products = [x * y for x, y in zip(tower, tower[shift:] + tower[:shift])]
+    if fiber == "one":  # each class has mass 2^-level(g)
+        total, t = sum(products), g.level
+    else:  # D = s / 2^t with the same t for every class
+        total = 0
+        for r, xy in enumerate(products):
+            s, t = sys._signed_mass(r, g.level, abs(n))
+            total += s * xy
+    value = total / (g._denominator**2 << t)
+    return SpectralCoefficient(index=n, value=value, error_bound=0.0)
 
 
 def rigidity_sequence(

@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -357,6 +358,35 @@ def test_batched_correlations_match_per_shift_and_brute_force(case):
     assert got == [level_correlation(spec, N, A, m) for m in shifts]
     assert [bv.value for bv in got] == [float(brute_count(spec, k, N, levels, levels, m) * w) for m in shifts]
     assert [bv.exact for bv in got] == [m == 0 for m in shifts]
+
+
+@st.composite
+def correlation_value_cases(draw):
+    """A small random schedule or a deep preset, with shifts of every size."""
+    if draw(st.booleans()):
+        spec = draw(schedules())
+        k = draw(st.integers(0, spec.num_stages - 1))
+        N = draw(st.integers(k, spec.num_stages))
+    else:
+        spec = draw(st.sampled_from(DEEP_PRESETS))
+        k = draw(st.integers(0, 3))
+        N = draw(st.integers(20, 30))
+    hs = heights(spec)
+    shifts = draw(st.lists(st.one_of(st.just(0), st.integers(0, hs[N] - 1)), min_size=1, max_size=4))
+    return spec, k, N, level_subsets(draw, hs[k]), shifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(correlation_value_cases())
+def test_correlation_values_round_as_the_fraction_formulas(case):
+    # count / copies_N in one int/int division is float(count * w_N), to the bit
+    spec, k, N, levels, shifts = case
+    A = LevelSet(k, levels)
+    w_k, w_N = (Fraction(1, math.prod(p for p, _ in spec.stages[:n])) for n in (k, N))
+    want = [(float(correlation_count(spec, N, A, A, m) * w_N), float(m * w_N)) if m
+            else (float(len(levels) * w_k), 0.0) for m in shifts]
+    assert [tuple(level_correlation(spec, N, A, m)) for m in shifts] == want
+    assert [tuple(bv) for bv in _level_correlations(spec, N, A, shifts)] == want
 
 
 def test_chacon_full_stage_rigidity_example():

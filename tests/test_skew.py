@@ -143,7 +143,7 @@ def test_band_mass_matches_oracle_exhaustively():
         memo: dict = {}
         for a in range(2**l):
             for m in range(2 ** (l + 3)):
-                assert _band_mass(a, l, m) == memo_band_mass(a, l, m, memo), (a, l, m)
+                assert F(_band_mass(a, l, m), 2**l) == memo_band_mass(a, l, m, memo), (a, l, m)
 
 
 @st.composite
@@ -159,7 +159,7 @@ def mass_triples(draw):
 @given(mass_triples())
 def test_band_mass_matches_oracle(triple):
     a, l, m = triple
-    assert _band_mass(a, l, m) == memo_band_mass(a, l, m, {})
+    assert F(_band_mass(a, l, m), 2**l) == memo_band_mass(a, l, m, {})
 
 
 def test_vanishing_lemma_is_sharp():
@@ -400,6 +400,65 @@ def test_closed_forms_for_any_step_function(g):
             assert one == spectral_coefficient(g, "one", m % G, sys_).value, (g, n)
 
 
+def bit_reverse(r: int, level: int) -> int:
+    return int(format(r, f"0{level}b")[::-1], 2) if level else 0
+
+
+def fraction_signed_mass(sys_: SkewSystem, a: int, l: int, m: int) -> F:
+    """D(a, l, m) as a Fraction: the band oracle, or a custom cocycle read
+    off every residue z = a mod 2^l of its period and every step of the window."""
+    if sys_.cocycle is None:
+        return memo_band_mass(a, l, m, {})
+    c, values = sys_.cocycle.level, sys_.cocycle.values
+    top = max(c, l)
+    phi = [int(values[bit_reverse(z % 2**c, c)]) for z in range(2**top + m)]
+    return sum((F((-1) ** sum(phi[z : z + m]), 2**top) for z in range(a, 2**top, 2**l)), F(0))
+
+
+def fraction_spectral_coefficient(g: DyadicStep, fiber: str, n: int, sys_: SkewSystem) -> F:
+    """<U^n f, f> summed in Fractions over the tower classes of g."""
+    m, G = abs(n), 2**g.level
+    tower = [F(g.values[bit_reverse(r, g.level)]) for r in range(G)]
+    weights = [F(1, G) if fiber == "one" else fraction_signed_mass(sys_, r, g.level, m) for r in range(G)]
+    return sum((tower[r] * tower[(r + m) % G] * weights[r] for r in range(G)), F(0))
+
+
+@st.composite
+def integer_kernel_cases(draw):
+    K = 10
+    c = draw(st.integers(-1, 3))  # -1 draws the band cocycle
+    if c < 0:
+        sys_ = SkewSystem(K, K - 1)
+    else:
+        values = draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=2**c, max_size=2**c))
+        sys_ = SkewSystem(K, K, DyadicStep(c, tuple(values)))
+    level = draw(st.integers(0, 4))
+    value = st.one_of(st.sampled_from((1 / 3, 1e-300, -7.0, 0.0, -0.0, 5e-324, 1.0)), st.floats(-1e100, 1e100))
+    g = DyadicStep(level, tuple(draw(st.lists(value, min_size=2**level, max_size=2**level))))
+    limit = 1 << sys_.L >> 4
+    l = draw(st.integers(0, 4))
+    A = DyadicInterval(draw(st.integers(0, 2**l - 1)), l)
+    m = draw(st.integers(0, 2 ** (K - 4)))
+    if draw(st.booleans()):  # a return time of A's tower class
+        m -= m % 2**l
+    return sys_, g, draw(st.sampled_from(("one", "chi"))), draw(st.integers(-limit, limit)), A, m
+
+
+@settings(max_examples=150)
+@given(integer_kernel_cases())
+def test_integer_kernels_round_as_the_fraction_formulas(case):
+    # one int/int division per value is float(Fraction) of the same rational, to the bit
+    sys_, g, fiber, n, A, m = case
+    got = spectral_coefficient(g, fiber, n, sys_)
+    assert got.value.hex() == float(fraction_spectral_coefficient(g, fiber, n, sys_)).hex(), (g.values, n)
+    for eps2 in (0, 1):
+        want = F(0)
+        if m % 2**A.level == 0:
+            D = fraction_signed_mass(sys_, bit_reverse(A.numerator, A.level), A.level, m)
+            want = (A.width + D if eps2 == 0 else A.width - D) / 4
+        assert skew_correlation(A, 0, eps2, m, sys_).value.hex() == float(want).hex(), (A, eps2, m)
+
+
 def test_coefficient_index_guard(mn_system):
     with pytest.raises(IndexTooLarge):
         spectral_coefficient(CONSTANT_ONE, "chi", 2 ** (mn_system.L - 4) + 1, mn_system)
@@ -433,6 +492,8 @@ def test_custom_cocycle_zero_gives_product_behaviour():
     (lambda: DyadicInterval(0, -1), "level must be nonnegative"),
     (lambda: DyadicInterval(4, 2), "numerator outside [0, 2^level)"),
     (lambda: DyadicStep(1, (1.0,)), "need one value per level atom"),
+    (lambda: DyadicStep(1, (1.0, float("nan"))), "step values must be finite"),
+    (lambda: DyadicStep(1, (1.0, float("inf"))), "step values must be finite"),
     (lambda: SkewSystem(8, 6, DyadicStep(9, (0.0,) * 2**9)), "cocycle breakpoints finer than the atoms"),
     (lambda: SkewSystem(8, 6, DyadicStep(1, (0.0, 0.5))), "cocycle values must lie in {0, 1}"),
     (lambda: SkewSystem(8, 6).atom_indices(DyadicInterval(0, 9)), "interval finer than the atom partition"),
