@@ -104,11 +104,8 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
         return {**report, "primitive": False}
     if prefix_len:  # before the block solve, so a substitution without a fixed point at 0 costs none
         prefix = substitution.fixed_point_prefix(sub, prefix_len)
-        if len(prefix) <= 2:  # the message prefix_correlation gives a 2-block at shift 0
-            raise substitution.PrefixTooShort("need prefix_len > shift + block length = 2")
-    pair = substitution.pair_substitution(sub)
-    freqs = substitution._block_frequencies(sub, pair, data, tol)  # keys in block-alphabet order
-    rig = substitution._rigidity_from(freqs, data, tol)
+        empirical = substitution.prefix_block_frequencies(prefix, sub.alphabet_size)
+    freqs, rig, limit_norms = substitution.block_analysis(sub, data, tol)
     names = {b: substitution.word_to_str(b, sub.alphabet_size) for b in freqs}
     marginals = [0] * sub.alphabet_size  # each letter's blocks added in block order; 0 where it has none
     for (a, _), f in freqs.items():
@@ -118,16 +115,11 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
             "theta": data.theta,
             "letter_frequencies": data.letter_freq.tolist(),
             "perron_residual": data.residual,
-            "letter_limit_norms": (data.left_vec[:, None] * data.letter_freq).sum(axis=1).tolist(),
+            "letter_limit_norms": limit_norms,
             "block_alphabet": list(names.values()),
             "block_frequencies": {names[b]: f for b, f in freqs.items()},
             "marginal_check": {str(a): m for a, m in enumerate(marginals)},
-            "rigidity_constant": {
-                "r": rig.r,
-                "rho": rig.rho,
-                "alpha": rig.alpha,
-                "witness_letter": rig.witness_letter,
-            },
+            "rigidity_constant": rig._asdict(),
         }
     )
     three = substitution.THREE_LETTER
@@ -145,14 +137,10 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
             ),
         }
     if prefix_len:
-        import numpy as np
-        n, k = len(prefix), sub.alphabet_size
-        # prefix_correlation(prefix, (a, b), 0) counts (a, b) at positions 0..n-3, over n - 2
-        counts = np.bincount(prefix[: n - 2] * k + prefix[1 : n - 1], minlength=k * k).tolist()
         checks = {}
-        for (a, b), f in freqs.items():
-            emp = counts[a * k + b] / (n - 2)
-            checks[names[a, b]] = {"empirical": emp, "eigenvector": f, "difference": abs(emp - f)}
+        for b, f in freqs.items():
+            emp = empirical.get(b, 0.0)
+            checks[names[b]] = {"empirical": emp, "eigenvector": f, "difference": abs(emp - f)}
         report["empirical_check"] = {"prefix_len": prefix_len, "blocks": checks}
     return report
 

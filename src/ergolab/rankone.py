@@ -365,18 +365,17 @@ def level_correlation(spec: RankOneSpec, N: int, A: LevelSet, m: int) -> Bounded
 
 
 def _level_correlations(spec: RankOneSpec, N: int, A: LevelSet, shifts: Sequence[int]) -> list[BoundedValue]:
-    """`level_correlation` for each shift, with the counts of all nonzero
-    shifts from one pair-count sweep; the set and every shift are checked
+    """`level_correlation` for each shift, with the counts of all shifts
+    from one pair-count sweep (at m = 0 that count is |A| p_k ... p_{N-1},
+    so the value is mu(A) to the bit); the set and every shift are checked
     before any count is made."""
     _check_level_set(spec, A, N)
     hs = spec.stage_heights
     if any(m < 0 or m >= hs[N] for m in shifts):
         raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
-    mass = BoundedValue(value=len(A.levels) / spec.stage_copies[A.stage], error_bound=0.0)
     copies = spec.stage_copies[N]
-    moving = [m for m in shifts if m]
-    counts = dict(zip(moving, _pair_counts(spec, A.stage, A.levels, A.levels, N, moving)))
-    return [BoundedValue(value=counts[m] / copies, error_bound=m / copies) if m else mass for m in shifts]
+    counts = _pair_counts(spec, A.stage, A.levels, A.levels, N, shifts)
+    return [BoundedValue(value=c / copies, error_bound=m / copies) for m, c in zip(shifts, counts)]
 
 
 class CoefficientEstimate(NamedTuple):

@@ -59,6 +59,10 @@ class IndexTooLarge(SkewError):
     pass
 
 
+class CoefficientOverflow(SkewError, ValueError):
+    """An exact value beyond the float range: its finite inputs are too large, so also a ValueError."""
+
+
 class Boundary:
     """Sentinel for Birkhoff sums that cannot be resolved at level K."""
 
@@ -333,7 +337,11 @@ def spectral_coefficient(
         for r, xy in enumerate(products):
             s, t = sys._signed_mass(r, g.level, abs(n))
             total += s * xy
-    value = total / (g._denominator**2 << t)
+    try:
+        value = total / (g._denominator**2 << t)
+    except OverflowError:
+        raise CoefficientOverflow(f"spectral coefficient of g (level {g.level}, fiber {fiber}) "
+                                  f"at n = {n} exceeds the float range") from None
     return SpectralCoefficient(index=n, value=value, error_bound=0.0)
 
 
@@ -346,5 +354,7 @@ def rigidity_sequence(
     for k in k_range:
         if k < 0:
             raise ValueError(f"rigidity times 2^k need k >= 0, got k = {k}")
+        if k > sys.K - 4:  # before 2^k is built: str() of a huge one fails past 4,300 digits
+            raise IndexTooLarge(f"rigidity time 2^k with k = {k} exceeds 2^(K-4) = 2^{sys.K - 4}")
         out.append(skew_correlation(A, eps, eps, 2**k, sys))
     return out

@@ -24,15 +24,15 @@ most tol * max(1, theta):
     and v is unique; it is solved along B's functional graph in
     O(|blocks|) time and memory, with no matrix.
 
-From these the rigidity constant alpha = r * rho is formed, with r the
-largest frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1
+From these `block_analysis` forms the rigidity constant alpha = r * rho, with
+r the largest frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1
 for the smallest letter a_r whose (aa) frequency is within tol * r of r.
 
 The empirical side reads a prefix of the fixed point u starting at 0.
 u is also the fixed point of every power sigma^j, so one step (each letter
 of a word replaced by its table image) composes sigma^j, then grows u with
-each prefix letter expanded once.  `prefix_correlation` scans it for one
-block; the `subst analyze` report counts all 2-blocks in one pass over it.
+each prefix letter expanded once.  `prefix_correlation` scans it for one block
+and `prefix_block_frequencies` counts all 2-blocks for `subst analyze`.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class NotFixedPointCapable(SubstitutionError):
 
 
 class PrefixTooShort(SubstitutionError):
-    pass
+    def __init__(self, span: int):
+        super().__init__(f"need prefix_len > shift + block length = {span}")
 
 
 def _as_word(w: Iterable[int]) -> Word:
@@ -121,7 +122,7 @@ class Substitution:
         if not mapping:
             raise ValueError("empty substitution definition")
         k = max(mapping) + 1
-        if sorted(mapping) != list(range(k)):
+        if min(mapping) < 0 or len(mapping) != k:  # the keys are distinct, so these say 0..k-1
             raise ValueError("letters must be 0..k-1 with no gaps")
         images = []
         for i in range(k):
@@ -418,25 +419,23 @@ class RigidityConstant(NamedTuple):
     witness_letter: int
 
 
-def rigidity_constant(sub: Substitution, tol: float = 1e-12) -> RigidityConstant:
-    """alpha = r * rho with r the top repeated-letter block frequency.
-
-    Blocks (aa) absent from the language contribute frequency 0; ties
-    (frequencies within tol * r of r) are broken toward the smallest letter.
-    """
-    data = perron(composition_matrix(sub), tol=tol)  # a non-primitive base fails here
-    return _rigidity_from(_block_frequencies(sub, pair_substitution(sub), data, tol), data, tol)
-
-
-def _rigidity_from(freqs: dict[Block, float], data: PerronData, tol: float) -> RigidityConstant:
-    """The rigidity constant from the 2-block frequencies and the Perron data
-    of M.  Frequencies within tol * r of the top one r tie, since equal
-    frequencies can differ in the last bits."""
-    diag = [freqs.get((a, a), 0.0) for a in range(len(data.letter_freq))]
+def block_analysis(
+    sub: Substitution, data: PerronData, tol: float = 1e-12
+) -> tuple[dict[Block, float], RigidityConstant, list[float]]:
+    """The 2-block frequencies of `pair_substitution` (keys in block-alphabet
+    order), the rigidity constant and the letter limit norms ||v(a)||_1, as
+    the module docstring defines them, from `data`, the Perron data of M."""
+    freqs = _block_frequencies(sub, pair_substitution(sub), data, tol)
+    norms = (data.left_vec[:, None] * data.letter_freq).sum(axis=1).tolist()
+    diag = [freqs.get((a, a), 0.0) for a in range(len(norms))]  # an absent (aa) has frequency 0
     r = max(diag)
-    witness = next(a for a, x in enumerate(diag) if r - x <= tol * r)
-    rho = float((data.left_vec[witness] * data.letter_freq).sum())
-    return RigidityConstant(r=r, rho=rho, alpha=r * rho, witness_letter=witness)
+    witness = next(a for a, x in enumerate(diag) if r - x <= tol * r)  # equal ones may differ in the last bits
+    return freqs, RigidityConstant(r, norms[witness], r * norms[witness], witness), norms
+
+
+def rigidity_constant(sub: Substitution, tol: float = 1e-12) -> RigidityConstant:
+    """`block_analysis`'s alpha = r * rho on the Perron data of M, where a non-primitive base fails."""
+    return block_analysis(sub, perron(composition_matrix(sub), tol=tol), tol)[1]
 
 
 def prefix_correlation(prefix: np.ndarray, block: Iterable[int], shift: int) -> float:
@@ -451,13 +450,24 @@ def prefix_correlation(prefix: np.ndarray, block: Iterable[int], shift: int) -> 
     n = len(prefix)
     L = len(block)
     if n <= shift + L:
-        raise PrefixTooShort(f"need prefix_len > shift + block length = {shift + L}")
+        raise PrefixTooShort(shift + L)
     occ = np.ones(n - L + 1, dtype=bool)
     for off, sym in enumerate(block):
         occ &= prefix[off : n - L + 1 + off] == sym
     limit = n - shift - L
     hits = occ[:limit] & occ[shift : shift + limit]
     return float(hits.sum()) / limit
+
+
+def prefix_block_frequencies(prefix: np.ndarray, alphabet_size: int) -> dict[Block, float]:
+    """Each 2-block of `prefix` with its frequency as `prefix_correlation(prefix,
+    block, 0)` counts it, from one count of all blocks; a block it lacks has no key."""
+    import numpy as np
+    n, k = len(prefix), alphabet_size
+    if n <= 2:
+        raise PrefixTooShort(2)
+    counts = np.bincount(prefix[: n - 2] * k + prefix[1 : n - 1]).tolist()
+    return {divmod(i, k): c / (n - 2) for i, c in enumerate(counts) if c}
 
 
 def empirical_correlation(

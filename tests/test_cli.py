@@ -318,6 +318,17 @@ def test_skew_rigidity_empty_k_range_is_parse_error(k_range, capsys):
     assert "--k-range" in error["message"] and k_range in error["message"]
 
 
+@pytest.mark.parametrize("k", [14000, 20000])
+def test_skew_rigidity_beyond_the_window_names_k(k, capsys):
+    # 2^k was built before the window check: 4,244 characters of message at
+    # k = 14000, and a ValueError from int -> str past 4,300 digits at 20000
+    code, out = run_cli(["skew", "rigidity", "--atom-level", "14", "--cutoff", "12", "--k-range", f"{k}:{k}"],
+                        capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "IndexTooLarge",
+                                        "message": f"rigidity time 2^k with k = {k} exceeds 2^(K-4) = 2^10"}
+
+
 @pytest.mark.parametrize("window", ["-1", "65537"])
 def test_skew_spectrum_window_outside_range_is_parse_error(window, capsys):
     code, out = run_cli(["skew", "spectrum", "--atom-level", "12", "--cutoff", "8", f"--window={window}"], capsys)
@@ -696,6 +707,20 @@ def test_commands_without_arrays_do_not_load_numpy(tmp_path):
     *numpy_free, (_, control_code, control_loaded) = _probe_loads([*commands, control], tmp_path)
     assert [step for step, code, loaded in numpy_free if code != 0 or "numpy" in loaded] == []
     assert control_code == 0 and "numpy" in control_loaded  # the probe does see numpy once an array is built
+
+
+def test_cli_only_formats_what_the_library_computes():
+    # the CLI builds no arrays and reads no private name of a library module
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imports = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    imports += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    assert [name for name in imports if name.split(".")[0] == "numpy"] == []
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in ("substitution", "rankone", "skew", "spectral") and node.attr.startswith("_")]
+    assert private == []
 
 
 def test_each_process_loads_only_the_library_module_it_reads(tmp_path):

@@ -505,6 +505,11 @@ def test_custom_cocycle_zero_gives_product_behaviour():
     (lambda: spectral_coefficient(CONSTANT_ONE, "two", 1, SkewSystem(8, 6)), "fiber must be 'one' or 'chi'"),
     (lambda: spectral_coefficient(DyadicStep(9, (1.0,) * 2**9), "chi", 1, SkewSystem(8, 6)),
      "step function finer than the atom partition"),
+    # finite values whose exact coefficient 1e400 has no float
+    (lambda: spectral_coefficient(DyadicStep(0, (1e200,)), "one", 0, SkewSystem(8, 6)),
+     "spectral coefficient of g (level 0, fiber one) at n = 0 exceeds the float range"),
+    (lambda: spectral_coefficient(DyadicStep(0, (1e200,)), "chi", 0, SkewSystem(8, 6)),
+     "spectral coefficient of g (level 0, fiber chi) at n = 0 exceeds the float range"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as info:

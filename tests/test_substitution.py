@@ -55,6 +55,20 @@ def test_types_keep_their_fields_and_keywords():
     assert rigidity_constant(RUDIN_SHAPIRO).witness_letter == rigidity_constant(RUDIN_SHAPIRO)[3]
 
 
+def test_from_lines_gap_check_is_not_sized_by_the_largest_letter():
+    # a list of 0..k-1 took 53 MiB at letter 10**6; the smaller letter goes
+    # first, so a check that still builds one fails before it meets 10**9
+    for letter in (10**6, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^letters must be 0..k-1 with no gaps$"):
+                Substitution.from_lines(["0 -> 0 1", f"{letter} -> 0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, letter
+
+
 def test_from_lines_digit_and_index_formats():
     sub = Substitution.from_lines(["0 -> 02", "1 -> 32", "2 -> 01", "3 -> 31"])
     assert sub.images == RUDIN_SHAPIRO.images
