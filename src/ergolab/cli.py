@@ -103,8 +103,7 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
     except substitution.NotPrimitive:
         return {**report, "primitive": False}
     if prefix_len:  # before the block solve, so a substitution without a fixed point at 0 costs none
-        prefix = substitution.fixed_point_prefix(sub, prefix_len)
-        empirical = substitution.prefix_block_frequencies(prefix, sub.alphabet_size)
+        empirical = substitution.prefix_block_frequencies(sub, prefix_len)
     freqs, rig, limit_norms = substitution.block_analysis(sub, data, tol)
     names = {b: substitution.word_to_str(b, sub.alphabet_size) for b in freqs}
     marginals = [0] * sub.alphabet_size  # each letter's blocks added in block order; 0 where it has none

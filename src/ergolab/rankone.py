@@ -33,10 +33,11 @@ from stage N down to the set's stage serves a whole batch of shifts: the
 lags it still has to visit are kept as runs of consecutive lags, each
 packed into one big int with a fixed-width lane per shift, wide enough
 that no lane carries into the next (see `_pair_counts`).  Nothing is
-kept between calls but a schedule's heights, copy counts and offset
-differences.  Points whose m-step image leaves the stage-N column are
-charged wholly to the error bound m * level_width, which vanishes as N
-grows.
+kept between calls but a schedule's heights, copy counts and the offset
+differences of the stages a sweep has visited, each built on its first
+visit, so a set at stage k never builds the stages below k.  Points
+whose m-step image leaves the stage-N column are charged wholly to the
+error bound m * level_width, which vanishes as N grows.
 Pair counts and set measures are invariant under translating a level
 set, so `rigidity_scan` evaluates one bound per translation class of its
 sets.
@@ -45,7 +46,6 @@ sets.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -84,6 +84,7 @@ class RankOneSpec:
             norm.append((p, spacers))
         self.stages = tuple(norm)
         self.name = name
+        self._stage_diffs: dict[int, tuple[list[int], list[int]]] = {}
 
     @property
     def num_stages(self) -> int:
@@ -103,17 +104,17 @@ class RankOneSpec:
         column (the inverse level width), for each N."""
         return tuple(accumulate((p for p, _ in self.stages), mul, initial=1))
 
-    @cached_property
-    def stage_differences(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """Per stage j, the sorted differences between the start offsets of
-        the p_j stage-j copies inside stage j+1, and their multiplicities."""
-        hs = self.stage_heights
-        out = []
-        for h, h_next, (_, spacers) in zip(hs, hs[1:], self.stages):
+    def stage_differences(self, j: int) -> tuple[list[int], list[int]]:
+        """The sorted differences between the start offsets of the p_j stage-j
+        copies inside stage j+1, and their multiplicities, built on the first
+        call for stage j and kept."""
+        diffs = self._stage_diffs.get(j)
+        if diffs is None:
+            h, (_, spacers) = self.stage_heights[j], self.stages[j]
             offsets = list(accumulate((h + a for a in spacers[:-1]), initial=0))
-            ds, mults = _differences(offsets, offsets, h_next)
-            out.append((tuple(ds), tuple(mults[d] for d in ds)))
-        return tuple(out)
+            ds, mults = _differences(offsets, offsets, self.stage_heights[j + 1])
+            diffs = self._stage_diffs[j] = ds, [mults[d] for d in ds]
+        return diffs
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], name: str | None = None) -> "RankOneSpec":
@@ -220,7 +221,12 @@ def _differences(xs: Sequence[int], ys: Sequence[int], h: int) -> tuple[list[int
     exceeds min(|xs|, |ys|), so slots of that many whole bytes never carry.
     """
     if len(xs) * len(ys) < 2 * h:
-        counts = Counter(y - x for x in xs for y in ys)
+        counts: dict[int, int] = {}
+        get = counts.get
+        for x in xs:
+            for y in ys:
+                d = y - x
+                counts[d] = get(d, 0) + 1
         return sorted(counts), counts
     w = (min(len(xs), len(ys)).bit_length() + 7) // 8
     ix, iy = bytearray(h * w), bytearray(h * w)
@@ -290,7 +296,7 @@ def _pair_counts(
     slot = lane * len(shifts)
     runs = _merged([(m, 1, 1 << (t * lane)) for t, m in enumerate(shifts) if -hs[N] < m < hs[N]], slot)
     for j in range(N - 1, k - 1, -1):
-        ds, mults = spec.stage_differences[j]
+        ds, mults = spec.stage_differences(j)
         h = hs[j]
         out = []
         for first, width, P in runs:

@@ -28,11 +28,14 @@ From these `block_analysis` forms the rigidity constant alpha = r * rho, with
 r the largest frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1
 for the smallest letter a_r whose (aa) frequency is within tol * r of r.
 
-The empirical side reads a prefix of the fixed point u starting at 0.
-u is also the fixed point of every power sigma^j, so one step (each letter
-of a word replaced by its table image) composes sigma^j, then grows u with
-each prefix letter expanded once.  `prefix_correlation` scans it for one block
-and `prefix_block_frequencies` counts all 2-blocks for `subst analyze`.
+The empirical side reads the fixed point u starting at 0.  u is also the
+fixed point of every power sigma^j, so one step (each letter of a word
+replaced by its table image) composes sigma^j, then grows a prefix of u with
+each prefix letter expanded once; `prefix_correlation` scans such a prefix
+for one block.  `prefix_block_frequencies` counts all 2-blocks of u[:n] for
+`subst analyze` with no prefix, from the Dumont-Thomas digits of n: one pass
+over the images per level up to the first sigma^J(0) as long as u[:n]
+(J ~ log_theta n for a primitive sigma).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from math import fsum
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
@@ -68,7 +72,15 @@ class PrefixTooShort(SubstitutionError):
 
 
 def _as_word(w: Iterable[int]) -> Word:
-    return tuple(int(s) for s in w)
+    """The letters of `w` as a tuple; a letter that is no integer (a float,
+    a string) raises ValueError naming it rather than being truncated."""
+    word = []
+    for s in w:
+        try:
+            word.append(index(s))
+        except TypeError:
+            raise ValueError(f"letter {s!r} is not an integer") from None
+    return tuple(word)
 
 
 class Substitution:
@@ -82,7 +94,9 @@ class Substitution:
             raise ValueError("alphabet_size must be positive")
         if len(images) != k:
             raise ValueError("need exactly one image per letter")
-        self.alphabet_size, self.images, self.name = k, tuple(_as_word(w) for w in images), name
+        # an image given as text is read as `str_to_word` reads it
+        words = (str_to_word(w, k) if isinstance(w, str) else _as_word(w) for w in images)
+        self.alphabet_size, self.images, self.name = k, tuple(words), name
         for w in self.images:
             if not w:
                 raise ValueError("images must be nonempty")
@@ -238,6 +252,13 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
 _POWER_LETTERS = 4096
 
 
+def _check_fixed_point(sub: Substitution, length: int) -> None:
+    if length < 1:
+        raise ValueError("length must be positive")
+    if not sub.is_fixed_point_capable:
+        raise NotFixedPointCapable("image of 0 must start with 0 and grow")
+
+
 def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
     """First `length` symbols of the one-sided fixed point u starting at 0.
 
@@ -251,10 +272,7 @@ def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
     """
     import numpy as np
     from array import array
-    if length < 1:
-        raise ValueError("length must be positive")
-    if not sub.is_fixed_point_capable:
-        raise NotFixedPointCapable("image of 0 must start with 0 and grow")
+    _check_fixed_point(sub, length)
     size = array("I").itemsize
     table = [array("I", img).tobytes() for img in sub.images]
     lens = [len(img) for img in table]  # in bytes, as are all lengths below
@@ -290,7 +308,7 @@ def str_to_word(text: str, alphabet_size: int = 10) -> Word:
     holds one letter per digit.  A token that is no integer raises
     ValueError; letters are not range-checked here."""
     tokens = text.split(",") if "," in text else text.split()
-    return _as_word(tokens[0] if len(tokens) == 1 and alphabet_size <= 10 else tokens)
+    return tuple(map(int, tokens[0] if len(tokens) == 1 and alphabet_size <= 10 else tokens))
 
 
 Block = tuple[int, int]
@@ -459,15 +477,66 @@ def prefix_correlation(prefix: np.ndarray, block: Iterable[int], shift: int) -> 
     return float(hits.sum()) / limit
 
 
-def prefix_block_frequencies(prefix: np.ndarray, alphabet_size: int) -> dict[Block, float]:
-    """Each 2-block of `prefix` with its frequency as `prefix_correlation(prefix,
-    block, 0)` counts it, from one count of all blocks; a block it lacks has no key."""
-    import numpy as np
-    n, k = len(prefix), alphabet_size
-    if n <= 2:
+def prefix_block_frequencies(sub: Substitution, prefix_len: int) -> dict[Block, float]:
+    """Each 2-block (u[p], u[p+1]), p <= prefix_len - 3, of the fixed point u
+    at 0 with its count over prefix_len - 2, as `prefix_correlation(
+    fixed_point_prefix(sub, prefix_len), block, 0)` gives it, in block order; a
+    block that does not occur has no key.  No prefix is built.
+
+    With J the first level where |sigma^J(0)| >= n = prefix_len - 1, u[:n] is a
+    prefix of sigma^J(0), and its Dumont-Thomas digits cut it into whole pieces
+    sigma^i(y): descending from level J, a partial piece sigma^(i+1)(a) splits
+    into the pieces sigma^i(y) of the letters y of image(a), the whole ones
+    that fit are kept and the next one is split in turn.  The count is the
+    junctions of consecutive pieces plus the blocks inside each piece.  Those
+    of the whole pieces are added by Horner's rule on their letter counts V:
+    one level down each piece sigma^(i+1)(x) adds, V[x] times, its junctions
+    (last letter of sigma^i(y), first letter of sigma^i(z)) for the neighbours
+    y z of image(x), and hands V on to its letters.  Per level only |sigma^i(a)|
+    and the first and last letters of sigma^i(a) are kept, so the cost is
+    O(J * sum |image(a)|) time and O(J * k + |blocks|) memory.
+    """
+    _check_fixed_point(sub, prefix_len)
+    n = prefix_len - 1  # the blocks lie in u[:n]
+    if n < 2:
         raise PrefixTooShort(2)
-    counts = np.bincount(prefix[: n - 2] * k + prefix[1 : n - 1]).tolist()
-    return {divmod(i, k): c / (n - 2) for i, c in enumerate(counts) if c}
+    images, k = sub.images, sub.alphabet_size
+    heads, tails = [w[0] for w in images], [w[-1] for w in images]
+    lens, firsts, lasts = [[1] * k], [list(range(k))], [list(range(k))]  # per level i and letter a
+    while lens[-1][0] < n:
+        ln, f, l = lens[-1], firsts[-1], lasts[-1]
+        lens.append([sum(map(ln.__getitem__, w)) for w in images])
+        firsts.append(list(map(f.__getitem__, heads)))
+        lasts.append(list(map(l.__getitem__, tails)))
+    neighbours = [(x, w, tuple(zip(w, w[1:]))) for x, w in enumerate(images)]
+    counts: dict[int, int] = {}  # block (a, b) at a * k + b
+    get = counts.get
+    whole = [0] * k  # V: the letters x of the whole pieces sigma^(i+1)(x) kept so far
+    a, rest, prev = 0, n, -1  # u[done:n] is the first `rest` letters of sigma^(i+1)(a); prev = u[done - 1]
+    for i in range(len(lens) - 2, -1, -1):
+        ln, f, l = lens[i], firsts[i], lasts[i]
+        below = [0] * k
+        for x, w, adj in neighbours:
+            c = whole[x]
+            if c:
+                for y in w:
+                    below[y] += c
+                for y, z in adj:
+                    b = l[y] * k + f[z]
+                    counts[b] = get(b, 0) + c
+        whole = below
+        if rest:
+            for y in images[a]:
+                if ln[y] > rest:
+                    break
+                rest -= ln[y]
+                whole[y] += 1
+                if prev >= 0:
+                    b = prev * k + f[y]
+                    counts[b] = get(b, 0) + 1
+                prev = l[y]
+            a = y
+    return {divmod(b, k): c / (n - 1) for b, c in sorted(counts.items())}
 
 
 def empirical_correlation(

@@ -809,6 +809,26 @@ def test_subst_analyze_builds_m_once_and_decides_primitivity_once(monkeypatch):
     assert calls == {"composition_matrix": 2, "_matrix_is_primitive": 2} and linalg == {"eig": 3, "solve": 0}
 
 
+def test_subst_analyze_counts_its_blocks_without_a_prefix(monkeypatch):
+    from ergolab import substitution
+
+    calls = _count_calls(monkeypatch, substitution, ("fixed_point_prefix", "prefix_block_frequencies"))
+    report = report_subst_analyze(THREE_LETTER, 1e-12, 4096)
+    assert calls == {"fixed_point_prefix": 0, "prefix_block_frequencies": 1}
+    assert report["empirical_check"]["prefix_len"] == 4096
+
+
+def test_rankone_correlate_builds_no_stage_below_the_set_stage(monkeypatch):
+    # a sweep from stage N down to the set's stage k visits the offset
+    # differences of stages N-1 .. k only, each built once; the set's own lags
+    # take one more `_differences` call per count
+    calls = _count_calls(monkeypatch, rankone, ("_differences",))
+    spec = rankone.chacon_spec(9)
+    shifts = [1, 13, 40]
+    report_rankone_correlate(spec, 9, rankone.LevelSet(6, (0, 5)), shifts)
+    assert calls == {"_differences": (9 - 6) + len(shifts)}
+
+
 def test_subst_analyze_rejects_a_missing_fixed_point_before_building_blocks(monkeypatch):
     from ergolab import substitution
 

@@ -257,6 +257,41 @@ def test_deep_tower_counts_match_memo_oracle(case):
     assert _pair_counts(spec, k, A, A, N, shifts) == memo_pair_counts(spec, k, A, A, N, shifts)
 
 
+def eager_stage_differences(spec: RankOneSpec) -> tuple:
+    """Per stage j, the sorted copy-offset differences inside stage j+1 and
+    their multiplicities, for every stage at once (test oracle)."""
+    hs = heights(spec)
+    out = []
+    for h, (p, spacers) in zip(hs, spec.stages):
+        offsets = [0]
+        for a in spacers[:-1]:
+            offsets.append(offsets[-1] + h + a)
+        counts = Counter(t - r for r in offsets for t in offsets)
+        out.append((tuple(sorted(counts)), tuple(counts[d] for d in sorted(counts))))
+    return tuple(out)
+
+
+@settings(max_examples=80)
+@given(schedules(), st.randoms(use_true_random=False))
+def test_stage_differences_match_the_eager_table_in_any_order(spec, rnd):
+    want = eager_stage_differences(spec)
+    order = list(range(spec.num_stages))
+    rnd.shuffle(order)
+    for j in order:
+        ds, mults = spec.stage_differences(j)
+        assert (tuple(ds), tuple(mults)) == want[j]
+        assert spec.stage_differences(j) is spec.stage_differences(j)  # built once, then kept
+
+
+def test_stage_differences_take_the_product_where_pairs_outnumber_lags():
+    # stage 0: 8 copies of one level give 64 pairs against 2 * 9 - 1 lags (the big-int
+    # product); stage 1: 64 pairs against 2 * 81 - 1 lags (the pair loop)
+    spec = RankOneSpec(((8, (0, 0, 0, 0, 0, 0, 0, 1)), (8, (0,) * 8)))
+    assert [p * p >= 2 * h for (p, _), h in zip(spec.stages, heights(spec)[1:])] == [True, False]
+    assert tuple((tuple(ds), tuple(m)) for ds, m in map(spec.stage_differences, (0, 1))) == \
+        eager_stage_differences(spec)
+
+
 @pytest.mark.parametrize("k, N", [(0, 30), (2, 12), (4, 9)])
 def test_full_stage_sets_without_spacers_count_every_pair(k, N):
     # with p = 5 and no spacers every stage-N position lies in a stage-k

@@ -24,6 +24,7 @@ from ergolab.substitution import (
     is_primitive,
     pair_substitution,
     perron,
+    prefix_block_frequencies,
     prefix_correlation,
     rigidity_constant,
     str_to_word,
@@ -817,7 +818,59 @@ def test_rigidity_and_analyze_reject_a_non_primitive_base(sub):
     assert report["primitive"] is False and "block_frequencies" not in report
 
 
+# -- 2-block counts without a prefix -------------------------------------------------
+
+
+def prefix_block_scan(sub: Substitution, prefix_len: int) -> dict:
+    """The 2-blocks (u[p], u[p+1]), p <= prefix_len - 3, of a built prefix,
+    counted by one bincount, over prefix_len - 2 (test oracle)."""
+    prefix, k = fixed_point_prefix(sub, prefix_len), sub.alphabet_size
+    if prefix_len <= 2:
+        raise PrefixTooShort(2)
+    counts = np.bincount(prefix[: prefix_len - 2] * k + prefix[1 : prefix_len - 1]).tolist()
+    return {divmod(i, k): c / (prefix_len - 2) for i, c in enumerate(counts) if c}
+
+
+def generation_lengths(sub: Substitution, limit: int) -> list[int]:
+    """|sigma^j(0)| for j = 0, 1, ... up to the first one past `limit`."""
+    lengths, counts = [1], [1] + [0] * (sub.alphabet_size - 1)  # letter counts of sigma^j(0)
+    while lengths[-1] <= limit:
+        grown = [0] * sub.alphabet_size
+        for a, c in enumerate(counts):
+            for s in sub.images[a]:
+                grown[s] += c
+        counts = grown
+        lengths.append(sum(counts))
+    return lengths
+
+
+@settings(max_examples=100, deadline=None)
+@given(fixed_point_substitutions() | substitutions_with_length_one_images(), st.data())
+def test_prefix_block_frequencies_match_the_prefix_scan(sub, data):
+    # the blocks lie in u[:prefix_len - 1], so around |sigma^j(0)| + 1 the
+    # Dumont-Thomas digits of prefix_len - 1 gain a level
+    n = data.draw(st.sampled_from(generation_lengths(sub, 3000)))
+    for prefix_len in (n - 1, n, n + 1, n + 2):
+        if prefix_len >= 3:
+            assert prefix_block_frequencies(sub, prefix_len) == prefix_block_scan(sub, prefix_len)
+
+
+@pytest.mark.parametrize("sub", [
+    RUDIN_SHAPIRO, THREE_LETTER, FIBONACCI, wide_substitution(), THUE_MORSE_AND_TWO, ONE_ZERO,
+    *(sub for sub, _ in slow_closed_forms(0)),
+])
+def test_prefix_block_frequencies_match_the_scan_on_fixed_systems(sub):
+    # primitive, 300 letters, non-primitive, and fixed points growing linearly or quadratically
+    lengths = generation_lengths(sub, 4096)
+    for n in lengths[:4] + lengths[-3:]:
+        for prefix_len in {3, 4, 5, 1000, 65_536, n - 1, n, n + 1, n + 2} - {0, 1, 2}:
+            assert prefix_block_frequencies(sub, prefix_len) == prefix_block_scan(sub, prefix_len)
+
+
 # -- input checks ------------------------------------------------------------------
+
+NO_FIXED_POINT = Substitution(2, ((1, 0), (0,)), name="no-fixed-point-at-0")  # primitive; image(0) starts with 1
+
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -835,6 +888,21 @@ def test_rigidity_and_analyze_reject_a_non_primitive_base(sub):
     # the dominant eigenvalue of a matrix with a negative entry need not have a positive vector
     (lambda: perron(np.array([[1, 1], [1, -3]])), NoConvergence, "eigenvector failed strict positivity"),
     (lambda: fixed_point_prefix(RUDIN_SHAPIRO, 0), ValueError, "length must be positive"),
+    # the 2-block count checks as the prefix it replaces: length, then the fixed point, then the span
+    *(pytest.param(lambda n=n, sub=sub: prefix_block_frequencies(sub, n), error, message,
+                   id=f"prefix_block_frequencies-{sub.name}-{n}")
+      for sub, n, error, message in [
+          (RUDIN_SHAPIRO, 0, ValueError, "length must be positive"),
+          (NO_FIXED_POINT, 0, ValueError, "length must be positive"),
+          (NO_FIXED_POINT, 1, NotFixedPointCapable, "image of 0 must start with 0 and grow"),
+          (NO_FIXED_POINT, 2, NotFixedPointCapable, "image of 0 must start with 0 and grow"),
+          (RUDIN_SHAPIRO, 1, PrefixTooShort, r"need prefix_len > shift \+ block length = 2"),
+          (RUDIN_SHAPIRO, 2, PrefixTooShort, r"need prefix_len > shift \+ block length = 2"),
+      ]),
+    # a letter that is no integer is named, not truncated to 1 or 0
+    (lambda: Substitution(2, ((0, 1.7), (1,))), ValueError, r"letter 1\.7 is not an integer"),
+    (lambda: empirical_correlation(RUDIN_SHAPIRO, (0.9,), 3, 100), ValueError, r"letter 0\.9 is not an integer"),
+    (lambda: prefix_correlation(np.zeros(8, dtype=np.int64), (0, "1"), 1), ValueError, "letter '1' is not an integer"),
     # the block as separate letters, which read back, not as the digit strings 112 and 0-1
     (lambda: empirical_correlation(THREE_LETTER, (1, 12), 1, 64), ValueError, r"block 1 12 has a letter outside 0\.\.2"),
     (lambda: empirical_correlation(RUDIN_SHAPIRO, (0, -1), 1, 64), ValueError, r"block 0 -1 has a letter outside 0\.\.3"),
