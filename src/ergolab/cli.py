@@ -104,7 +104,7 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
         return {**report, "primitive": False}
     if prefix_len:  # before the block solve, so a substitution without a fixed point at 0 costs none
         empirical = substitution.prefix_block_frequencies(sub, prefix_len)
-    freqs, rig, limit_norms = substitution.block_analysis(sub, data, tol)
+    freqs, rig = substitution.block_analysis(sub, data, tol)
     names = {b: substitution.word_to_str(b, sub.alphabet_size) for b in freqs}
     marginals = [0] * sub.alphabet_size  # each letter's blocks added in block order; 0 where it has none
     for (a, _), f in freqs.items():
@@ -114,7 +114,7 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
             "theta": data.theta,
             "letter_frequencies": data.letter_freq.tolist(),
             "perron_residual": data.residual,
-            "letter_limit_norms": limit_norms,
+            "letter_limit_norms": data.left_vec.tolist(),
             "block_alphabet": list(names.values()),
             "block_frequencies": {names[b]: f for b, f in freqs.items()},
             "marginal_check": {str(a): m for a, m in enumerate(marginals)},

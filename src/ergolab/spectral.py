@@ -346,7 +346,8 @@ def _log_tails(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:
     geometric tail is summed in closed form at each d0; a stretched or
     polynomial one is summed once, at the largest d0, and then downward by
     log S(d) = logaddexp(_log_term(d), log S(d + 1)).  The finite-support sum
-    is recomputed only at the n where a support index leaves k <= -n.
+    is recomputed only at the n where a support index leaves k <= -n, as
+    2 log max|a| + log fsum((a / max|a|)^2), so no square under- or overflows.
     """
     support, t = coeffs.support, coeffs.tail
     d_lo, d_hi = max(1, coeffs.k_min + 1), max(1, coeffs.k_min + n_max)
@@ -358,15 +359,16 @@ def _log_tails(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:
     tails: list[float] = []
     for n in range(1, n_max + 1):
         if n == 1 or 1 - n in support:
-            finite = sum(a * a for k, a in support.items() if k <= -n)
-        if t.kind == "none":
-            tails.append(math.log(finite) if finite > 0 else -math.inf)
-            if finite <= 0:
-                break
-            continue
-        d0 = max(1, coeffs.k_min + n)  # smallest tail distance k_min - k with k <= -n
-        log_formula = log_sums[d0] if log_sums else _log_tail_sum(t, d0)
-        tails.append(log_formula if finite <= 0 else _logaddexp(math.log(finite), log_formula))
+            left = [abs(a) for k, a in support.items() if k <= -n]
+            top = max(left, default=0.0)
+            log_finite = 2 * math.log(top) + math.log(math.fsum((a / top) ** 2 for a in left)) if top else -math.inf
+        log_tail = log_finite
+        if t.kind != "none":  # _logaddexp(-inf, y) = y: an empty support adds nothing
+            d0 = max(1, coeffs.k_min + n)  # smallest tail distance k_min - k with k <= -n
+            log_tail = _logaddexp(log_finite, log_sums[d0] if log_sums else _log_tail_sum(t, d0))
+        tails.append(log_tail)
+        if log_tail == -math.inf:
+            break
     return tails
 
 
@@ -388,14 +390,12 @@ def beurling_check(coeffs: WeakLimitCoefficients, n_max: int = 600) -> BeurlingR
     tails = _log_tails(coeffs, n_max)
     sums = tuple(accumulate(lt / (n * n) for n, lt in enumerate(tails, start=1)))
 
-    fit = None
     pts = [
         (math.log(n), math.log(-lt))
         for n, lt in enumerate(tails, start=1)
         if n >= max(2, len(tails) // 2) and -math.inf < lt < 0
     ]
-    if len(pts) >= 2:
-        fit = _slope(*zip(*pts))
+    fit = _slope(*zip(*pts)) if len(pts) >= 2 else None
     return BeurlingReport(
         verdict=verdict,
         partial_sums=sums,

@@ -13,8 +13,8 @@ are accepted only when the residual ||M right - theta right||_inf is at
 most tol * max(1, theta):
 
   * letter frequencies  = l1-normalized right Perron eigenvector of M,
-  * per-letter limits   v(a) = lim M^n e_a / theta^n, realized here as
-    left[a] * right under the normalization left . right = 1,
+  * per-letter limits   v(a) = lim M^n e_a / theta^n = left[a] * right under
+    left . right = 1, so ||v(a)||_1 = left[a] (1 with constant length),
   * 2-block (cylinder) frequencies = the solution v of one linear system
     built from the letter data (Queffelec, LNM 1294): in u = sigma(u)
     every 2-block lies inside some image(c) or straddles image(c)image(d),
@@ -24,8 +24,8 @@ most tol * max(1, theta):
     and v is unique; it is solved along B's functional graph in
     O(|blocks|) time and memory, with no matrix.
 
-From these `block_analysis` forms the rigidity constant alpha = r * rho, with
-r the largest frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1
+From these `block_analysis` forms alpha = r * rho, with r the largest
+frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1 = left[a_r]
 for the smallest letter a_r whose (aa) frequency is within tol * r of r.
 
 The empirical side reads the fixed point u starting at 0.  u is also the
@@ -260,7 +260,7 @@ def _check_fixed_point(sub: Substitution, length: int) -> None:
 
 
 def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
-    """First `length` symbols of the one-sided fixed point u starting at 0.
+    """First `length` letters of the fixed point u at 0, as a read-only uint32 view with no copy.
 
     u is also the fixed point of every power sigma^j, so composing sigma^j and
     growing u are one step: a word of array("I") bytes becomes the join of its
@@ -293,7 +293,7 @@ def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
         ends = list(accumulate(map(lens.__getitem__, memoryview(chunk).cast("I"))))
         chunk = chunk[: size * (bisect_left(ends, need) + 1)]
         word, done = word + step(chunk), done + len(chunk) // size
-    return np.frombuffer(word, np.uintc, length).astype(np.int64)
+    return np.frombuffer(word, np.uintc, length)
 
 
 def word_to_str(word: Iterable[int], alphabet_size: int = 10) -> str:
@@ -439,16 +439,16 @@ class RigidityConstant(NamedTuple):
 
 def block_analysis(
     sub: Substitution, data: PerronData, tol: float = 1e-12
-) -> tuple[dict[Block, float], RigidityConstant, list[float]]:
+) -> tuple[dict[Block, float], RigidityConstant]:
     """The 2-block frequencies of `pair_substitution` (keys in block-alphabet
-    order), the rigidity constant and the letter limit norms ||v(a)||_1, as
-    the module docstring defines them, from `data`, the Perron data of M."""
+    order) and the rigidity constant, as the module docstring defines them, from
+    `data`, the Perron data of M, whose left vector is the limit norms ||v(a)||_1."""
     freqs = _block_frequencies(sub, pair_substitution(sub), data, tol)
-    norms = (data.left_vec[:, None] * data.letter_freq).sum(axis=1).tolist()
-    diag = [freqs.get((a, a), 0.0) for a in range(len(norms))]  # an absent (aa) has frequency 0
+    diag = [freqs.get((a, a), 0.0) for a in range(sub.alphabet_size)]  # an absent (aa) has frequency 0
     r = max(diag)
     witness = next(a for a, x in enumerate(diag) if r - x <= tol * r)  # equal ones may differ in the last bits
-    return freqs, RigidityConstant(r, norms[witness], r * norms[witness], witness), norms
+    rho = float(data.left_vec[witness])
+    return freqs, RigidityConstant(r, rho, r * rho, witness)
 
 
 def rigidity_constant(sub: Substitution, tol: float = 1e-12) -> RigidityConstant:

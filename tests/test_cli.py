@@ -475,6 +475,17 @@ def test_spectral_beurling_small_gamma_stretched_tail_is_finite(tmp_path, capsys
     assert report["verdict"] == "fails" and math.isfinite(report["final_partial_sum"])
 
 
+@pytest.mark.parametrize("support, count", [({"-3": 1e-200, "0": 0.5}, 4), ({"-1": 1e200, "0": 0.5}, 2)])
+def test_spectral_beurling_support_squares_neither_underflow_nor_overflow(support, count, tmp_path, capsys):
+    # a_-3^2 = 1e-400 once underflowed to 0 (count 1), and a_-1^2 = 1e400 to inf, a NaN fit and no report
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"support": support}))
+    code, out = run_cli(["spectral", "beurling", "--n-max", "5", "--coeffs", str(coeffs)], capsys)
+    assert code == 0
+    report = strict_loads(out)["report"]
+    assert report["partial_sum_count"] == count and report["final_partial_sum"] == "-inf"
+
+
 @pytest.mark.parametrize("command", ["beurling", "certify"])
 @pytest.mark.parametrize("n_max", [0, 65537])
 def test_spectral_n_max_outside_range_is_named_error(command, n_max, tmp_path, capsys):

@@ -287,6 +287,22 @@ def test_beurling_geometric_tail_value_matches_closed_form():
         assert tails[n - 1] == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("tail", [TailDescriptor(), TailDescriptor("geometric", c=0.5, q=0.5)])
+@pytest.mark.parametrize("a", [1e-200, 1e200])
+def test_log_tails_of_support_squares_outside_the_float_range(a, tail):
+    # log(a^2 + (a/2)^2) = 2 log a + log 1.25, although a^2 is 0 or inf as a float
+    from ergolab.spectral import _log_tails
+
+    tails = _log_tails(WeakLimitCoefficients({-3: a, -2: a / 2, 0: 0.5}, tail), 5)
+    if tail.kind == "none":
+        assert tails[3:] == [-math.inf]
+    else:
+        assert len(tails) == 5 and all(map(math.isfinite, tails))
+    if tail.kind == "none" or a > 1:  # a geometric tail of c = 0.5 outweighs 1e-400
+        assert tails[:2] == [pytest.approx(2 * math.log(a) + math.log(1.25), rel=1e-15)] * 2
+        assert tails[2] == pytest.approx(2 * math.log(a), rel=1e-15)
+
+
 # Partial sums that the per-n tail formulas gave (one 2,000-term sum or one
 # 400-point trapezoid for every n), frozen at n = 1, 5, 100, 600 and 4096.
 FROZEN_TAIL_SUMS = [

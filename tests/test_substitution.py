@@ -272,15 +272,45 @@ def test_perron_constant_length_limit_norms_are_one():
             assert abs(np.abs(v).sum() - 1.0) < 1e-10
 
 
-@settings(max_examples=40)
-@given(st.integers(1, 5), st.integers(2, 4), st.data())
-def test_perron_constant_length_left_vector_is_all_ones(k, q, data):
-    # 1^T M = q 1^T, so the left vector is all ones, not an eigen-solve's approximation
+@st.composite
+def constant_length_substitutions(draw):
+    """Primitive substitutions on 1-5 letters whose images all have one length q in 2..4."""
+    k, q = draw(st.integers(1, 5)), draw(st.integers(2, 4))
     word = st.lists(st.integers(0, k - 1), min_size=q, max_size=q)
-    sub = Substitution(k, [data.draw(word) for _ in range(k)])
+    sub = Substitution(k, [draw(word) for _ in range(k)])
     assume(is_primitive(sub))
+    return sub
+
+
+@settings(max_examples=40)
+@given(constant_length_substitutions())
+def test_perron_constant_length_left_vector_is_all_ones(sub):
+    # 1^T M = q 1^T, so the left vector is all ones, not an eigen-solve's approximation
     perron_data = perron(composition_matrix(sub))
-    assert perron_data.left_vec.tolist() == [1.0] * k and perron_data.theta == q
+    assert perron_data.left_vec.tolist() == [1.0] * sub.alphabet_size
+    assert perron_data.theta == len(sub.images[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_length_substitutions())
+def test_analyze_constant_length_limit_norms_and_rho_are_exactly_one(sub):
+    # ||v(a)||_1 is left[a], which is exactly 1 here, so alpha = r to the bit
+    from ergolab import cli
+
+    report = cli.report_subst_analyze(sub, 1e-12, 0)
+    rigidity = report["rigidity_constant"]
+    assert report["letter_limit_norms"] == [1.0] * sub.alphabet_size
+    assert rigidity["rho"] == 1.0 and rigidity["alpha"] == rigidity["r"]
+
+
+def test_analyze_rho_is_one_where_a_row_sum_of_the_limit_vector_rounds_below_it():
+    # summing left[a] * right over the letters gave 0.9999999999999999 for both
+    # norms, so rho and alpha came out one ulp low (alpha 0.5999999999999999)
+    from ergolab import cli
+
+    report = cli.report_subst_analyze(Substitution.from_lines(["0 -> 0 0 0 1", "1 -> 0 0 0 0"]), 1e-12, 0)
+    assert report["letter_limit_norms"] == [1.0, 1.0]
+    assert report["rigidity_constant"] == {"r": 0.6, "rho": 1.0, "alpha": 0.6, "witness_letter": 0}
 
 
 def test_perron_rejects_nonprimitive():
@@ -339,8 +369,20 @@ def fixed_point_substitutions(draw):
 @given(fixed_point_substitutions(), st.sampled_from([1, 2, 7, 100, 4096]) | st.integers(1, 3000))
 def test_fixed_point_prefix_matches_oracle(sub, length):
     got = fixed_point_prefix(sub, length)
-    assert got.dtype == np.int64
+    assert got.dtype == np.uint32
     assert got.tolist() == prefix_oracle(sub, length)
+
+
+@pytest.mark.parametrize("sub", [RUDIN_SHAPIRO, THREE_LETTER, FIBONACCI])
+def test_fixed_point_prefix_is_a_read_only_uint32_view_of_the_built_word(sub):
+    got = fixed_point_prefix(sub, 5000)
+    assert got.dtype == np.uint32 and not got.flags.writeable and isinstance(got.base, bytes)
+    assert got.tolist() == prefix_oracle(sub, 5000)
+    with pytest.raises(ValueError, match="read-only"):
+        got[0] = 1
+    # a letter no uint32 holds compares unequal to every entry, so it counts 0
+    for letter in (-1, 2**32, 2**70):
+        assert prefix_correlation(got, [letter], 0) == 0.0
 
 
 @st.composite
@@ -666,14 +708,15 @@ def test_block_frequencies_match_an_exact_fraction_solve(sub):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(primitive_substitutions(), any_primitive_substitutions()))
 def test_analyze_marginals_and_limit_norms_equal_their_per_letter_sums(sub):
-    # the report builds both in one pass; these per-letter sums are the reference, bit for bit
+    # bit for bit: the marginals are per-letter sums of the block frequencies, and the
+    # limit norms ||v(a)||_1 = sum_b left[a] right[b] = left[a] are perron's left vector
     from ergolab import cli
 
     report = cli.report_subst_analyze(sub, 1e-12, 0)
     data, freqs = perron(composition_matrix(sub)), block_frequencies(sub)
     assert report["marginal_check"] == {
         str(a): sum(f for (x, _), f in freqs.items() if x == a) for a in range(sub.alphabet_size)}
-    assert report["letter_limit_norms"] == [float((left * data.letter_freq).sum()) for left in data.left_vec]
+    assert report["letter_limit_norms"] == data.left_vec.tolist()
 
 
 def dense_block_substitution(n: int) -> Substitution:
