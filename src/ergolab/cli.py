@@ -95,7 +95,7 @@ def report_subst_analyze(sub: substitution.Substitution, tol: float, prefix_len:
             "alphabet_size": sub.alphabet_size,
             "images": [substitution.word_to_str(w, sub.alphabet_size) for w in sub.images],
         },
-        "composition_matrix": M.tolist(),
+        "composition_matrix": M,
         "primitive": True,
     }
     try:

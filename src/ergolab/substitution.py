@@ -6,11 +6,12 @@ substitution is primitive (some power maps every letter to a word
 containing every letter), the associated subshift is uniquely ergodic and
 all frequency questions reduce to Perron-Frobenius data of the
 composition matrix M, whose entry (i, j) counts occurrences of letter i
-in the image of letter j.  The data come from one eigen-decomposition
-of M, plus one of its transpose when the image lengths differ (with
-constant length q the left vector is all ones, since 1^T M = q 1^T), and
-are accepted only when the residual ||M right - theta right||_inf is at
-most tol * max(1, theta):
+in the image of letter j.  The data are computed in plain Python (see
+`perron`): with constant length q, theta = q, the left vector is all ones
+(1^T M = q 1^T) and the right one is one elimination; other lengths take
+inverse iteration with Collatz-Wielandt brackets and one elimination for
+the left vector.  They are accepted only when the residual
+||M right - theta right||_inf is at most tol * max(1, theta):
 
   * letter frequencies  = l1-normalized right Perron eigenvector of M,
   * per-letter limits   v(a) = lim M^n e_a / theta^n = left[a] * right under
@@ -32,19 +33,21 @@ The empirical side reads the fixed point u starting at 0.  u is also the
 fixed point of every power sigma^j, so one step (each letter of a word
 replaced by its table image) composes sigma^j, then grows a prefix of u with
 each prefix letter expanded once; `prefix_correlation` scans such a prefix
-for one block.  `prefix_block_frequencies` counts all 2-blocks of u[:n] for
-`subst analyze` with no prefix, from the Dumont-Thomas digits of n: one pass
-over the images per level up to the first sigma^J(0) as long as u[:n]
-(J ~ log_theta n for a primitive sigma).
+for one block, with the prefix bytes as int bit masks.
+`prefix_block_frequencies` counts all 2-blocks of u[:n] for `subst analyze`
+with no prefix, from the Dumont-Thomas digits of n: one pass over the images
+per level up to the first sigma^J(0) as long as u[:n] (J ~ log_theta n for a
+primitive sigma).  No part of this module uses numpy.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from math import fsum
-from operator import index
+from math import fsum, ulp
+from operator import index, mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
@@ -156,12 +159,14 @@ THREE_LETTER = Substitution(3, ((0, 0, 1), (1, 2, 2), (2, 1, 0)), name="three-le
 THREE_LETTER_REFERENCE_ALPHA = 0.3104979673e-7
 
 
-def composition_matrix(sub: Substitution) -> np.ndarray:
-    """k x k integer matrix; entry (i, j) counts letter i in image(j)."""
-    import numpy as np
+def composition_matrix(sub: Substitution) -> list[list[int]]:
+    """k x k integer matrix as k rows; entry (i, j) counts letter i in image(j)."""
     k = sub.alphabet_size
-    cells = [i * k + j for j, w in enumerate(sub.images) for i in w]
-    return np.bincount(cells, minlength=k * k).reshape(k, k)
+    M = [[0] * k for _ in range(k)]
+    for j, w in enumerate(sub.images):
+        for i in w:
+            M[i][j] += 1
+    return M
 
 
 def is_primitive(sub: Substitution) -> bool:
@@ -169,81 +174,226 @@ def is_primitive(sub: Substitution) -> bool:
 
     A primitive k x k matrix has every power from the Wielandt bound
     k^2 - 2k + 2 on entrywise positive, so squaring the positivity pattern
-    until its exponent reaches the bound decides primitivity.  Patterns are
-    boolean matrices, whose products cannot overflow.
+    until its exponent reaches the bound decides primitivity.  A pattern row
+    is an int bitmask, and row i of the square is the OR of the rows t that
+    row i holds.
     """
     return _matrix_is_primitive(composition_matrix(sub))
 
 
-def _matrix_is_primitive(M: np.ndarray) -> bool:
-    k = M.shape[0]
-    P = M > 0
+def _matrix_is_primitive(M: Sequence[Sequence[int]]) -> bool:
+    k = len(M)
+    full = (1 << k) - 1
+    rows = [sum(1 << j for j, x in enumerate(row) if x) for row in M]
     exponent = 1
-    while not P.all():
+    while any(r != full for r in rows):
         if exponent >= k * k - 2 * k + 2:
             return False
-        P = P @ P
-        exponent *= 2
+        squared = []
+        for r in rows:
+            acc, t = 0, 0
+            while r and acc != full:
+                low = r & -r
+                t, r = low.bit_length() - 1, r ^ low
+                acc |= rows[t]
+            squared.append(acc)
+        rows, exponent = squared, exponent * 2
     return True
+
+
+class Vector(tuple):
+    """A Perron vector: a tuple of floats with an array's scalar `*` and `-`
+    and its `tolist()`."""
+
+    __slots__ = ()
+
+    def __mul__(self, c: float) -> "Vector":
+        return Vector(x * c for x in self)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, c: float) -> "Vector":
+        return Vector(x - c for x in self)
+
+    def tolist(self) -> list[float]:
+        return list(self)
 
 
 @dataclass(frozen=True)
 class PerronData:
     theta: float
-    left_vec: np.ndarray
-    letter_freq: np.ndarray
+    left_vec: Vector
+    letter_freq: Vector
     residual: float
 
 
-def _dominant_eigenvector(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """Eigenvalue of largest modulus and its eigenvector, normalized to sum 1.
+def _square_rows(M: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of M as lists of ints; ValueError for a non-square M or an
+    entry that is no nonnegative integer."""
+    k = len(M)
+    if not k:
+        raise ValueError("matrix must have at least one row")
+    rows = []
+    for i, row in enumerate(M):
+        if len(row) != k:
+            raise ValueError(f"matrix must be square, row {i} has {len(row)} entries for {k} rows")
+        try:
+            ints = list(map(index, row))
+        except TypeError:
+            ints = []
+        if len(ints) < k or min(ints) < 0:
+            j, x = next((j, x) for j, x in enumerate(row) if not _is_count(x))
+            raise ValueError(f"entry ({i}, {j}) = {x!r} is not a nonnegative integer")
+        rows.append(ints)
+    return rows
 
-    For a primitive matrix that eigenvalue is simple and real, and its
-    eigenvector has entries of one sign.
-    """
-    import numpy as np
-    eigvals, eigvecs = np.linalg.eig(A)
-    i = int(np.argmax(np.abs(eigvals)))
-    v = eigvecs[:, i].real
-    return float(eigvals[i].real), v / v.sum()
+
+def _is_count(x) -> bool:
+    try:
+        return index(x) >= 0
+    except TypeError:
+        return False
 
 
-def perron(M: np.ndarray, tol: float = 1e-12) -> PerronData:
+def _solve(rows: list[list[float]]) -> list[float] | None:
+    """x with A x = b, where `rows` are those of [A | b] (consumed), by
+    Gaussian elimination with partial pivoting; None when a pivot is exactly
+    0.  A row with 0 in the pivot column is not updated."""
+    k = len(rows)
+    done = []  # the pivot rows, in column order
+    for c in range(k):
+        best, p = 0.0, -1
+        for r, row in enumerate(rows):
+            if abs(row[c]) > best:
+                best, p = abs(row[c]), r
+        if p < 0:
+            return None
+        top = rows.pop(p)
+        pivot = top[c]
+        for row in rows:
+            f = row[c]
+            if f:
+                f /= pivot
+                for j in range(c + 1, k + 1):
+                    row[j] -= f * top[j]
+        done.append(top)
+    x = [0.0] * k
+    for c in range(k - 1, -1, -1):
+        row = done[c]
+        t = row[k]
+        for j in range(c + 1, k):
+            t -= row[j] * x[j]
+        x[c] = t / row[c]
+    return x
+
+
+def _shifted(neg: list[list[float]], theta: float, b: Sequence[float]) -> list[list[float]]:
+    """The rows of [theta I - R | b], where `neg` are the rows of -R."""
+    A = [row + [bi] for row, bi in zip(neg, b)]
+    for i, row in enumerate(A):
+        row[i] += theta
+    return A
+
+
+def _null_vector(neg: list[list[float]], theta: float, norm: Sequence[float]) -> list[float] | None:
+    """The x with (theta I - R) x = 0 and norm . x = 1, where `neg` are the
+    rows of -R: the last equation is replaced by the normalisation.  For a
+    simple eigenvalue theta with a positive left vector each row of
+    theta I - R is a combination of the others, so the bordered system is
+    nonsingular."""
+    A = _shifted(neg, theta, [0.0] * len(neg))
+    A[-1] = [*norm, 1.0]
+    return _solve(A)
+
+
+def _matvec(sparse: list[tuple[list[int], list[int]]], x: list[float]) -> list[float]:
+    """M x, with each row of M as (columns, entries) of its nonzeros."""
+    return [sum(map(mul, vals, map(x.__getitem__, cols))) for cols, vals in sparse]
+
+
+def _collatz_wielandt(sparse: list[tuple[list[int], list[int]]], x: list[float]) -> tuple[float, float] | None:
+    """min and max of (M x)_i / x_i, which bracket theta for a positive x
+    (Seneta, Ch. 3); None when x is not positive."""
+    if min(x) <= 0:
+        return None
+    ratios = list(map(truediv, _matvec(sparse, x), x))
+    return min(ratios), max(ratios)
+
+
+# A bound on the shifts of `perron`'s inverse iteration, which ends at the
+# rounding floor: random primitive matrices of 1-40 letters took at most 11
+# shifts, the primitive 300-letter cycle 0 -> 01, i -> i+1 took 7.
+_MAX_SHIFTS = 100
+
+
+def perron(M: Sequence[Sequence[int]], tol: float = 1e-12) -> PerronData:
     """Perron-Frobenius data of a primitive nonnegative integer matrix.
 
-    theta and the right eigenvector come from one eigen-decomposition of
-    M.  The right eigenvector is normalized to l1-sum 1 (letter
-    frequencies); the left eigenvector is scaled so that left . right = 1,
-    which makes v(a) = left[a] * right the limit of M^n e_a / theta^n.  For
+    The right eigenvector is normalized to l1-sum 1 (letter frequencies);
+    the left eigenvector is scaled so that left . right = 1, which makes
+    v(a) = left[a] * right the limit of M^n e_a / theta^n.  For
     constant-column-sum matrices (constant-length substitutions) theta is
     the exact integer column sum q and the left vector is exactly all ones,
-    since 1^T M = q 1^T; other matrices take it from one eigen-decomposition
-    of M.T.  NotPrimitive (the analysis' one primitivity check) is raised
-    when no power of M is entrywise positive, NoConvergence when
-    ||M right - theta right||_inf exceeds tol * max(1, theta) or a vector is
-    not strictly positive.
+    since 1^T M = q 1^T; the right vector is one elimination of M - qI with
+    its last row replaced by the sum row.  Other matrices take theta and
+    the right vector by inverse iteration (Noda, Numer. Math. 17, 1971) from
+    the Collatz-Wielandt upper bound: each shift lambda solves
+    (lambda I - M) y = x, takes the Newton step lambda - 1 / sum(y) clamped
+    into the Collatz-Wielandt bracket [lo, hi] of x = y / sum(y), and the
+    iteration stops when hi - lo is a few ulps.  A shift that lands exactly
+    on theta takes the null vector instead.  A Newton shift whose iterate is
+    not positive or does not lower hi is retaken at hi (Noda's step), which
+    lowers hi down to its rounding floor, where the iteration stops.  The
+    left vector is one elimination of M^T - theta I with its last row
+    replaced by the right vector.  ValueError is raised for an M that is not
+    square or has an entry that is no nonnegative integer, NotPrimitive (the
+    analysis' one primitivity check) when no power of M is entrywise
+    positive, NoConvergence when ||M right - theta right||_inf exceeds
+    tol * max(1, theta) or a vector is not strictly positive.
     """
     if not 0 <= tol < float("inf"):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-    import numpy as np
-    M = np.asarray(M)
-    if not _matrix_is_primitive(M):
+    rows = _square_rows(M)
+    if not _matrix_is_primitive(rows):
         raise NotPrimitive("matrix has no entrywise-positive power")
-    A = M.astype(float)
-    theta, right = _dominant_eigenvector(A)
-
-    col_sums = M.sum(axis=0)
-    if np.all(col_sums == col_sums[0]):
-        theta, left = float(col_sums[0]), np.ones(len(A))
+    k = len(rows)
+    sparse = [([j for j, m in enumerate(row) if m], [m for m in row if m]) for row in rows]
+    neg = [[-float(m) for m in row] for row in rows]
+    col_sums = [sum(col) for col in zip(*rows)]
+    if len(set(col_sums)) == 1:
+        theta = float(col_sums[0])
+        right, left = _null_vector(neg, theta, [1.0] * k), [1.0] * k
     else:
-        _, left_raw = _dominant_eigenvector(A.T)
-        left = left_raw / float(left_raw @ right)
-    residual = float(np.abs(A @ right - theta * right).max())
+        x = [1.0 / k] * k
+        lo, hi = _collatz_wielandt(sparse, x)
+        theta = hi
+        for _ in range(_MAX_SHIFTS):
+            if hi - lo <= 4 * ulp(hi):
+                break
+            y = _solve(_shifted(neg, theta, x))
+            if y is None:  # theta is an eigenvalue, and the bracket holds no other
+                x = _null_vector(neg, theta, [1.0] * k)
+                break
+            s = fsum(y)
+            z = [v / s for v in y] if s else y
+            bracket = _collatz_wielandt(sparse, z) if s else None
+            if bracket and bracket[1] < hi:
+                x, (lo, hi) = z, bracket
+                theta = min(hi, max(lo, theta - 1 / s))
+            elif theta < hi:  # the Newton shift overshot: retake it at x's upper bound
+                theta = hi
+            else:  # the upper bound lowers no further: the rounding floor
+                break
+        right = x
+        left = None if right is None else _null_vector([list(col) for col in zip(*neg)], theta, right)
+    if right is None or left is None:
+        raise NoConvergence("singular Perron system")
+    residual = max(abs(mr - theta * r) for mr, r in zip(_matvec(sparse, right), right))
     if residual > tol * max(1.0, theta):
         raise NoConvergence(f"Perron residual {residual:.3e} exceeds tol={tol}")
-    if right.min() <= 0 or left.min() <= 0:
+    if min(right) <= 0 or min(left) <= 0:
         raise NoConvergence("eigenvector failed strict positivity")
-    return PerronData(theta, left, right, residual)
+    return PerronData(theta, Vector(left), Vector(right), residual)
 
 
 # Letters the sigma^j image table of `fixed_point_prefix` may hold: of
@@ -259,29 +409,31 @@ def _check_fixed_point(sub: Substitution, length: int) -> None:
         raise NotFixedPointCapable("image of 0 must start with 0 and grow")
 
 
-def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
-    """First `length` letters of the fixed point u at 0, as a read-only uint32 view with no copy.
+def fixed_point_prefix(sub: Substitution, length: int) -> memoryview:
+    """First `length` letters of the fixed point u at 0, as a read-only view
+    of the built word with no copy.
 
-    u is also the fixed point of every power sigma^j, so composing sigma^j and
-    growing u are one step: a word of array("I") bytes becomes the join of its
-    letters' table images.  The step squares the table, sigma^(2j)(a) =
-    sigma^j(sigma^j(a)), while it holds at most _POWER_LETTERS letters, so even
-    length-1 images take O(log j) steps.  Then each pass appends to w =
-    sigma^j(u[:done]), a prefix of u, only the images of the letters from `done`
-    up to the one whose image reaches `length`: no letter is expanded twice.
+    The word is `array` items of the narrowest type that holds the alphabet:
+    "B" (one byte) for up to 256 letters, else the next wider one.  u is also
+    the fixed point of every power sigma^j, so composing sigma^j and growing
+    u are one step: a word becomes the join of its letters' table images.
+    The step squares the table, sigma^(2j)(a) = sigma^j(sigma^j(a)), while it
+    holds at most _POWER_LETTERS letters, so even length-1 images take
+    O(log j) steps.  Then each pass appends to w = sigma^j(u[:done]), a prefix
+    of u, only the images of the letters from `done` up to the one whose
+    image reaches `length`: no letter is expanded twice.
     """
-    import numpy as np
-    from array import array
     _check_fixed_point(sub, length)
-    size = array("I").itemsize
-    table = [array("I", img).tobytes() for img in sub.images]
+    code = next(c for c in "BHILQ" if sub.alphabet_size <= 1 << 8 * array(c).itemsize)
+    size = array(code).itemsize
+    table = [array(code, img).tobytes() for img in sub.images]
     lens = [len(img) for img in table]  # in bytes, as are all lengths below
 
     def step(word: bytes) -> bytes:
-        return b"".join(map(table.__getitem__, memoryview(word).cast("I")))
+        return b"".join(map(table.__getitem__, memoryview(word).cast(code)))
 
     while len(table[0]) < size * length:
-        grown = [sum(map(lens.__getitem__, memoryview(img).cast("I"))) for img in table]
+        grown = [sum(map(lens.__getitem__, memoryview(img).cast(code))) for img in table]
         if sum(grown) > size * _POWER_LETTERS:
             break
         table, lens = [step(img) for img in table], grown
@@ -290,10 +442,10 @@ def fixed_point_prefix(sub: Substitution, length: int) -> np.ndarray:
         need = size * length - len(word)
         # enough letters to reach `length` even if every image is the shortest
         chunk = word[size * done : size * (done - -need // min(lens))]
-        ends = list(accumulate(map(lens.__getitem__, memoryview(chunk).cast("I"))))
+        ends = list(accumulate(map(lens.__getitem__, memoryview(chunk).cast(code))))
         chunk = chunk[: size * (bisect_left(ends, need) + 1)]
         word, done = word + step(chunk), done + len(chunk) // size
-    return np.frombuffer(word, np.uintc, length)
+    return memoryview(word).cast(code)[:length]
 
 
 def word_to_str(word: Iterable[int], alphabet_size: int = 10) -> str:
@@ -351,10 +503,10 @@ def block_frequencies(sub: Substitution, tol: float = 1e-12) -> dict[Block, floa
     non-primitive base the fixed point at 0 may still use a primitive part
     of M (0->01, 1->10, 2->22 gives Thue-Morse's 1/6, 1/3, 1/3, 1/6).
     The blocks take the O(|blocks|) solve of `_block_frequencies`."""
-    import numpy as np
     pair = pair_substitution(sub)
     letters = _block_letters(pair)
-    data = perron(composition_matrix(sub)[np.ix_(letters, letters)], tol=tol)
+    M = composition_matrix(sub)
+    data = perron([[M[i][j] for j in letters] for i in letters], tol=tol)
     return _block_frequencies(sub, pair, data, tol)
 
 
@@ -456,12 +608,24 @@ def rigidity_constant(sub: Substitution, tol: float = 1e-12) -> RigidityConstant
     return block_analysis(sub, perron(composition_matrix(sub), tol=tol), tol)[1]
 
 
-def prefix_correlation(prefix: np.ndarray, block: Iterable[int], shift: int) -> float:
+def prefix_correlation(prefix: memoryview, block: Iterable[int], shift: int) -> float:
     """Fraction of prefix positions carrying `block` at both p and p+shift.
 
-    At shift 0 it is the empirical frequency of the block itself.
+    At shift 0 it is the empirical frequency of the block itself.  `prefix`
+    is a one-dimensional buffer of unsigned letters, such as the view
+    `fixed_point_prefix` returns; a block letter no item holds counts 0.
+
+    The scan runs on one int of 8 * width bits per letter.  For each byte
+    lane of the items, `bytes.translate` sets bit j of a prefix byte when it
+    equals that lane's byte of block letter j, for up to 7 offsets j at once;
+    shifted by 8 * width * j + 8 * lane + j, these flags AND to bit 0 of item
+    p's first byte where the block starts at p.  (Bits 1..7 of that byte end
+    0: a group of c <= 7 offsets sets only flag bits 0..c-1, and bit b meets
+    flag bit b of offset 0 when b >= c, flag bit c of offset c - b otherwise.)
+    Items wider than a byte are also masked to their first byte.
+    Occurrences ANDed with their own shift by 8 * width * shift are counted
+    by `int.bit_count`.
     """
-    import numpy as np
     block = _as_word(block)
     if shift < 0:
         raise ValueError("shift must be nonnegative")
@@ -469,12 +633,24 @@ def prefix_correlation(prefix: np.ndarray, block: Iterable[int], shift: int) -> 
     L = len(block)
     if n <= shift + L:
         raise PrefixTooShort(shift + L)
-    occ = np.ones(n - L + 1, dtype=bool)
-    for off, sym in enumerate(block):
-        occ &= prefix[off : n - L + 1 + off] == sym
+    view = memoryview(prefix)
+    width, raw = view.itemsize, view.tobytes()
+    if not all(0 <= s < 1 << 8 * width for s in block):
+        return 0.0
+    step = 8 * width
+    occ = -1 if width == 1 else int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
+    for o in range(0, L, 7):
+        chunk = block[o : o + 7]
+        for lane in range(width):
+            marks = bytearray(256)
+            for j, s in enumerate(chunk):
+                marks[s >> 8 * lane & 255] |= 1 << j
+            flags = int.from_bytes(raw.translate(marks), "little")
+            for j in range(len(chunk)):
+                occ &= flags >> step * (o + j) + 8 * lane + j
     limit = n - shift - L
-    hits = occ[:limit] & occ[shift : shift + limit]
-    return float(hits.sum()) / limit
+    hits = occ & occ >> step * shift  # at p <= limit; p = limit is left out
+    return (hits.bit_count() - (hits >> step * limit & 1)) / limit
 
 
 def prefix_block_frequencies(sub: Substitution, prefix_len: int) -> dict[Block, float]:

@@ -668,15 +668,20 @@ assert all(type(getattr(ergolab, name)) is not types.ModuleType for name in ("su
 steps = [["import ergolab", 0, loaded()]]
 from ergolab import cli
 steps.append(["import ergolab.cli", 0, loaded()])
-for argv in json.loads(sys.argv[1]):
-    steps.append([" ".join(argv), cli.main([*argv, "--out", sys.argv[2]]), loaded()])
+for step in json.loads(sys.argv[1]):
+    if isinstance(step, str):  # a library call, not a command
+        exec(step)
+        steps.append([step, 0, loaded()])
+    else:
+        steps.append([" ".join(step), cli.main([*step, "--out", sys.argv[2]]), loaded()])
 print(json.dumps(steps))
 """
 
 
 def _probe_loads(commands, tmp_path) -> list:
     """[step, exit code, watched modules loaded so far] for `import ergolab`,
-    `import ergolab.cli` and each command, all run in one new process."""
+    `import ergolab.cli` and each command (an argv list) or library call (a
+    line of Python), all run in one new process."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOAD_PROBE, json.dumps(commands), str(tmp_path / "out.json")],
         capture_output=True, text=True, env=_child_env(),
@@ -713,8 +718,11 @@ def test_commands_without_arrays_do_not_load_numpy(tmp_path):
         ["spectral", "certify", "--coeffs", str(geometric)],
         ["spectral", "certify", "--coeffs", str(polynomial)],
         ["spectral", "certify", "--coeffs", str(stretched)],
+        ["subst", "analyze", "--system", "rudin-shapiro"],
+        ["subst", "analyze", "--system", "three-letter", "--prefix-len", "4096"],
+        ["subst", "correlate", "--system", "three-letter", "--block", "22", "--shift", "729"],
     ]
-    control = ["subst", "analyze", "--system", "rudin-shapiro"]
+    control = "from ergolab.skew import DyadicInterval, SkewSystem; SkewSystem(8, 6).atom_indices(DyadicInterval(0, 1))"
     *numpy_free, (_, control_code, control_loaded) = _probe_loads([*commands, control], tmp_path)
     assert [step for step, code, loaded in numpy_free if code != 0 or "numpy" in loaded] == []
     assert control_code == 0 and "numpy" in control_loaded  # the probe does see numpy once an array is built
@@ -738,14 +746,15 @@ def test_each_process_loads_only_the_library_module_it_reads(tmp_path):
     geometric = tmp_path / "geometric.json"
     geometric.write_text(json.dumps({"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 0.5, "q": 0.5}}))
     # the library records are NamedTuples or plain classes; skew.SpectralCoefficient and
-    # substitution.PerronData are the only dataclasses, so only skew and subst import dataclasses
+    # substitution.PerronData are the only dataclasses, so only skew and subst import dataclasses;
+    # no subst command builds an array
     expected = {
         ("rankone", "heights", "--system", "chacon", "--stages", "5"): ["ergolab.rankone", "fractions"],
         ("spectral", "certify", "--coeffs", str(geometric)): ["ergolab.spectral"],
         ("skew", "correlate", "--atom-level", "14", "--cutoff", "12", "--shift", "5"):
             ["ergolab.rankone", "ergolab.skew", "fractions", "dataclasses", "inspect"],
         ("subst", "analyze", "--system", "rudin-shapiro"):
-            ["ergolab.substitution", "numpy", "dataclasses", "inspect"],
+            ["ergolab.substitution", "dataclasses", "inspect"],
     }
     for argv, modules in expected.items():
         (_, _, preloaded), cli_step, (step, code, loaded) = _probe_loads([list(argv)], tmp_path)
@@ -807,17 +816,17 @@ def _count_calls(monkeypatch, module, names) -> dict:
 
 def test_subst_analyze_builds_m_once_and_decides_primitivity_once(monkeypatch):
     # perron(M) is the only primitivity check and the only eigenproblem of a
-    # report: constant length takes the all-ones left vector, so one eig call
-    # (for M), other lengths a second one for M.T; the blocks take no solve
+    # report, solved without numpy for constant and other lengths; the blocks
+    # take no solve
     import numpy as np
     from ergolab import substitution
 
     calls = _count_calls(monkeypatch, substitution, ("composition_matrix", "_matrix_is_primitive"))
     linalg = _count_calls(monkeypatch, np.linalg, ("eig", "solve"))
     report_subst_analyze(THREE_LETTER, 1e-12, 64)
-    assert calls == {"composition_matrix": 1, "_matrix_is_primitive": 1} and linalg == {"eig": 1, "solve": 0}
+    assert calls == {"composition_matrix": 1, "_matrix_is_primitive": 1} and linalg == {"eig": 0, "solve": 0}
     report_subst_analyze(Substitution(2, ((0, 0, 1, 1), (0, 1))), 1e-12, 64)
-    assert calls == {"composition_matrix": 2, "_matrix_is_primitive": 2} and linalg == {"eig": 3, "solve": 0}
+    assert calls == {"composition_matrix": 2, "_matrix_is_primitive": 2} and linalg == {"eig": 0, "solve": 0}
 
 
 def test_subst_analyze_counts_its_blocks_without_a_prefix(monkeypatch):

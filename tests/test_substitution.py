@@ -124,17 +124,16 @@ def test_composition_matrix_rudin_shapiro():
     M = composition_matrix(RUDIN_SHAPIRO)
     expected_columns = [(1, 0, 1, 0), (0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1)]
     for j, col in enumerate(expected_columns):
-        assert tuple(M[:, j]) == col
+        assert tuple(row[j] for row in M) == col
 
 
 def test_composition_matrix_three_letter():
     M = composition_matrix(THREE_LETTER)
-    assert [tuple(M[:, j]) for j in range(3)] == [(2, 1, 0), (0, 1, 2), (1, 1, 1)]
+    assert list(zip(*M)) == [(2, 1, 0), (0, 1, 2), (1, 1, 1)]
 
 
 def test_composition_matrix_identity_like():
-    M = composition_matrix(Substitution(1, ((0,),)))
-    assert M.tolist() == [[1]]
+    assert composition_matrix(Substitution(1, ((0,),))) == [[1]]
 
 
 @settings(max_examples=40)
@@ -151,7 +150,7 @@ def test_column_sums_equal_image_lengths(data):
     k, images = data
     sub = Substitution(k, tuple(tuple(w) for w in images))
     M = composition_matrix(sub)
-    assert [int(s) for s in M.sum(axis=0)] == [len(w) for w in sub.images]
+    assert [sum(col) for col in zip(*M)] == [len(w) for w in sub.images]
 
 
 # -- primitivity ---------------------------------------------------------------
@@ -181,7 +180,7 @@ def primitivity_oracle(M) -> bool:
 def test_primitivity_by_squaring_matches_power_oracle(M):
     from ergolab.substitution import _matrix_is_primitive
 
-    assert _matrix_is_primitive(np.array(M)) == primitivity_oracle(M)
+    assert _matrix_is_primitive(M) == primitivity_oracle(M)
 
 
 def test_primitivity_on_257_letters():
@@ -216,7 +215,7 @@ def test_perron_matches_numpy_eig_oracle():
     for sub in (RUDIN_SHAPIRO, THREE_LETTER, FIBONACCI):
         M = composition_matrix(sub)
         data = perron(M)
-        eigvals, eigvecs = np.linalg.eig(M.astype(float))
+        eigvals, eigvecs = np.linalg.eig(np.array(M, dtype=float))
         i = np.argmax(np.abs(eigvals))
         assert abs(data.theta - eigvals[i].real) < 1e-9
         v = np.abs(eigvecs[:, i].real)
@@ -226,8 +225,8 @@ def test_perron_matches_numpy_eig_oracle():
 def test_letter_limits_match_iterative_oracle():
     # v(a) should be the limit of M^n e_a / theta^n
     for sub in (RUDIN_SHAPIRO, THREE_LETTER, FIBONACCI):
-        M = composition_matrix(sub).astype(float)
-        data = perron(M.astype(np.int64))
+        M = np.array(composition_matrix(sub), dtype=float)
+        data = perron(composition_matrix(sub))
         n = 40
         P = np.linalg.matrix_power(M, n) / data.theta**n
         for a, v in enumerate(np.outer(data.left_vec, data.letter_freq)):
@@ -253,7 +252,7 @@ def primitive_substitutions(draw):
 @given(primitive_substitutions())
 def test_perron_residual_and_limits_on_random_substitutions(sub):
     tol = 1e-12
-    M = composition_matrix(sub).astype(float)
+    M = np.array(composition_matrix(sub), dtype=float)
     data = perron(composition_matrix(sub), tol=tol)
     residual = np.abs(M @ data.letter_freq - data.theta * data.letter_freq).max()
     assert residual <= tol * max(1.0, data.theta)
@@ -263,6 +262,50 @@ def test_perron_residual_and_limits_on_random_substitutions(sub):
     for a, v in enumerate(np.outer(data.left_vec, data.letter_freq)):
         assert np.allclose(P[:, a], v, atol=1e-6), (sub.images, a)
         assert v.min() > 0, (sub.images, a)  # so ||v||_1 is v.sum() in the reports
+
+
+@st.composite
+def small_primitive_substitutions(draw):
+    """Primitive substitutions on 1-6 letters whose images have one length or lengths 1-4."""
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(1, 4))] * k
+    else:
+        lengths = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    sub = Substitution(k, [draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)) for n in lengths])
+    assume(is_primitive(sub))
+    return sub
+
+
+@settings(max_examples=200)
+@given(small_primitive_substitutions())
+def test_perron_matches_numpy_eig_on_random_substitutions(sub):
+    A = np.array(composition_matrix(sub), dtype=float)
+    data = perron(composition_matrix(sub))
+    eigvals, eigvecs = np.linalg.eig(A)
+    i = np.argmax(np.abs(eigvals))
+    right = eigvecs[:, i].real / eigvecs[:, i].real.sum()
+    eigvals_t, eigvecs_t = np.linalg.eig(A.T)
+    left = eigvecs_t[:, np.argmax(np.abs(eigvals_t))].real
+    left = left / (left @ right)
+    assert abs(data.theta - eigvals[i].real) <= 1e-12 * data.theta, sub.images
+    assert np.abs(np.array(data.letter_freq) - right).max() <= 1e-12, sub.images
+    assert np.abs(np.array(data.left_vec) - left).max() <= 1e-11 * left.max(), sub.images
+
+
+def test_perron_takes_the_null_vector_where_a_shift_lands_on_theta(monkeypatch):
+    # lengths 2, 4, 2, 4 and theta = 3 exactly: a Newton shift lands on 3, where
+    # 3I - M is singular, so the right vector is the null vector, (2, 3, 2, 1) / 8
+    import ergolab.substitution as substitution
+
+    calls = []
+    null_vector = substitution._null_vector
+    monkeypatch.setattr(substitution, "_null_vector", lambda *args: calls.append(args[1]) or null_vector(*args))
+    data = perron(composition_matrix(Substitution.from_lines(["0 -> 01", "1 -> 0211", "2 -> 23", "3 -> 3201"])))
+    assert calls == [3.0, 3.0]  # the right vector, then the left one
+    assert data.theta == 3.0 and data.residual == 0.0
+    assert data.letter_freq == (0.25, 0.375, 0.25, 0.125)
+    assert data.left_vec == pytest.approx([2 / 3, 4 / 3, 2 / 3, 4 / 3], rel=1e-15, abs=0)
 
 
 def test_perron_constant_length_limit_norms_are_one():
@@ -327,9 +370,9 @@ def test_perron_rejects_a_tol_that_gates_nothing(tol):
 
 def test_perron_positive_vectors():
     data = perron(composition_matrix(THREE_LETTER))
-    assert data.letter_freq.min() > 0
-    assert data.left_vec.min() > 0
-    assert abs(data.letter_freq.sum() - 1.0) < 1e-12
+    assert min(data.letter_freq) > 0
+    assert min(data.left_vec) > 0
+    assert abs(sum(data.letter_freq) - 1.0) < 1e-12
 
 
 # -- fixed point ----------------------------------------------------------------
@@ -344,7 +387,7 @@ def test_fixed_point_prefix_frozen_values():
 def test_fixed_point_prefix_nesting():
     long = fixed_point_prefix(RUDIN_SHAPIRO, 512)
     for n in (1, 7, 100, 511):
-        assert np.array_equal(fixed_point_prefix(RUDIN_SHAPIRO, n), long[:n])
+        assert fixed_point_prefix(RUDIN_SHAPIRO, n) == long[:n]
 
 
 def prefix_oracle(sub: Substitution, length: int) -> list[int]:
@@ -369,20 +412,59 @@ def fixed_point_substitutions(draw):
 @given(fixed_point_substitutions(), st.sampled_from([1, 2, 7, 100, 4096]) | st.integers(1, 3000))
 def test_fixed_point_prefix_matches_oracle(sub, length):
     got = fixed_point_prefix(sub, length)
-    assert got.dtype == np.uint32
+    assert got.format == "B"
     assert got.tolist() == prefix_oracle(sub, length)
 
 
-@pytest.mark.parametrize("sub", [RUDIN_SHAPIRO, THREE_LETTER, FIBONACCI])
-def test_fixed_point_prefix_is_a_read_only_uint32_view_of_the_built_word(sub):
+def wide_substitution() -> Substitution:
+    """Images of 1 to 3 letters over 300 letters, so letters above 255 need 2-byte items."""
+    rng = random.Random(300)
+    return Substitution(300, [(0, 299, 1)] + [tuple(rng.choices(range(300), k=rng.randint(1, 3))) for _ in range(299)])
+
+
+@pytest.mark.parametrize("sub, code", [
+    (RUDIN_SHAPIRO, "B"), (THREE_LETTER, "B"), (FIBONACCI, "B"), (wide_substitution(), "H"),
+    # the largest letter is the last one: 255 fits a byte, 256 does not
+    (Substitution(256, [(0, 255)] + [(0,)] * 255), "B"), (Substitution(257, [(0, 256)] + [(0,)] * 256), "H"),
+])
+def test_fixed_point_prefix_is_a_read_only_view_of_the_built_word(sub, code):
     got = fixed_point_prefix(sub, 5000)
-    assert got.dtype == np.uint32 and not got.flags.writeable and isinstance(got.base, bytes)
+    assert got.format == code and got.readonly and isinstance(got.obj, bytes)
     assert got.tolist() == prefix_oracle(sub, 5000)
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(TypeError, match="read-only"):
         got[0] = 1
-    # a letter no uint32 holds compares unequal to every entry, so it counts 0
-    for letter in (-1, 2**32, 2**70):
+    # a letter no item holds counts 0
+    for letter in (-1, 256**got.itemsize, 2**70):
         assert prefix_correlation(got, [letter], 0) == 0.0
+
+
+def numpy_scan(prefix, block, shift: int) -> float:
+    """`prefix_correlation` by one boolean array per block offset (test oracle)."""
+    prefix = np.asarray(prefix, dtype=np.int64)
+    n, L = len(prefix), len(block)
+    occ = np.ones(n - L + 1, dtype=bool)
+    for off, sym in enumerate(block):
+        occ &= prefix[off : n - L + 1 + off] == sym
+    limit = n - shift - L
+    return float(np.count_nonzero(occ[:limit] & occ[shift : shift + limit])) / limit
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["three-letter", "wide"]), st.data())
+def test_prefix_correlation_matches_a_numpy_scan(system, data):
+    # one-byte items, and two-byte items on 300 letters; blocks of up to 9
+    # letters take two groups of byte flags, and a letter no item holds counts 0
+    sub = {"three-letter": THREE_LETTER, "wide": wide_substitution()}[system]
+    prefix = fixed_point_prefix(sub, 3000)
+    L, start = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 2000))
+    block = prefix[start : start + L].tolist()
+    if data.draw(st.booleans()):
+        block[data.draw(st.integers(0, L - 1))] = data.draw(st.sampled_from([2, 299, 300, 256, 2**16, -1]))
+    shift = data.draw(st.integers(0, 3000 - L - 1))
+    got = prefix_correlation(prefix, block, shift)
+    assert got == numpy_scan(prefix, block, shift)
+    if not all(0 <= s < 256**prefix.itemsize for s in block):
+        assert got == 0.0
 
 
 @st.composite
@@ -398,11 +480,12 @@ def substitutions_with_length_one_images(draw):
 @given(fixed_point_substitutions() | substitutions_with_length_one_images(), st.data())
 def test_fixed_point_prefix_matches_oracle_at_generation_lengths(sub, data):
     # |sigma^j(0)| - 1, |sigma^j(0)| and |sigma^j(0)| + 1 sit on either side of
-    # the ends of the sigma^j table and of the numpy passes
-    counts, generations = composition_matrix(sub)[:, 0], [1]  # letter counts of sigma^j(0)
+    # the ends of the sigma^j table and of the growth passes
+    M = np.array(composition_matrix(sub))
+    counts, generations = M[:, 0], [1]  # letter counts of sigma^j(0)
     while generations[-1] < 1500:
         generations.append(int(counts.sum()))
-        counts = composition_matrix(sub) @ counts
+        counts = M @ counts
     n = data.draw(st.sampled_from(generations))
     want = prefix_oracle(sub, n + 1)
     for length in (n - 1, n, n + 1):
@@ -428,12 +511,6 @@ def test_fixed_point_prefix_grows_slow_substitutions():
     for sub, want in slow_closed_forms(n):
         for length in (1, 2, 3, _POWER_LETTERS - 1, _POWER_LETTERS, _POWER_LETTERS + 1, 8192, n):
             assert fixed_point_prefix(sub, length).tolist() == want[:length]
-
-
-def wide_substitution() -> Substitution:
-    """Images of 1 to 3 letters over 300 letters, so letters above 255 need 4-byte items."""
-    rng = random.Random(300)
-    return Substitution(300, [(0, 299, 1)] + [tuple(rng.choices(range(300), k=rng.randint(1, 3))) for _ in range(299)])
 
 
 @pytest.mark.parametrize("sub", [RUDIN_SHAPIRO, THREE_LETTER, FIBONACCI, wide_substitution()])
@@ -520,12 +597,12 @@ def test_pair_substitution_trivial():
     assert pair[(0, 0)] == ((0, 0), (0, 0))
 
 
-def primitive_substitutions():
+def primitive_fixed_point_substitutions():
     return fixed_point_substitutions().filter(is_primitive)
 
 
 @settings(max_examples=40, deadline=None)
-@given(primitive_substitutions(), st.sampled_from([3, 4, 1000]))
+@given(primitive_fixed_point_substitutions(), st.sampled_from([3, 4, 1000]))
 def test_analyze_empirical_check_rows_equal_prefix_correlation(sub, prefix_len):
     from ergolab import cli
 
@@ -870,6 +947,7 @@ def prefix_block_scan(sub: Substitution, prefix_len: int) -> dict:
     prefix, k = fixed_point_prefix(sub, prefix_len), sub.alphabet_size
     if prefix_len <= 2:
         raise PrefixTooShort(2)
+    prefix = np.asarray(prefix, dtype=np.int64)
     counts = np.bincount(prefix[: prefix_len - 2] * k + prefix[1 : prefix_len - 1]).tolist()
     return {divmod(i, k): c / (prefix_len - 2) for i, c in enumerate(counts) if c}
 
@@ -926,10 +1004,13 @@ NO_FIXED_POINT = Substitution(2, ((1, 0), (0,)), name="no-fixed-point-at-0")  # 
     (lambda: Substitution.from_lines(["0 -> 01", "0 -> 1"]), ValueError, "duplicate image for letter 0"),
     (lambda: Substitution.from_lines(["", "# only a comment"]), ValueError, "empty substitution definition"),
     (lambda: Substitution.from_lines(["0 -> 02", "2 -> 0"]), ValueError, "letters must be 0..k-1 with no gaps"),
-    (lambda: perron(composition_matrix(THREE_LETTER), tol=0), NoConvergence,
-     r"Perron residual \S+ exceeds tol=0"),
-    # the dominant eigenvalue of a matrix with a negative entry need not have a positive vector
-    (lambda: perron(np.array([[1, 1], [1, -3]])), NoConvergence, "eigenvector failed strict positivity"),
+    # the three-letter residual is exactly 0, Fibonacci's is not
+    (lambda: perron(composition_matrix(FIBONACCI), tol=0), NoConvergence, r"Perron residual \S+ exceeds tol=0"),
+    # M is checked before any arithmetic: its dominant eigenvector could divide by 0
+    (lambda: perron([[1, 1], [1, -3]]), ValueError, r"entry \(1, 1\) = -3 is not a nonnegative integer"),
+    (lambda: perron([[1, 1], [1, 0.5]]), ValueError, r"entry \(1, 1\) = 0\.5 is not a nonnegative integer"),
+    (lambda: perron([[1, 1], [1]]), ValueError, "matrix must be square, row 1 has 1 entries for 2 rows"),
+    (lambda: perron([]), ValueError, "matrix must have at least one row"),
     (lambda: fixed_point_prefix(RUDIN_SHAPIRO, 0), ValueError, "length must be positive"),
     # the 2-block count checks as the prefix it replaces: length, then the fixed point, then the span
     *(pytest.param(lambda n=n, sub=sub: prefix_block_frequencies(sub, n), error, message,
@@ -945,13 +1026,13 @@ NO_FIXED_POINT = Substitution(2, ((1, 0), (0,)), name="no-fixed-point-at-0")  # 
     # a letter that is no integer is named, not truncated to 1 or 0
     (lambda: Substitution(2, ((0, 1.7), (1,))), ValueError, r"letter 1\.7 is not an integer"),
     (lambda: empirical_correlation(RUDIN_SHAPIRO, (0.9,), 3, 100), ValueError, r"letter 0\.9 is not an integer"),
-    (lambda: prefix_correlation(np.zeros(8, dtype=np.int64), (0, "1"), 1), ValueError, "letter '1' is not an integer"),
+    (lambda: prefix_correlation(memoryview(bytes(8)), (0, "1"), 1), ValueError, "letter '1' is not an integer"),
     # the block as separate letters, which read back, not as the digit strings 112 and 0-1
     (lambda: empirical_correlation(THREE_LETTER, (1, 12), 1, 64), ValueError, r"block 1 12 has a letter outside 0\.\.2"),
     (lambda: empirical_correlation(RUDIN_SHAPIRO, (0, -1), 1, 64), ValueError, r"block 0 -1 has a letter outside 0\.\.3"),
     (lambda: pair_substitution(Substitution(1, ((0,),))), NotFixedPointCapable,
      "pair substitution needs an image of two or more letters"),
-    (lambda: prefix_correlation(np.zeros(8, dtype=np.int64), (0,), -1), ValueError, "shift must be nonnegative"),
+    (lambda: prefix_correlation(memoryview(bytes(8)), (0,), -1), ValueError, "shift must be nonnegative"),
 ])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
