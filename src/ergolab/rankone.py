@@ -364,8 +364,6 @@ def level_correlation(spec: RankOneSpec, N: int, A: LevelSet, m: int) -> Bounded
     hs = spec.stage_heights
     if m < 0 or m >= hs[N]:
         raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
-    if m == 0:
-        return BoundedValue(value=len(A.levels) / spec.stage_copies[A.stage], error_bound=0.0)
     copies = spec.stage_copies[N]
     return BoundedValue(value=correlation_count(spec, N, A, A, m) / copies, error_bound=m / copies)
 

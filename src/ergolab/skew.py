@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -154,15 +153,6 @@ FIRST_DIGIT_SIGN = DyadicStep(1, (1.0, -1.0))
 CONSTANT_ONE = DyadicStep(0, (1.0,))
 
 
-def _bit_reverse_permutation(K: int) -> np.ndarray:
-    import numpy as np
-    u = np.arange(2**K, dtype=np.int64)
-    r = np.zeros_like(u)
-    for b in range(K):
-        r |= ((u >> b) & 1) << (K - 1 - b)
-    return r
-
-
 def _band_mass(a: int, l: int, m: int) -> int:
     """The sign s in {-1, 0, 1} of D(a, l, m) = s * 2^-l for the band
     cocycle phi(z) = fold(z + 1), one digit per step.
@@ -214,25 +204,12 @@ class SkewSystem:
         self.L = boundary_cutoff
         self.cocycle = cocycle
 
-    @cached_property
-    def _rev(self) -> np.ndarray:
-        """Involution atom <-> tower position on the level-K atoms."""
-        return _bit_reverse_permutation(self.K)
-
     @property
     def atom_count(self) -> int:
         return 2**self.K
 
     def max_window(self) -> int:
         return 1 << self.K >> 4
-
-    def atom_indices(self, interval: DyadicInterval) -> np.ndarray:
-        if interval.level > self.K:
-            raise ValueError("interval finer than the atom partition")
-        import numpy as np
-        count = 1 << (self.K - interval.level)
-        start = interval.numerator << (self.K - interval.level)
-        return np.arange(start, start + count, dtype=np.int64)
 
     def _signed_mass(self, a: int, l: int, m: int) -> tuple[int, int]:
         """D(a, l, m) = s / 2^t as (s, t): the integral of (-1)^phi_m over

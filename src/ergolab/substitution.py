@@ -145,9 +145,12 @@ class Substitution:
         for i in range(k):
             rhs, bad = mapping[i]
             try:
-                images.append(str_to_word(rhs, k))
+                word = str_to_word(rhs, k)
             except ValueError:
                 raise ValueError(bad) from None
+            if not word:
+                raise ValueError(bad)
+            images.append(word)
         return cls(k, images, name=name)
 
 
@@ -627,6 +630,8 @@ def prefix_correlation(prefix: memoryview, block: Iterable[int], shift: int) -> 
     by `int.bit_count`.
     """
     block = _as_word(block)
+    if not block:
+        raise ValueError("block must be nonempty")
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     n = len(prefix)

@@ -237,8 +237,8 @@ def test_rankone_correlate_report_counts_through_correlation_count(monkeypatch):
     monkeypatch.setattr(rankone, "correlation_count", lambda *args: original(*args) + 1)
     after = report_rankone_correlate(spec, 6, A, shifts)["correlations"]
     w = float(rankone.level_width(spec, 6))
-    assert after[0] == before[0]  # m = 0 is the exact set measure
-    assert [r["value"] for r in after[1:]] == pytest.approx([r["value"] + w for r in before[1:]], rel=1e-12)
+    # m = 0 too: there the sweep counts |A| p_k ... p_{N-1}, the exact set measure
+    assert [r["value"] for r in after] == pytest.approx([r["value"] + w for r in before], rel=1e-12)
 
 
 def test_rankone_rigidity_command(capsys):
@@ -722,10 +722,12 @@ def test_commands_without_arrays_do_not_load_numpy(tmp_path):
         ["subst", "analyze", "--system", "three-letter", "--prefix-len", "4096"],
         ["subst", "correlate", "--system", "three-letter", "--block", "22", "--shift", "729"],
     ]
-    control = "from ergolab.skew import DyadicInterval, SkewSystem; SkewSystem(8, 6).atom_indices(DyadicInterval(0, 1))"
-    *numpy_free, (_, control_code, control_loaded) = _probe_loads([*commands, control], tmp_path)
+    *numpy_free, (_, control_code, control_loaded) = _probe_loads([*commands, "import numpy"], tmp_path)
     assert [step for step, code, loaded in numpy_free if code != 0 or "numpy" in loaded] == []
-    assert control_code == 0 and "numpy" in control_loaded  # the probe does see numpy once an array is built
+    assert control_code == 0 and "numpy" in control_loaded  # the probe does see numpy once it is imported
+    # and every command runs where numpy cannot be imported at all
+    blocked = _probe_loads(['sys.modules["numpy"] = None', *commands], tmp_path)
+    assert [step for step, code, _ in blocked if code != 0] == []
 
 
 def test_cli_only_formats_what_the_library_computes():

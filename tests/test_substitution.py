@@ -1001,6 +1001,8 @@ NO_FIXED_POINT = Substitution(2, ((1, 0), (0,)), name="no-fixed-point-at-0")  # 
     (lambda: Substitution(2, ((0, 2), (1,))), ValueError, "image symbol out of alphabet range"),
     (lambda: Substitution.from_lines(["0 -> 01", "", "# note", "1 01"]), ValueError,
      r"line 4: bad substitution line '1 01'"),
+    (lambda: Substitution.from_lines(["0 -> 01", "1 -> "]), ValueError, r"line 2: bad substitution line '1 -> '"),
+    (lambda: Substitution.from_lines(["x -> 01"]), ValueError, r"line 1: bad substitution line 'x -> 01'"),
     (lambda: Substitution.from_lines(["0 -> 01", "0 -> 1"]), ValueError, "duplicate image for letter 0"),
     (lambda: Substitution.from_lines(["", "# only a comment"]), ValueError, "empty substitution definition"),
     (lambda: Substitution.from_lines(["0 -> 02", "2 -> 0"]), ValueError, "letters must be 0..k-1 with no gaps"),
@@ -1033,6 +1035,8 @@ NO_FIXED_POINT = Substitution(2, ((1, 0), (0,)), name="no-fixed-point-at-0")  # 
     (lambda: pair_substitution(Substitution(1, ((0,),))), NotFixedPointCapable,
      "pair substitution needs an image of two or more letters"),
     (lambda: prefix_correlation(memoryview(bytes(8)), (0,), -1), ValueError, "shift must be nonnegative"),
+    # every position carries the empty word, so no count of it is a correlation
+    (lambda: prefix_correlation(fixed_point_prefix(RUDIN_SHAPIRO, 100), (), 0), ValueError, "block must be nonempty"),
 ])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
