@@ -65,24 +65,24 @@ class ShiftOutOfRange(RankOneError):
     pass
 
 
+def _checked_stage(p: int, spacers: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    p, spacers = int(p), tuple(int(a) for a in spacers)
+    if p < 2:
+        raise ValueError("cutting parameter must be >= 2")
+    if len(spacers) != p:
+        raise ValueError("need one spacer count per column")
+    if any(a < 0 for a in spacers):
+        raise ValueError("spacer counts must be nonnegative")
+    return p, spacers
+
+
 class RankOneSpec:
     """Cutting/spacer schedule: one (p, spacers) pair per stage."""
 
     def __init__(self, stages: Sequence[tuple[int, Sequence[int]]], name: str | None = None):
         if not stages:
             raise ValueError("need at least one stage")
-        norm = []
-        for p, spacers in stages:
-            p = int(p)
-            spacers = tuple(int(a) for a in spacers)
-            if p < 2:
-                raise ValueError("cutting parameter must be >= 2")
-            if len(spacers) != p:
-                raise ValueError("need one spacer count per column")
-            if any(a < 0 for a in spacers):
-                raise ValueError("spacer counts must be nonnegative")
-            norm.append((p, spacers))
-        self.stages = tuple(norm)
+        self.stages = tuple(_checked_stage(p, spacers) for p, spacers in stages)
         self.name = name
         self._stage_diffs: dict[int, tuple[list[int], list[int]]] = {}
 
@@ -126,9 +126,13 @@ class RankOneSpec:
                 continue
             head, _, tail = line.partition(":")
             try:
-                stages.append((int(head), tuple(int(x) for x in tail.split())))
+                stage = int(head), [int(x) for x in tail.split()]
             except ValueError:
                 raise ValueError(f"line {n}: expected 'p: a_1 ... a_p', got {raw!r}") from None
+            try:
+                stages.append(_checked_stage(*stage))
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from None
         return cls(tuple(stages), name=name)
 
 

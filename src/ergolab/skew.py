@@ -62,16 +62,6 @@ class CoefficientOverflow(SkewError, ValueError):
     """An exact value beyond the float range: its finite inputs are too large, so also a ValueError."""
 
 
-class Boundary:
-    """Sentinel for Birkhoff sums that cannot be resolved at level K."""
-
-    def __repr__(self):
-        return "Boundary"
-
-
-BOUNDARY = Boundary()
-
-
 def _band(x: Fraction) -> tuple[Fraction, int]:
     """x as a Fraction and the n of its band [1 - 2^-n, 1 - 2^-(n+1))."""
     x = Fraction(x)
@@ -230,24 +220,6 @@ class SkewSystem:
         top = max(self.cocycle.level, l)
         total = sum((-1) ** (phi_sum(r + m) - phi_sum(r)) for r in range(a, 2**top, 2**l))
         return total, top
-
-
-def cocycle_sum(atom: DyadicInterval, m: int, sys: SkewSystem) -> int | Boundary:
-    """Parity of the Birkhoff sum phi_m on one atom, or Boundary.
-
-    Boundary is returned when the orbit window reads an atom on which the
-    cocycle is not constant (those reads split the atom's mass in half).
-    """
-    if atom.level != sys.K:
-        raise ValueError("atom level must equal the system's atom level")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > sys.max_window():
-        raise IndexTooLarge(f"window {m} exceeds 2^(K-4) = {sys.max_window()}")
-    s, _ = sys._signed_mass(_bit_reverse(atom.numerator, sys.K), sys.K, m)
-    if s == 0:
-        return BOUNDARY
-    return 0 if s > 0 else 1
 
 
 def skew_correlation(

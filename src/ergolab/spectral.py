@@ -243,13 +243,28 @@ class TailDescriptor:
         return "holds", "log tail ~ -2 n^gamma with gamma >= 1; terms do not vanish faster than c/n"
 
 
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key that json would overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 class WeakLimitCoefficients:
     """A two-sided coefficient sequence with a closed-form left tail."""
 
     __slots__ = ("support", "tail", "restricted")
 
     def __init__(self, support: dict[int, float], tail: TailDescriptor = TailDescriptor()):
-        self.support = {int(i): float(a) for i, a in support.items()}
+        self.support = {}
+        for key, a in support.items():
+            i = int(key)
+            if i in self.support:  # "0" and "00" from a file, say
+                raise ValueError(f"repeated support index {i}")
+            self.support[i] = float(a)
         if not self.support:
             raise ValueError("finite support must be nonempty")
         if not all(map(math.isfinite, self.support.values())):
@@ -264,7 +279,7 @@ class WeakLimitCoefficients:
     @classmethod
     def from_json(cls, text: str) -> "WeakLimitCoefficients":
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, object_pairs_hook=_distinct_keys)
             tail_raw = payload.get("tail", {"kind": "none"})
             params = {}
             for name, value in tail_raw.items():

@@ -32,6 +32,7 @@ from ergolab.rankone import (
     staircase_spec,
     weak_limit_estimate,
 )
+from ergolab.substitution import Substitution, fixed_point_prefix
 
 SPACER = -1
 
@@ -225,6 +226,39 @@ def test_engine_matches_brute_force_property(case):
     spec, k, N, A, B, m = case
     got = correlation_count(spec, N, LevelSet(k, A), LevelSet(k, B), m)
     assert got == brute_count(spec, k, N, A, B, m)
+
+
+# -- rank-one columns as substitution words ------------------------------------------
+
+
+@st.composite
+def coded_schedules(draw):
+    """A stationary schedule (p; a_1 ... a_p), a stage N with h_N <= 5,000
+    and a lag m < h_N."""
+    p = draw(st.integers(2, 4))
+    spacers = tuple(draw(st.lists(st.integers(0, 2), min_size=p, max_size=p)))
+    hs = [1]
+    while p * hs[-1] + sum(spacers) <= 5000:
+        hs.append(p * hs[-1] + sum(spacers))
+    N = draw(st.integers(0, len(hs) - 1))
+    return spacers, N, draw(st.integers(0, hs[N] - 1))
+
+
+@settings(max_examples=200)
+@given(coded_schedules())
+def test_level_zero_counts_equal_coded_substitution_counts(case):
+    """The stage-N column of (p; a_1 ... a_p) reads sigma^N(0) for
+    sigma(0) = 0 1^a_1 0 1^a_2 ... 0 1^a_p, sigma(1) = 1, with level 0 of
+    stage 0 as letter 0 and spacers as letter 1 (Ferenczi): so the pair
+    count of that level at lag m is the count of 0s at lag m in the first
+    h_N letters of sigma's fixed point."""
+    spacers, N, m = case
+    spec = RankOneSpec(((len(spacers), spacers),) * max(N, 1))
+    sigma = Substitution(2, [[letter for a in spacers for letter in (0, *[1] * a)], [1]])
+    h_N = heights(spec)[N]
+    w = fixed_point_prefix(sigma, h_N)
+    want = sum(1 for x in range(h_N - m) if w[x] == 0 == w[x + m])
+    assert correlation_count(spec, N, LevelSet(0, (0,)), LevelSet(0, (0,)), m) == want
 
 
 DEEP_PRESETS = (chacon_spec(30), staircase_spec(3, 30), staircase_spec(4, 30), staircase_spec(5, 30),
@@ -586,6 +620,10 @@ def test_rigidity_scan_translation_invariance_of_singletons():
     (lambda: RankOneSpec(((2, (0, -1)),)), "spacer counts must be nonnegative"),
     (lambda: RankOneSpec.from_lines(["3: 0 1 0", "", "# note", "3: 0 x 0"]),
      "line 4: expected 'p: a_1 ... a_p', got '3: 0 x 0'"),
+    # a stage that parses but fails validation names its line too
+    (lambda: RankOneSpec.from_lines(["3: 0 1 0", "3: 0 1"]), "line 2: need one spacer count per column"),
+    (lambda: RankOneSpec.from_lines(["# p < 2", "1: 0"]), "line 2: cutting parameter must be >= 2"),
+    (lambda: RankOneSpec.from_lines(["2: 0 1", "", "3: 0 -1 0"]), "line 3: spacer counts must be nonnegative"),
     (lambda: LevelSet(1, ()), "level set must be nonempty"),
     (lambda: correlation_count(chacon_spec(4), 4, LevelSet(1, (0,)), LevelSet(2, (0,)), 1),
      "cross-correlation requires a common set stage"),

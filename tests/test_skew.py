@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.skew import (
-    BOUNDARY,
     CONSTANT_ONE,
     FIRST_DIGIT_SIGN,
     DyadicInterval,
@@ -16,7 +15,6 @@ from ergolab.skew import (
     IndexTooLarge,
     SkewSystem,
     _band_mass,
-    cocycle_sum,
     mn_cocycle,
     odometer_map,
     rigidity_sequence,
@@ -171,38 +169,34 @@ def test_vanishing_lemma_is_sharp():
             assert nonzero == (m == 0 or 2 * m < 2**l), (l, m)
 
 
-# -- cocycle sums -----------------------------------------------------------------
+# -- signed masses against orbit iteration -------------------------------------------
 
 
-def test_cocycle_sum_small_examples():
-    sys_ = SkewSystem(6, 4)
-    assert cocycle_sum(DyadicInterval(0, 6), 0, sys_) == 0
-    assert cocycle_sum(DyadicInterval(0, 6), 1, sys_) == 0  # phi(0) = 0
-    # phi(0) + phi(1/2) = 0 + 0
-    assert cocycle_sum(DyadicInterval(0, 6), 2, sys_) == 0
-
-
-def test_cocycle_sum_against_exact_iteration(mn_small):
-    K = mn_small.K
+def test_signed_mass_sign_against_exact_iteration(mn_small):
+    """The sign s of D(a, K, m) = s / 2^K on the atom num/2^K, whose tower
+    position is a = bit_reverse(num, K): s = 0 exactly where the orbit window reads one of the two top atoms, on
+    which the cocycle is not constant (the reads split the atom's mass in
+    half); otherwise (-1)^(phi(x) + ... + phi(T^(m-1) x)) by exact
+    `odometer_map`/`mn_cocycle` steps."""
+    small = SkewSystem(6, 4)
+    # atom 0 at level 6 and m = 0, 1, 2: phi(0) = phi(1/2) = 0, so s = +1
+    assert [small._signed_mass(0, 6, m) for m in (0, 1, 2)] == [(1, 6)] * 3
     rng = random.Random(3)
-    for _ in range(150):
-        t = rng.randrange(2**K)
-        m = rng.randrange(0, 2 ** (K - 4))
-        got = cocycle_sum(DyadicInterval(t, K), m, mn_small)
-        x, total, clean = F(t, 2**K), 0, True
+    K = mn_small.K
+    rows = [(small, 0, m) for m in (0, 1, 2)]
+    rows += [(mn_small, rng.randrange(2**K), rng.randrange(0, 2 ** (K - 4))) for _ in range(150)]
+    for sys_, num, m in rows:
+        K = sys_.K
+        s, t = sys_._signed_mass(bit_reverse(num, K), K, m)
+        x, total, clean = F(num, 2**K), 0, True
         for _ in range(m):
             if int(x * 2**K) >= 2**K - 2:
                 clean = False
                 break
             total += mn_cocycle(x)
             x = odometer_map(x)
-        want = (total % 2) if clean else BOUNDARY
-        assert got == want, (t, m)
-
-
-def test_cocycle_sum_window_guard(mn_small):
-    with pytest.raises(IndexTooLarge):
-        cocycle_sum(DyadicInterval(0, mn_small.K), 2 ** (mn_small.K - 3), mn_small)
+        assert t == K, (K, num, m)
+        assert s == ((-1) ** total if clean else 0), (K, num, m)
 
 
 # -- correlations -------------------------------------------------------------------
@@ -471,8 +465,6 @@ def test_window_caps_below_level_four_are_integer_floors():
     assert skew_correlation(DyadicInterval(0, 0), 0, 0, 0, low_k).value == 0.5
     with pytest.raises(IndexTooLarge, match=r"^shift 1 exceeds 2\^\(K-4\) = 0$"):
         skew_correlation(DyadicInterval(0, 0), 0, 0, 1, low_k)
-    with pytest.raises(IndexTooLarge, match=r"^window 1 exceeds 2\^\(K-4\) = 0$"):
-        cocycle_sum(DyadicInterval(0, 3), 1, low_k)
     assert spectral_coefficient(CONSTANT_ONE, "chi", 0, low_l).value == 1.0
     with pytest.raises(IndexTooLarge, match=r"^\|n\| must be <= 2\^\(L-4\) = 0$"):
         spectral_coefficient(CONSTANT_ONE, "chi", 1, low_l)
@@ -496,8 +488,6 @@ def test_custom_cocycle_zero_gives_product_behaviour():
     (lambda: DyadicStep(1, (1.0, float("inf"))), "step values must be finite"),
     (lambda: SkewSystem(8, 6, DyadicStep(9, (0.0,) * 2**9)), "cocycle breakpoints finer than the atoms"),
     (lambda: SkewSystem(8, 6, DyadicStep(1, (0.0, 0.5))), "cocycle values must lie in {0, 1}"),
-    (lambda: cocycle_sum(DyadicInterval(0, 7), 1, SkewSystem(8, 6)), "atom level must equal the system's atom level"),
-    (lambda: cocycle_sum(DyadicInterval(0, 8), -1, SkewSystem(8, 6)), "m must be nonnegative"),
     (lambda: skew_correlation(DyadicInterval(0, 0), 2, 0, 1, SkewSystem(8, 6)), "fiber points must be 0 or 1"),
     (lambda: skew_correlation(DyadicInterval(0, 0), 0, 0, -1, SkewSystem(8, 6)), "m must be nonnegative"),
     (lambda: skew_correlation(DyadicInterval(0, 9), 0, 0, 1, SkewSystem(8, 6)), "interval finer than the atom partition"),

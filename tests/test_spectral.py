@@ -184,6 +184,25 @@ def test_tail_validation():
             WeakLimitCoefficients.from_json(json.dumps({"support": {"0": 0.5}, "tail": tail}))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"support": {"0": 0.5, "00": 0.3}}', "repeated support index 0"),
+    ('{"support": {"0": 0.5, "0": 0.3}}', "repeated key '0'"),
+], ids=["two-spellings", "repeated-key"])
+@pytest.mark.parametrize("path", ["from_json", "certify", "beurling"])
+def test_repeated_support_index_is_an_error_not_an_overwrite(text, message, path, tmp_path, capsys):
+    from ergolab import cli
+
+    message = f"malformed coefficient file: ValueError: {message}"
+    if path == "from_json":
+        with pytest.raises(SpectralError) as info:
+            WeakLimitCoefficients.from_json(text)
+        assert str(info.value) == message
+        return
+    (tmp_path / "coeffs.json").write_text(text)
+    assert cli.main(["spectral", path, "--coeffs", str(tmp_path / "coeffs.json")]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {"type": "SpectralError", "message": message}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["support", "c", "q", "gamma", "s"])
 def test_non_finite_coefficients_raise_at_construction(name, bad):
@@ -578,6 +597,7 @@ def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
     (lambda: TailDescriptor("stretched_exponential", c=1.0, gamma=-0.5), InvalidTail,
      "stretched tail needs gamma > 0"),
     (lambda: WeakLimitCoefficients({}), ValueError, "finite support must be nonempty"),
+    (lambda: WeakLimitCoefficients({"0": 0.5, "00": 0.3}), ValueError, "repeated support index 0"),
     (lambda: CorrelationSequence({0: (1.0, 0.0), 2: (0.5, 0.0)}), IndexGap, "no value for index n = 1"),
     (lambda: TailDescriptor("nonsense"), InvalidTail, "unknown tail kind 'nonsense'"),
     (lambda: TailDescriptor("geometric", c=1.0, q=1.5), InvalidTail, "geometric tail needs 0 < q < 1"),
