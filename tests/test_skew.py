@@ -172,31 +172,38 @@ def test_vanishing_lemma_is_sharp():
 # -- signed masses against orbit iteration -------------------------------------------
 
 
-def test_signed_mass_sign_against_exact_iteration(mn_small):
-    """The sign s of D(a, K, m) = s / 2^K on the atom num/2^K, whose tower
-    position is a = bit_reverse(num, K): s = 0 exactly where the orbit window reads one of the two top atoms, on
-    which the cocycle is not constant (the reads split the atom's mass in
-    half); otherwise (-1)^(phi(x) + ... + phi(T^(m-1) x)) by exact
-    `odometer_map`/`mn_cocycle` steps."""
-    small = SkewSystem(6, 4)
+def _orbit_sign(num, K, m):
+    """The sign of the cocycle sum phi(x) + ... + phi(T^(m-1) x) on the atom
+    x = num/2^K by exact `odometer_map`/`mn_cocycle` steps: 0 where the orbit
+    window reads one of the two top atoms, on which the cocycle is not
+    constant (the reads split the atom's mass in half), else (-1)^sum."""
+    x, total = F(num, 2**K), 0
+    for _ in range(m):
+        if int(x * 2**K) >= 2**K - 2:
+            return 0
+        total += mn_cocycle(x)
+        x = odometer_map(x)
+    return (-1) ** total
+
+
+def test_cocycle_sum_small_examples():
     # atom 0 at level 6 and m = 0, 1, 2: phi(0) = phi(1/2) = 0, so s = +1
+    small = SkewSystem(6, 4)
     assert [small._signed_mass(0, 6, m) for m in (0, 1, 2)] == [(1, 6)] * 3
+    assert [_orbit_sign(0, 6, m) for m in (0, 1, 2)] == [1] * 3
+
+
+def test_cocycle_sum_against_exact_iteration(mn_small):
+    """The sign s of D(a, K, m) = s / 2^K on the atom num/2^K, whose tower
+    position is a = bit_reverse(num, K), is the orbit sign of the cocycle
+    sum (0 exactly where the window is not clean), with t = K."""
     rng = random.Random(3)
     K = mn_small.K
-    rows = [(small, 0, m) for m in (0, 1, 2)]
-    rows += [(mn_small, rng.randrange(2**K), rng.randrange(0, 2 ** (K - 4))) for _ in range(150)]
-    for sys_, num, m in rows:
-        K = sys_.K
-        s, t = sys_._signed_mass(bit_reverse(num, K), K, m)
-        x, total, clean = F(num, 2**K), 0, True
-        for _ in range(m):
-            if int(x * 2**K) >= 2**K - 2:
-                clean = False
-                break
-            total += mn_cocycle(x)
-            x = odometer_map(x)
+    for _ in range(150):
+        num, m = rng.randrange(2**K), rng.randrange(0, 2 ** (K - 4))
+        s, t = mn_small._signed_mass(bit_reverse(num, K), K, m)
         assert t == K, (K, num, m)
-        assert s == ((-1) ** total if clean else 0), (K, num, m)
+        assert s == _orbit_sign(num, K, m), (K, num, m)
 
 
 # -- correlations -------------------------------------------------------------------
