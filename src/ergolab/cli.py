@@ -236,12 +236,11 @@ def report_skew_correlate(sys_: skew.SkewSystem, A, eps, eps2, m) -> dict:
 
 def report_skew_spectrum(sys_: skew.SkewSystem, g_name, fiber, window) -> dict:
     g = getattr(skew, _G_PRESETS[g_name])
-    # c(-n) = c(n) exactly, so each |n| is computed once
-    coeffs = [skew.spectral_coefficient(g, fiber, n, sys_) for n in range(window + 1)]
-    rows = [{"n": n, "value": coeffs[abs(n)].value, "error_bound": coeffs[abs(n)].error_bound}
+    # c(-n) = c(n) exactly, so each |n| is read once
+    coeffs = skew.spectral_window(g, fiber, window, sys_)
+    rows = [{"n": n, "value": coeffs[abs(n)][0], "error_bound": coeffs[abs(n)][1]}
             for n in range(-window, window + 1)]
-    corr = spectral.CorrelationSequence({c.index: (c.value, c.error_bound) for c in coeffs},
-                                        source=f"{g_name}:{fiber}")
+    corr = spectral.CorrelationSequence(dict(enumerate(coeffs)), source=f"{g_name}:{fiber}")
     report = {
         **_skew_header(sys_),
         "function": f"{g_name}:{fiber}",

@@ -256,6 +256,16 @@ class SpectralCoefficient:
     error_bound: float
 
 
+def _check_coefficient(g: DyadicStep, fiber: str, n: int, sys: SkewSystem) -> None:
+    if fiber not in ("one", "chi"):
+        raise ValueError("fiber must be 'one' or 'chi'")
+    limit = 1 << sys.L >> 4
+    if abs(n) > limit:
+        raise IndexTooLarge(f"|n| must be <= 2^(L-4) = {limit}")
+    if g.level > sys.K:
+        raise ValueError("step function finer than the atom partition")
+
+
 def spectral_coefficient(
     g: DyadicStep, fiber: str, n: int, sys: SkewSystem
 ) -> SpectralCoefficient:
@@ -269,13 +279,7 @@ def spectral_coefficient(
     |n| >= 2^(level(g) - 1), so g (x) chi has a trigonometric-polynomial
     spectral density, and for `one:chi` it is exactly Lebesgue measure.
     """
-    if fiber not in ("one", "chi"):
-        raise ValueError("fiber must be 'one' or 'chi'")
-    limit = 1 << sys.L >> 4
-    if abs(n) > limit:
-        raise IndexTooLarge(f"|n| must be <= 2^(L-4) = {limit}")
-    if g.level > sys.K:
-        raise ValueError("step function finer than the atom partition")
+    _check_coefficient(g, fiber, n, sys)
     # g(r) g(r + m) over the tower classes r, in units of 1/Q^2 for g = tower/Q
     tower, shift = g._tower, abs(n) % 2**g.level
     products = [x * y for x, y in zip(tower, tower[shift:] + tower[:shift])]
@@ -292,6 +296,38 @@ def spectral_coefficient(
         raise CoefficientOverflow(f"spectral coefficient of g (level {g.level}, fiber {fiber}) "
                                   f"at n = {n} exceeds the float range") from None
     return SpectralCoefficient(index=n, value=value, error_bound=0.0)
+
+
+def spectral_window(
+    g: DyadicStep, fiber: str, window: int, sys: SkewSystem
+) -> list[tuple[float, float]]:
+    """(value, error_bound) of spectral_coefficient(g, fiber, n, sys) at
+    position n, for n = 0..window, each distinct value computed once.
+
+    With c = level(g): g (x) 1 is a correlation of a period-2^c sequence,
+    so c(n) = c(n mod 2^c): at most 2^c kernel calls.  Under the band
+    cocycle g (x) chi has c(n) = 0 once n >= 1 and 2n >= 2^c (the lemma
+    at `_band_mass`), so those n share the first of them: at most
+    2^(c-1) + 1 calls, 2 when c = 0.  A custom cocycle keeps every n.  The
+    checks run in the order the calls n = 0..window would meet them,
+    before any call.
+    """
+    _check_coefficient(g, fiber, 0, sys)
+    _check_coefficient(g, fiber, window, sys)
+    G = 1 << g.level
+    if fiber == "one":
+        distinct = G
+    elif sys.cocycle is None:  # up to n = max(1, 2^(c-1)), the first n of the 0 tail
+        distinct = max(1, G >> 1) + 1
+    else:
+        distinct = window + 1
+    values = []
+    for n in range(min(distinct, window + 1)):
+        c = spectral_coefficient(g, fiber, n, sys)
+        values.append((c.value, c.error_bound))
+    if fiber == "one":  # one period, repeated
+        return (values * (window // G + 1))[:window + 1]
+    return values + values[-1:] * (window + 1 - len(values))  # the 0 tail, if any
 
 
 def rigidity_sequence(

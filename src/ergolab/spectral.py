@@ -213,7 +213,7 @@ class TailDescriptor:
             raise InvalidTail(f"unknown tail kind {kind!r}")
         values = {"c": c, "q": q, "gamma": gamma, "s": s}
         for name, value in values.items():
-            if value is not None and not math.isfinite(value):
+            if value is not None and (isinstance(value, (bool, str)) or not math.isfinite(value)):
                 raise InvalidTail(f"tail field {name!r} must be a finite number, got {value!r}")
         for name, value in values.items():
             if name not in TAIL_FIELDS[kind] and value is not None and (name != "c" or value != 0):
@@ -264,6 +264,8 @@ class WeakLimitCoefficients:
             i = int(key)
             if i in self.support:  # "0" and "00" from a file, say
                 raise ValueError(f"repeated support index {i}")
+            if isinstance(a, (bool, str)):  # float() would read True as 1.0 and "0.5" as 0.5
+                raise ValueError(f"support coefficient at index {i} must be a number, got {a!r}")
             self.support[i] = float(a)
         if not self.support:
             raise ValueError("finite support must be nonempty")
@@ -278,6 +280,8 @@ class WeakLimitCoefficients:
 
     @classmethod
     def from_json(cls, text: str) -> "WeakLimitCoefficients":
+        """Only a JSON number is read as a number: float() would also read
+        true as 1.0 and "0.5" as 0.5."""
         try:
             payload = json.loads(text, object_pairs_hook=_distinct_keys)
             tail_raw = payload.get("tail", {"kind": "none"})
@@ -287,14 +291,18 @@ class WeakLimitCoefficients:
                     continue
                 if not any(name in fields for fields in TAIL_FIELDS.values()):
                     raise InvalidTail(f"unknown tail field {name!r}")
-                try:
-                    params[name] = float(value)
-                except (TypeError, ValueError):
+                if type(value) not in (int, float):
                     raise SpectralError(f"malformed coefficient file: tail field {name!r} "
-                                        f"must be a finite number, got {value!r}") from None
+                                        f"must be a finite number, got {value!r}")
+                params[name] = float(value)
             tail = TailDescriptor(kind=tail_raw.get("kind", "none"), **params)
-            return cls(support=payload["support"], tail=tail)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            support = payload["support"]
+            for key, a in support.items():
+                if type(a) not in (int, float):
+                    raise SpectralError(f"malformed coefficient file: support index {key!r} "
+                                        f"must be a number, got {a!r}")
+            return cls(support=support, tail=tail)
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise SpectralError(f"malformed coefficient file: {type(exc).__name__}: {exc}") from None
 
 

@@ -816,6 +816,22 @@ def _count_calls(monkeypatch, module, names) -> dict:
     return calls
 
 
+@pytest.mark.parametrize("sys_, g_name, fiber, window, calls", [
+    (SkewSystem(20, 16), "one", "chi", 512, 2),  # c(n) = 0 for every n >= 1
+    (SkewSystem(20, 16), "first-digit", "one", 512, 2),  # period 2 in n
+    (SkewSystem(10, 10, DyadicStep(1, (0, 1))), "one", "chi", 32, 33),  # a custom cocycle keeps every n
+], ids=["one-chi", "first-digit-one", "custom-cocycle"])
+def test_skew_spectrum_computes_each_distinct_coefficient_once(sys_, g_name, fiber, window, calls,
+                                                               monkeypatch):
+    # the window calls the kernel through the skew module global, so a wrapper there sees every call
+    from ergolab import skew
+
+    counted = _count_calls(monkeypatch, skew, ("spectral_coefficient",))
+    report = report_skew_spectrum(sys_, g_name, fiber, window)
+    assert counted == {"spectral_coefficient": calls}
+    assert [r["n"] for r in report["coefficients"]] == list(range(-window, window + 1))
+
+
 def test_subst_analyze_builds_m_once_and_decides_primitivity_once(monkeypatch):
     # perron(M) is the only primitivity check and the only eigenproblem of a
     # report, solved without numpy for constant and other lengths; the blocks

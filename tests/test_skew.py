@@ -20,6 +20,7 @@ from ergolab.skew import (
     rigidity_sequence,
     skew_correlation,
     spectral_coefficient,
+    spectral_window,
 )
 
 
@@ -399,6 +400,27 @@ def test_closed_forms_for_any_step_function(g):
             assert spectral_coefficient(g, "chi", n, sys_).value == 0.0, (g, n)
             one = spectral_coefficient(g, "one", n, sys_).value
             assert one == spectral_coefficient(g, "one", m % G, sys_).value, (g, n)
+
+
+WINDOW_SYSTEMS = (SkewSystem(16, 12), SkewSystem(12, 10, DyadicStep(2, (0.0, 1.0, 1.0, 0.0))))
+
+
+@settings(max_examples=40)
+@given(dyadic_steps(), st.sampled_from(("one", "chi")), st.sampled_from(WINDOW_SYSTEMS), st.data())
+def test_spectral_window_equals_the_per_n_coefficients(g, fiber, sys_, data):
+    # the closed forms pick which n share a value; each value is still the kernel's, bit for bit
+    limit = 1 << sys_.L >> 4
+    window = data.draw(st.integers(0, limit), label="window")
+    got = spectral_window(g, fiber, window, sys_)
+    assert len(got) == window + 1
+    for n, (value, error_bound) in enumerate(got):
+        want = spectral_coefficient(g, fiber, n, sys_)
+        assert (value.hex(), error_bound) == (want.value.hex(), want.error_bound), (g, fiber, n)
+    with pytest.raises(IndexTooLarge) as per_n:
+        spectral_coefficient(g, fiber, limit + 1, sys_)
+    with pytest.raises(IndexTooLarge) as whole:
+        spectral_window(g, fiber, limit + 1, sys_)
+    assert str(whole.value) == str(per_n.value) == f"|n| must be <= 2^(L-4) = {limit}"
 
 
 def bit_reverse(r: int, level: int) -> int:

@@ -184,15 +184,10 @@ def test_tail_validation():
             WeakLimitCoefficients.from_json(json.dumps({"support": {"0": 0.5}, "tail": tail}))
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"support": {"0": 0.5, "00": 0.3}}', "repeated support index 0"),
-    ('{"support": {"0": 0.5, "0": 0.3}}', "repeated key '0'"),
-], ids=["two-spellings", "repeated-key"])
-@pytest.mark.parametrize("path", ["from_json", "certify", "beurling"])
-def test_repeated_support_index_is_an_error_not_an_overwrite(text, message, path, tmp_path, capsys):
+def assert_coefficient_file_error(text, message, path, tmp_path, capsys):
+    """from_json raises, and `spectral certify` or `beurling` prints, SpectralError(message)."""
     from ergolab import cli
 
-    message = f"malformed coefficient file: ValueError: {message}"
     if path == "from_json":
         with pytest.raises(SpectralError) as info:
             WeakLimitCoefficients.from_json(text)
@@ -201,6 +196,45 @@ def test_repeated_support_index_is_an_error_not_an_overwrite(text, message, path
     (tmp_path / "coeffs.json").write_text(text)
     assert cli.main(["spectral", path, "--coeffs", str(tmp_path / "coeffs.json")]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == {"type": "SpectralError", "message": message}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"support": {"0": 0.5, "00": 0.3}}', "repeated support index 0"),
+    ('{"support": {"0": 0.5, "0": 0.3}}', "repeated key '0'"),
+], ids=["two-spellings", "repeated-key"])
+@pytest.mark.parametrize("path", ["from_json", "certify", "beurling"])
+def test_repeated_support_index_is_an_error_not_an_overwrite(text, message, path, tmp_path, capsys):
+    assert_coefficient_file_error(text, f"malformed coefficient file: ValueError: {message}", path,
+                                  tmp_path, capsys)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"support": {"0": true}}', "support index '0' must be a number, got True"),
+    ('{"support": {"0": "0.5"}}', "support index '0' must be a number, got '0.5'"),
+    ('{"support": {"0": null}}', "support index '0' must be a number, got None"),
+    ('{"support": {"0": true}, "tail": {"kind": "geometric", "c": true, "q": "0.5"}}',
+     "tail field 'c' must be a finite number, got True"),
+    ('{"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 0.5, "q": "0.5"}}',
+     "tail field 'q' must be a finite number, got '0.5'"),
+    # an int is a JSON number, but this one has no float
+    ('{"support": {"0": 1' + "0" * 400 + "}}", "OverflowError: int too large to convert to float"),
+], ids=["bool-support", "str-support", "null-support", "bool-tail", "str-tail", "huge-int"])
+@pytest.mark.parametrize("path", ["from_json", "certify", "beurling"])
+def test_only_json_numbers_are_read_as_numbers(text, message, path, tmp_path, capsys):
+    # float() would read true as 1.0 and "0.5" as 0.5
+    assert_coefficient_file_error(text, f"malformed coefficient file: {message}", path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "str"])
+def test_constructors_refuse_booleans_and_strings(bad):
+    with pytest.raises(ValueError, match=f"^support coefficient at index 0 must be a number, got {bad!r}$"):
+        WeakLimitCoefficients({0: bad})
+    for name in ("c", "q"):
+        with pytest.raises(InvalidTail, match=f"^tail field '{name}' must be a finite number, got {bad!r}$"):
+            TailDescriptor("geometric", **{"c": 0.5, "q": 0.5, name: bad})
+    # an int is a number
+    assert WeakLimitCoefficients({"-1": 1, 0: 0.5}).support == {-1: 1.0, 0: 0.5}
+    assert TailDescriptor("geometric", c=1, q=0.5).c == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
