@@ -7,13 +7,9 @@ and quasi-analyticity singularity certificates for weak-limit
 coefficient sequences.
 
 The four library modules `substitution`, `rankone`, `skew` and
-`spectral` are registered here as lazy modules
-(`importlib.util.LazyLoader`): each one runs on the first access to one
-of its attributes, so `import ergolab` and `import ergolab.cli` load
-none of them and a CLI process loads only the module its command
-reads.  Once loaded, a module is a plain module again.  Names are
-imported from their modules (`from ergolab.substitution import
-Substitution`, or `ergolab.rankone.heights`).
+`spectral` load on the first read of one of their attributes, so a CLI
+process loads only the module its command reads.  Names are imported
+from their modules (`from ergolab.substitution import Substitution`).
 """
 
 import importlib.util

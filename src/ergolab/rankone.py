@@ -9,13 +9,12 @@ j-th copy, so heights satisfy
 
 Level widths w_N = 1 / (p_0 ... p_{N-1}) are exact rationals, and mass is
 left unnormalized because correlation ratios are normalization-invariant.
-A `RankOneSpec` computes its heights and its copy counts p_0 ... p_{N-1}
-(integers) once, on first use.  A set A of stage-k levels has
-mu(A) = |A| * w_k in every stage-N tower, and each public call first
-checks 0 <= k <= N <= K and A's levels in [0, h_k).  `level_width` and
-`level_measure` return `Fraction`s; a correlation value is an integer
-count over the stage-N copy count, rounded once by int/int true division
-(correctly rounded in CPython, as `float(Fraction)` is).
+A set A of stage-k levels has mu(A) = |A| * w_k in every stage-N tower,
+and each public call first checks 0 <= k <= N <= K and A's levels in
+[0, h_k).  `level_width` and `level_measure` return `Fraction`s; a
+correlation value is an integer count over the stage-N copy count,
+rounded once by int/int true division (correctly rounded in CPython, as
+`float(Fraction)` is).
 
 Correlations mu(T^m A cap A) for a union A of stage-k levels are pure
 combinatorics of the stage-N column word: a stage-k level l occupies the
@@ -28,19 +27,7 @@ over the stage-j word obey a recursion across one cutting stage (copies
 of the stage-(j-1) word sit at known offsets, spacer runs carry no
 occurrences), which this module evaluates with exact integers,
 visiting only the copy-offset differences D that keep |delta - D| inside
-the stage-(j-1) word; no column word is ever materialized.  One sweep
-from stage N down to the set's stage serves a whole batch of shifts: the
-lags it still has to visit are kept as runs of consecutive lags, each
-packed into one big int with a fixed-width lane per shift, wide enough
-that no lane carries into the next (see `_pair_counts`).  Nothing is
-kept between calls but a schedule's heights, copy counts and the offset
-differences of the stages a sweep has visited, each built on its first
-visit, so a set at stage k never builds the stages below k.  Points
-whose m-step image leaves the stage-N column are charged wholly to the
-error bound m * level_width, which vanishes as N grows.
-Pair counts and set measures are invariant under translating a level
-set, so `rigidity_scan` evaluates one bound per translation class of its
-sets.
+the stage-(j-1) word; no column word is ever materialized.
 """
 
 from __future__ import annotations
@@ -49,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import mul
+from operator import index, mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -65,8 +52,17 @@ class ShiftOutOfRange(RankOneError):
     pass
 
 
+def _integer(what: str, x) -> int:
+    """x as an int; a value that is no integer (a float, a string) raises
+    ValueError naming it rather than being truncated."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 def _checked_stage(p: int, spacers: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    p, spacers = int(p), tuple(int(a) for a in spacers)
+    p, spacers = _integer("cutting parameter", p), tuple(_integer("spacer count", a) for a in spacers)
     if p < 2:
         raise ValueError("cutting parameter must be >= 2")
     if len(spacers) != p:
@@ -200,8 +196,8 @@ class LevelSet:
     __slots__ = ("stage", "levels")
 
     def __init__(self, stage: int, levels: Iterable[int]):
-        self.stage = stage
-        self.levels = tuple(sorted({int(l) for l in levels}))
+        self.stage = _integer("set stage", stage)
+        self.levels = tuple(sorted({_integer("level", l) for l in levels}))
         if not self.levels:
             raise ValueError("level set must be nonempty")
 
@@ -277,13 +273,8 @@ def _pair_counts(
     every copy-offset difference D with |delta - D| < h_{j-1}.  The lags
     with weight form sorted, disjoint runs (first lag, width, P): P packs
     one slot per lag, first + s in slot s, and each slot one B-bit lane
-    per shift.  A stage maps each run through the differences D of its
-    `bisect` window with one multiply, clipped to |lag| < h_{j-1} (no
-    other lag has pairs) by one shift or mask, and merges the runs that
-    overlap or touch, so nearby shifts of a batch share their arithmetic.
-    At stage k every run is written out as one byte string, and the slots
-    of the lags d with R(k, d) > 0 are sliced out of it and dotted with
-    R(k, d).
+    per shift, so nearby shifts of a batch share their arithmetic.  At
+    stage k the slots are dotted with R(k, d).
 
     No lane carries into its neighbour.  c_j(delta) counts pairs of
     stage-j copies in the stage-N word, so every lane the sweep forms, a
@@ -353,6 +344,7 @@ def correlation_count(
     spec: RankOneSpec, N: int, A: LevelSet, B: LevelSet, m: int
 ) -> int:
     """#{positions x : trace(x) in A, trace(x+m) in B} in the stage-N word."""
+    m = _integer("shift", m)
     if A.stage != B.stage:
         raise ValueError("cross-correlation requires a common set stage")
     _check_level_set(spec, A, N)
@@ -364,6 +356,7 @@ def level_correlation(spec: RankOneSpec, N: int, A: LevelSet, m: int) -> Bounded
     """mu(T^m A cap A) with the in-tower count exact and the top window
     (positions whose m-step image leaves stage-N knowledge) charged to
     error_bound = m * level_width."""
+    m = _integer("shift", m)
     _check_level_set(spec, A, N)
     hs = spec.stage_heights
     if m < 0 or m >= hs[N]:
@@ -464,6 +457,7 @@ def rigidity_scan(
     """
     if N is None:
         N = spec.num_stages
+    shifts = [_integer("shift", m) for m in shifts]
     if not shifts or not sets:
         raise ValueError("need at least one shift and one set")
     if any(m <= 0 for m in shifts):

@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .rankone import BoundedValue
+from .rankone import BoundedValue, _integer
 
 
 class SkewError(Exception):
@@ -93,6 +93,7 @@ class DyadicInterval:
     __slots__ = ("numerator", "level")
 
     def __init__(self, numerator: int, level: int):
+        numerator, level = _integer("numerator", numerator), _integer("level", level)
         if level < 0:
             raise ValueError("level must be nonnegative")
         if not 0 <= numerator < 2**level:
@@ -176,6 +177,7 @@ class SkewSystem:
 
     def __init__(self, atom_level: int = 20, boundary_cutoff: int = 16,
                  cocycle: DyadicStep | None = None):
+        atom_level, boundary_cutoff = _integer("atom level", atom_level), _integer("cutoff", boundary_cutoff)
         if atom_level > 26:
             raise ValueError("atom level capped at 26")
         if not 1 <= boundary_cutoff <= atom_level:
@@ -235,6 +237,7 @@ def skew_correlation(
     """
     if eps not in (0, 1) or eps2 not in (0, 1):
         raise ValueError("fiber points must be 0 or 1")
+    m = _integer("shift", m)
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > sys.max_window():
@@ -304,13 +307,11 @@ def spectral_window(
     """(value, error_bound) of spectral_coefficient(g, fiber, n, sys) at
     position n, for n = 0..window, each distinct value computed once.
 
-    With c = level(g): g (x) 1 is a correlation of a period-2^c sequence,
-    so c(n) = c(n mod 2^c): at most 2^c kernel calls.  Under the band
-    cocycle g (x) chi has c(n) = 0 once n >= 1 and 2n >= 2^c (the lemma
-    at `_band_mass`), so those n share the first of them: at most
-    2^(c-1) + 1 calls, 2 when c = 0.  A custom cocycle keeps every n.  The
-    checks run in the order the calls n = 0..window would meet them,
-    before any call.
+    With c = level(g): g (x) 1 has c(n) = c(n mod 2^c), and under the band
+    cocycle g (x) chi has c(n) = 0 once n >= 1 and 2n >= 2^c (the lemma at
+    `_band_mass`), so a window costs at most 2^c kernel calls; a custom
+    cocycle keeps every n.  The checks run before any call, in the order
+    the calls n = 0..window would meet them.
     """
     _check_coefficient(g, fiber, 0, sys)
     _check_coefficient(g, fiber, window, sys)

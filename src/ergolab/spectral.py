@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 STABILIZATION_SPREAD = 1e-3  # spread over the last three times counted as stable
 
@@ -63,10 +63,6 @@ class CorrelationSequence:
 
     def value(self, n: int) -> float:
         return self.values[n][0]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]], source: str = "") -> "CorrelationSequence":
-        return cls({n: (v, 0.0) for n, v in pairs}, source=source)
 
     @classmethod
     def from_csv(cls, path: str) -> "CorrelationSequence":
@@ -280,8 +276,7 @@ class WeakLimitCoefficients:
 
     @classmethod
     def from_json(cls, text: str) -> "WeakLimitCoefficients":
-        """Only a JSON number is read as a number: float() would also read
-        true as 1.0 and "0.5" as 0.5."""
+        """Only a JSON number is read as a number, not true or "0.5"."""
         try:
             payload = json.loads(text, object_pairs_hook=_distinct_keys)
             tail_raw = payload.get("tail", {"kind": "none"})
@@ -362,16 +357,9 @@ def _log_tail_sum(t: TailDescriptor, d0: int) -> float:
 
 
 def _log_tails(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:
-    """log of sum_{k <= -n} a_k^2 for n = 1..n_max, computed in log space for
-    deep tails; the list ends at the first -inf (nothing left below -n).
-
-    The closed-form tail starts at distance d0(n) = max(1, k_min + n).  A
-    geometric tail is summed in closed form at each d0; a stretched or
-    polynomial one is summed once, at the largest d0, and then downward by
-    log S(d) = logaddexp(_log_term(d), log S(d + 1)).  The finite-support sum
-    is recomputed only at the n where a support index leaves k <= -n, as
-    2 log max|a| + log fsum((a / max|a|)^2), so no square under- or overflows.
-    """
+    """log of sum_{k <= -n} a_k^2 for n = 1..n_max, taken in log space so
+    that no square under- or overflows; the list ends at the first -inf
+    (nothing left below -n)."""
     support, t = coeffs.support, coeffs.tail
     d_lo, d_hi = max(1, coeffs.k_min + 1), max(1, coeffs.k_min + n_max)
     log_sums: dict[int, float] = {}

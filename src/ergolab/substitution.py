@@ -6,11 +6,7 @@ substitution is primitive (some power maps every letter to a word
 containing every letter), the associated subshift is uniquely ergodic and
 all frequency questions reduce to Perron-Frobenius data of the
 composition matrix M, whose entry (i, j) counts occurrences of letter i
-in the image of letter j.  The data are computed in plain Python (see
-`perron`): with constant length q, theta = q, the left vector is all ones
-(1^T M = q 1^T) and the right one is one elimination; other lengths take
-inverse iteration with Collatz-Wielandt brackets and one elimination for
-the left vector.  They are accepted only when the residual
+in the image of letter j, accepted only when the residual
 ||M right - theta right||_inf is at most tol * max(1, theta):
 
   * letter frequencies  = l1-normalized right Perron eigenvector of M,
@@ -28,16 +24,6 @@ the left vector.  They are accepted only when the residual
 From these `block_analysis` forms alpha = r * rho, with r the largest
 frequency of a repeated-letter block (aa) and rho = ||v(a_r)||_1 = left[a_r]
 for the smallest letter a_r whose (aa) frequency is within tol * r of r.
-
-The empirical side reads the fixed point u starting at 0.  u is also the
-fixed point of every power sigma^j, so one step (each letter of a word
-replaced by its table image) composes sigma^j, then grows a prefix of u with
-each prefix letter expanded once; `prefix_correlation` scans such a prefix
-for one block, with the prefix bytes as int bit masks.
-`prefix_block_frequencies` counts all 2-blocks of u[:n] for `subst analyze`
-with no prefix, from the Dumont-Thomas digits of n: one pass over the images
-per level up to the first sigma^J(0) as long as u[:n] (J ~ log_theta n for a
-primitive sigma).  No part of this module uses numpy.
 """
 
 from __future__ import annotations
@@ -97,9 +83,7 @@ class Substitution:
             raise ValueError("alphabet_size must be positive")
         if len(images) != k:
             raise ValueError("need exactly one image per letter")
-        # an image given as text is read as `str_to_word` reads it
-        words = (str_to_word(w, k) if isinstance(w, str) else _as_word(w) for w in images)
-        self.alphabet_size, self.images, self.name = k, tuple(words), name
+        self.alphabet_size, self.images, self.name = k, tuple(map(_as_word, images)), name
         for w in self.images:
             if not w:
                 raise ValueError("images must be nonempty")
@@ -157,10 +141,6 @@ class Substitution:
 RUDIN_SHAPIRO = Substitution(4, ((0, 2), (3, 2), (0, 1), (3, 1)), name="rudin-shapiro")
 THREE_LETTER = Substitution(3, ((0, 0, 1), (1, 2, 2), (2, 1, 0)), name="three-letter")
 
-# Reference value reported elsewhere for the three-letter example's rigidity
-# constant; kept for comparison output only, never asserted.
-THREE_LETTER_REFERENCE_ALPHA = 0.3104979673e-7
-
 
 def composition_matrix(sub: Substitution) -> list[list[int]]:
     """k x k integer matrix as k rows; entry (i, j) counts letter i in image(j)."""
@@ -173,18 +153,14 @@ def composition_matrix(sub: Substitution) -> list[list[int]]:
 
 
 def is_primitive(sub: Substitution) -> bool:
-    """Some power of the composition matrix is entrywise positive.
-
-    A primitive k x k matrix has every power from the Wielandt bound
-    k^2 - 2k + 2 on entrywise positive, so squaring the positivity pattern
-    until its exponent reaches the bound decides primitivity.  A pattern row
-    is an int bitmask, and row i of the square is the OR of the rows t that
-    row i holds.
-    """
+    """Some power of the composition matrix is entrywise positive."""
     return _matrix_is_primitive(composition_matrix(sub))
 
 
 def _matrix_is_primitive(M: Sequence[Sequence[int]]) -> bool:
+    """A primitive k x k matrix has every power from the Wielandt bound
+    k^2 - 2k + 2 on entrywise positive, so squaring the positivity pattern
+    until its exponent reaches the bound decides primitivity."""
     k = len(M)
     full = (1 << k) - 1
     rows = [sum(1 << j for j, x in enumerate(row) if x) for row in M]
@@ -205,21 +181,15 @@ def _matrix_is_primitive(M: Sequence[Sequence[int]]) -> bool:
 
 
 class Vector(tuple):
-    """A Perron vector: a tuple of floats with an array's scalar `*` and `-`
-    and its `tolist()`."""
+    """A Perron vector: a tuple of floats with a scalar `*` and `-`."""
 
     __slots__ = ()
 
     def __mul__(self, c: float) -> "Vector":
         return Vector(x * c for x in self)
 
-    __rmul__ = __mul__
-
     def __sub__(self, c: float) -> "Vector":
         return Vector(x - c for x in self)
-
-    def tolist(self) -> list[float]:
-        return list(self)
 
 
 @dataclass(frozen=True)
@@ -337,22 +307,14 @@ def perron(M: Sequence[Sequence[int]], tol: float = 1e-12) -> PerronData:
     v(a) = left[a] * right the limit of M^n e_a / theta^n.  For
     constant-column-sum matrices (constant-length substitutions) theta is
     the exact integer column sum q and the left vector is exactly all ones,
-    since 1^T M = q 1^T; the right vector is one elimination of M - qI with
-    its last row replaced by the sum row.  Other matrices take theta and
-    the right vector by inverse iteration (Noda, Numer. Math. 17, 1971) from
-    the Collatz-Wielandt upper bound: each shift lambda solves
-    (lambda I - M) y = x, takes the Newton step lambda - 1 / sum(y) clamped
-    into the Collatz-Wielandt bracket [lo, hi] of x = y / sum(y), and the
-    iteration stops when hi - lo is a few ulps.  A shift that lands exactly
-    on theta takes the null vector instead.  A Newton shift whose iterate is
-    not positive or does not lower hi is retaken at hi (Noda's step), which
-    lowers hi down to its rounding floor, where the iteration stops.  The
-    left vector is one elimination of M^T - theta I with its last row
-    replaced by the right vector.  ValueError is raised for an M that is not
-    square or has an entry that is no nonnegative integer, NotPrimitive (the
-    analysis' one primitivity check) when no power of M is entrywise
-    positive, NoConvergence when ||M right - theta right||_inf exceeds
-    tol * max(1, theta) or a vector is not strictly positive.
+    since 1^T M = q 1^T.  Other matrices take theta and the right vector by
+    inverse iteration with Newton shifts (Noda, Numer. Math. 17, 1971) inside
+    the Collatz-Wielandt bracket, down to its rounding floor.  ValueError is
+    raised for an M that is not square or has an entry that is no
+    nonnegative integer, NotPrimitive (the analysis' one primitivity check)
+    when no power of M is entrywise positive, NoConvergence when
+    ||M right - theta right||_inf exceeds tol * max(1, theta) or a vector is
+    not strictly positive.
     """
     if not 0 <= tol < float("inf"):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -418,13 +380,9 @@ def fixed_point_prefix(sub: Substitution, length: int) -> memoryview:
 
     The word is `array` items of the narrowest type that holds the alphabet:
     "B" (one byte) for up to 256 letters, else the next wider one.  u is also
-    the fixed point of every power sigma^j, so composing sigma^j and growing
-    u are one step: a word becomes the join of its letters' table images.
-    The step squares the table, sigma^(2j)(a) = sigma^j(sigma^j(a)), while it
-    holds at most _POWER_LETTERS letters, so even length-1 images take
-    O(log j) steps.  Then each pass appends to w = sigma^j(u[:done]), a prefix
-    of u, only the images of the letters from `done` up to the one whose
-    image reaches `length`: no letter is expanded twice.
+    the fixed point of every power sigma^j: the table of sigma^j images is
+    squared while it holds at most _POWER_LETTERS letters, and then no letter
+    of the prefix is expanded twice.
     """
     _check_fixed_point(sub, length)
     code = next(c for c in "BHILQ" if sub.alphabet_size <= 1 << 8 * array(c).itemsize)
@@ -526,11 +484,9 @@ def _block_frequencies(
 
     B(cd), the last block of cd's image, is cd's one successor, so
     theta v(x) = (A f)(x) + the sum of v over x's predecessors, solved in
-    O(|blocks|) along B's functional graph.  Tree blocks go first, each
-    after all of its predecessors.  What is left are the cycles
-    c0 -> ... -> c(L-1) -> c0: one pass round a cycle from v(c0) = 0 gives x,
-    and v(c0) = x + v(c0) theta^-L, so v(c0) = x / (1 - theta^-L); a second
-    pass fills in the rest.  Every term is positive, so nothing cancels.
+    O(|blocks|) along B's functional graph: a cycle c0 -> ... -> c(L-1) -> c0
+    closes by v(c0) = x / (1 - theta^-L), with x one pass round it from
+    v(c0) = 0.  Every term is positive, so nothing cancels.
     NoConvergence is raised when ||(theta I - B) v - A f||_inf exceeds
     tol * max(1, theta) or v is not strictly positive.
     """
@@ -539,7 +495,7 @@ def _block_frequencies(
         return dict.fromkeys(pair, 1.0)
     index = {b: i for i, b in enumerate(pair)}
     rhs = [0.0] * n
-    for c, f in zip(_block_letters(pair), data.letter_freq.tolist(), strict=True):
+    for c, f in zip(_block_letters(pair), data.letter_freq, strict=True):
         w = sub.images[c]
         for blk in zip(w, w[1:]):
             rhs[index[blk]] += f
@@ -664,17 +620,12 @@ def prefix_block_frequencies(sub: Substitution, prefix_len: int) -> dict[Block, 
     fixed_point_prefix(sub, prefix_len), block, 0)` gives it, in block order; a
     block that does not occur has no key.  No prefix is built.
 
-    With J the first level where |sigma^J(0)| >= n = prefix_len - 1, u[:n] is a
-    prefix of sigma^J(0), and its Dumont-Thomas digits cut it into whole pieces
-    sigma^i(y): descending from level J, a partial piece sigma^(i+1)(a) splits
-    into the pieces sigma^i(y) of the letters y of image(a), the whole ones
-    that fit are kept and the next one is split in turn.  The count is the
-    junctions of consecutive pieces plus the blocks inside each piece.  Those
-    of the whole pieces are added by Horner's rule on their letter counts V:
-    one level down each piece sigma^(i+1)(x) adds, V[x] times, its junctions
-    (last letter of sigma^i(y), first letter of sigma^i(z)) for the neighbours
-    y z of image(x), and hands V on to its letters.  Per level only |sigma^i(a)|
-    and the first and last letters of sigma^i(a) are kept, so the cost is
+    With J the first level where |sigma^J(0)| >= n = prefix_len - 1, the
+    Dumont-Thomas digits of n cut u[:n] into whole pieces sigma^i(y) (Dumont
+    and Thomas, Theoret. Comput. Sci. 65, 1989).  The count is the junctions
+    of consecutive pieces plus the blocks inside each piece, added level by
+    level by Horner's rule on the pieces' letter counts, which needs only
+    |sigma^i(a)| and the first and last letters of sigma^i(a) per level:
     O(J * sum |image(a)|) time and O(J * k + |blocks|) memory.
     """
     _check_fixed_point(sub, prefix_len)

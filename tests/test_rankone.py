@@ -126,7 +126,7 @@ def test_types_keep_their_fields_and_keywords():
     bv = BoundedValue(value=0.25, error_bound=0.0)
     assert (bv.value, bv.error_bound, bv.exact) == (0.25, 0.0, True)
     assert not BoundedValue(0.25, 1e-9).exact
-    spec = RankOneSpec(stages=[(2.0, [0, 1])], name="two")
+    spec = RankOneSpec(stages=[(2, [0, 1])], name="two")
     assert (spec.stages, spec.name, RankOneSpec(spec.stages).name) == (((2, (0, 1)),), "two", None)
     A = LevelSet(stage=2, levels=[5, 0, 5])
     assert (A.stage, A.levels) == (2, (0, 5))
@@ -259,6 +259,55 @@ def test_level_zero_counts_equal_coded_substitution_counts(case):
     w = fixed_point_prefix(sigma, h_N)
     want = sum(1 for x in range(h_N - m) if w[x] == 0 == w[x + m])
     assert correlation_count(spec, N, LevelSet(0, (0,)), LevelSet(0, (0,)), m) == want
+
+
+@st.composite
+def coded_periodic_schedules(draw):
+    """A schedule of period P = 1..3 (p 2..4, spacers 0..2), a stage N with
+    h_N <= 5,000, a set stage k <= N, two sets A, B of stage-k levels and a
+    lag m < h_N."""
+    period = draw(st.lists(st.integers(2, 4).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(st.integers(0, 2), min_size=p, max_size=p).map(tuple))),
+        min_size=1, max_size=3))
+    stages, hs = [], [1]
+    while True:
+        p, spacers = period[len(stages) % len(period)]
+        h = p * hs[-1] + sum(spacers)
+        if h > 5000:
+            break
+        stages.append((p, spacers))
+        hs.append(h)
+    N = draw(st.integers(0, len(stages)))
+    k = draw(st.integers(0, N))
+    A, B = (draw(st.sets(st.integers(0, hs[k] - 1), min_size=1, max_size=6)) for _ in range(2))
+    return stages, period, N, k, A, B, draw(st.integers(0, hs[N] - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_periodic_schedules())
+def test_stage_k_counts_equal_coded_substitution_counts(case):
+    """The stages from k on, with a whole stage-k column as letter 0 and a
+    spacer as 1: with sigma_j(0) = 0 1^a_1 ... 0 1^a_p, sigma_j(1) = 1 for
+    stage j, the coded stage-N column is sigma_k ... sigma_(N-1)(0), a prefix
+    of the fixed point of tau = sigma_k ... sigma_(k+P-1), one period.  Each
+    0 expanded into the h_k levels of the stage-k column gives the trace
+    word, whose lag-m count of A, B levels is the rank-one pair count."""
+    stages, period, N, k, A, B, m = case
+    spec = RankOneSpec(stages[: max(N, 1)])
+    tau = [(0,), (1,)]
+    for j in reversed(range(k, k + len(period))):  # sigma_(k+P-1) acts first
+        _, spacers = period[j % len(period)]
+        sigma = [[letter for a in spacers for letter in (0, *[1] * a)], [1]]
+        tau = [tuple(y for x in w for y in sigma[x]) for w in tau]
+    coded = 1
+    for p, spacers in stages[k:N]:
+        coded = p * coded + sum(spacers)
+    column = range(heights(spec)[k])
+    trace = [l for x in fixed_point_prefix(Substitution(2, tau), coded) for l in (column if x == 0 else [-1])]
+    assert len(trace) == heights(spec)[N]
+    for X, Y in ((A, A), (A, B)):
+        want = sum(1 for x in range(len(trace) - m) if trace[x] in X and trace[x + m] in Y)
+        assert correlation_count(spec, N, LevelSet(k, X), LevelSet(k, Y), m) == want
 
 
 DEEP_PRESETS = (chacon_spec(30), staircase_spec(3, 30), staircase_spec(4, 30), staircase_spec(5, 30),
@@ -630,6 +679,17 @@ def test_rigidity_scan_translation_invariance_of_singletons():
     (lambda: weak_limit_estimate(chacon_spec(12), LevelSet(1, (0,)), 3, 2, 1), "need 0 <= n_start <= n_stop"),
     (lambda: weak_limit_estimate(chacon_spec(12), LevelSet(1, (0,)), 2, 3, -1), "j_max must be nonnegative"),
     (lambda: rigidity_scan(chacon_spec(4), [], [LevelSet(1, (0,))]), "need at least one shift and one set"),
+    # library input is read through operator.index, never truncated by int()
+    (lambda: RankOneSpec([(3.9, (0, 1.5, 0.2))]), "cutting parameter 3.9 is not an integer"),
+    (lambda: RankOneSpec([(3, (0, 1.5, 0.2))]), "spacer count 1.5 is not an integer"),
+    (lambda: RankOneSpec([("3", ("0", "1", "0"))]), "cutting parameter '3' is not an integer"),
+    (lambda: LevelSet(0.0, (0,)), "set stage 0.0 is not an integer"),
+    (lambda: LevelSet(0, (0.7,)), "level 0.7 is not an integer"),
+    (lambda: level_correlation(chacon_spec(5), 5, LevelSet(1, (0.9,)), 3), "level 0.9 is not an integer"),
+    (lambda: level_correlation(chacon_spec(5), 5, LevelSet(1, (0,)), 3.0), "shift 3.0 is not an integer"),
+    (lambda: correlation_count(chacon_spec(5), 5, LevelSet(1, (0,)), LevelSet(1, (0,)), 3.0),
+     "shift 3.0 is not an integer"),
+    (lambda: rigidity_scan(chacon_spec(5), [3.0], [LevelSet(1, (0,))]), "shift 3.0 is not an integer"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as info:

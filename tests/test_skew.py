@@ -528,6 +528,12 @@ def test_custom_cocycle_zero_gives_product_behaviour():
      "spectral coefficient of g (level 0, fiber one) at n = 0 exceeds the float range"),
     (lambda: spectral_coefficient(DyadicStep(0, (1e200,)), "chi", 0, SkewSystem(8, 6)),
      "spectral coefficient of g (level 0, fiber chi) at n = 0 exceeds the float range"),
+    # library input is read through operator.index, never truncated or left to fail at query time
+    (lambda: DyadicInterval(0.5, 1), "numerator 0.5 is not an integer"),
+    (lambda: DyadicInterval(1, 1.0), "level 1.0 is not an integer"),
+    (lambda: SkewSystem(20.0, 16), "atom level 20.0 is not an integer"),
+    (lambda: SkewSystem(20, 16.0), "cutoff 16.0 is not an integer"),
+    (lambda: skew_correlation(DyadicInterval(0, 1), 0, 0, 2.0, SkewSystem(12, 8)), "shift 2.0 is not an integer"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as info:

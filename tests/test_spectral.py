@@ -29,8 +29,8 @@ from ergolab.spectral import (
 
 def synthetic(lam: float, window: int = 128) -> CorrelationSequence:
     """lam * Dirac-at-1 + (1 - lam) * Lebesgue: sigma_hat(n) = lam off 0."""
-    return CorrelationSequence.from_pairs(
-        [(n, 1.0 if n == 0 else lam) for n in range(-window, window + 1)],
+    return CorrelationSequence(
+        {n: (1.0 if n == 0 else lam, 0.0) for n in range(-window, window + 1)},
         source=f"synthetic lam={lam}",
     )
 
@@ -60,9 +60,7 @@ def test_rajchman_extremes():
 
 
 def test_rajchman_decaying_envelope_slope():
-    corr = CorrelationSequence.from_pairs(
-        [(n, 1.0 if n == 0 else 1.0 / (abs(n) ** 0.5)) for n in range(-256, 257)]
-    )
+    corr = CorrelationSequence({n: (1.0 if n == 0 else 1.0 / (abs(n) ** 0.5), 0.0) for n in range(-256, 257)})
     stats = rajchman_probe(corr)
     assert stats.envelope_slope == pytest.approx(-0.5, abs=0.1)
     # oracle: np.polyfit on the same dyadic envelope, to rel 1e-12 or abs 1e-12
@@ -90,7 +88,7 @@ def test_translation_probe_dirac_and_lebesgue():
 
 
 def test_translation_probe_alternating_eigenvalue():
-    corr = CorrelationSequence.from_pairs([(n, (-1.0) ** n) for n in range(-600, 601)])
+    corr = CorrelationSequence({n: ((-1.0) ** n, 0.0) for n in range(-600, 601)})
     probe = translation_probe(corr, [2**k for k in range(1, 10)], 3)
     for j, est in probe.items():
         assert est.limit == (1.0 if j % 2 == 0 else -1.0)
@@ -132,7 +130,7 @@ def test_translation_probe_needs_three_times(times):
 def test_translation_probe_window_guard():
     with pytest.raises(WindowTooSmall):
         translation_probe(synthetic(0.5, window=64), [32, 64, 128], 2)
-    one_sided = CorrelationSequence.from_pairs([(n, 1.0) for n in range(65)])
+    one_sided = CorrelationSequence({n: (1.0, 0.0) for n in range(65)})
     with pytest.raises(WindowTooSmall):
         translation_probe(one_sided, [1, 2, 3], 3)
 

@@ -49,8 +49,10 @@ def test_validation_rejects_bad_images():
 
 
 def test_types_keep_their_fields_and_keywords():
-    sub = Substitution(2, [[0, 1], "0"], name="fibonacci")
+    sub = Substitution(2, [[0, 1], [0]], name="fibonacci")
     assert (sub.alphabet_size, sub.images, sub.name) == (2, FIBONACCI.images, "fibonacci")
+    with pytest.raises(ValueError, match="^letter '0' is not an integer$"):
+        Substitution(2, [[0, 1], "0"])  # an image is letters; text goes through from_lines
     assert Substitution(alphabet_size=2, images=FIBONACCI.images).name is None
     assert RigidityConstant._fields == ("r", "rho", "alpha", "witness_letter")
     assert rigidity_constant(RUDIN_SHAPIRO).witness_letter == rigidity_constant(RUDIN_SHAPIRO)[3]
@@ -254,7 +256,8 @@ def test_perron_residual_and_limits_on_random_substitutions(sub):
     tol = 1e-12
     M = np.array(composition_matrix(sub), dtype=float)
     data = perron(composition_matrix(sub), tol=tol)
-    residual = np.abs(M @ data.letter_freq - data.theta * data.letter_freq).max()
+    right = np.array(data.letter_freq)
+    residual = np.abs(M @ right - data.theta * right).max()
     assert residual <= tol * max(1.0, data.theta)
     # M^n e_a / theta^n; |lambda_2| / theta reaches ~0.985 in this family,
     # so n = 2^14 leaves a truncation error far below the tolerance
@@ -330,7 +333,7 @@ def constant_length_substitutions(draw):
 def test_perron_constant_length_left_vector_is_all_ones(sub):
     # 1^T M = q 1^T, so the left vector is all ones, not an eigen-solve's approximation
     perron_data = perron(composition_matrix(sub))
-    assert perron_data.left_vec.tolist() == [1.0] * sub.alphabet_size
+    assert list(perron_data.left_vec) == [1.0] * sub.alphabet_size
     assert perron_data.theta == len(sub.images[0])
 
 
@@ -754,7 +757,7 @@ def exact_block_frequencies(sub: Substitution, pair, data) -> list[Fraction]:
     for j, img in enumerate(pair.values()):
         rows[index[img[-1]]][j] -= 1
     letters = sorted({a for blk in pair for a in blk})
-    for c, f in zip(letters, data.letter_freq.tolist(), strict=True):
+    for c, f in zip(letters, data.letter_freq, strict=True):
         for blk in zip(sub.images[c], sub.images[c][1:]):
             rows[index[blk]][n] += Fraction(f)
     for col in range(n):
@@ -793,7 +796,7 @@ def test_analyze_marginals_and_limit_norms_equal_their_per_letter_sums(sub):
     data, freqs = perron(composition_matrix(sub)), block_frequencies(sub)
     assert report["marginal_check"] == {
         str(a): sum(f for (x, _), f in freqs.items() if x == a) for a in range(sub.alphabet_size)}
-    assert report["letter_limit_norms"] == data.left_vec.tolist()
+    assert report["letter_limit_norms"] == list(data.left_vec)
 
 
 def dense_block_substitution(n: int) -> Substitution:
