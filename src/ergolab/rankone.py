@@ -36,8 +36,10 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import index, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
+
+from . import BoundedValue, _integer
 
 
 class RankOneError(Exception):
@@ -50,15 +52,6 @@ class StageOutOfRange(RankOneError):
 
 class ShiftOutOfRange(RankOneError):
     pass
-
-
-def _integer(what: str, x) -> int:
-    """x as an int; a value that is no integer (a float, a string) raises
-    ValueError naming it rather than being truncated."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def _checked_stage(p: int, spacers: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -134,13 +127,13 @@ class RankOneSpec:
 
 def chacon_spec(K: int) -> RankOneSpec:
     """K stages of cut-in-3 with a single spacer above the middle column."""
-    return RankOneSpec(((3, (0, 1, 0)),) * K, name="chacon")
+    return RankOneSpec(((3, (0, 1, 0)),) * _integer("stage count", K), name="chacon")
 
 
 def staircase_spec(p: int, K: int) -> RankOneSpec:
     """Staircase schedule: spacers (0, 1, ..., p-2, 0) at every stage."""
-    spacers = tuple(range(p - 1)) + (0,)
-    return RankOneSpec(((p, spacers),) * K, name=f"staircase:{p}")
+    spacers = tuple(range(_integer("cutting parameter", p) - 1)) + (0,)
+    return RankOneSpec(((p, spacers),) * _integer("stage count", K), name=f"staircase:{p}")
 
 
 def historical_chacon_spec(K: int) -> RankOneSpec:
@@ -151,7 +144,7 @@ def historical_chacon_spec(K: int) -> RankOneSpec:
     spacer above the first column instead degenerates to an exactly
     periodic base pattern whose h_n-limit is a single power of T.
     """
-    return RankOneSpec(((2, (0, 1)),) * K, name="historical")
+    return RankOneSpec(((2, (0, 1)),) * _integer("stage count", K), name="historical")
 
 
 def heights(spec: RankOneSpec) -> list[int]:
@@ -160,7 +153,7 @@ def heights(spec: RankOneSpec) -> list[int]:
 
 
 def level_width(spec: RankOneSpec, N: int) -> Fraction:
-    if N < 0 or N > spec.num_stages:
+    if not 0 <= _integer("stage", N) <= spec.num_stages:
         raise StageOutOfRange(f"stage {N} outside 0..{spec.num_stages}")
     return Fraction(1, spec.stage_copies[N])
 
@@ -200,15 +193,6 @@ class LevelSet:
         self.levels = tuple(sorted({_integer("level", l) for l in levels}))
         if not self.levels:
             raise ValueError("level set must be nonempty")
-
-
-class BoundedValue(NamedTuple):
-    value: float
-    error_bound: float
-
-    @property
-    def exact(self) -> bool:
-        return self.error_bound == 0
 
 
 def _differences(xs: Sequence[int], ys: Sequence[int], h: int) -> tuple[list[int], dict[int, int]]:
@@ -326,7 +310,7 @@ def _pair_counts(
 
 
 def _check_level_set(spec: RankOneSpec, A: LevelSet, N: int) -> None:
-    if not 0 <= A.stage <= N <= spec.num_stages:
+    if not 0 <= A.stage <= _integer("stage", N) <= spec.num_stages:
         level_width(spec, N)  # an N outside the schedule gets level_width's error
         raise StageOutOfRange(f"need 0 <= set stage {A.stage} <= N {N} <= {spec.num_stages}")
     if A.levels[0] < 0 or A.levels[-1] >= spec.stage_heights[A.stage]:
@@ -409,11 +393,11 @@ def weak_limit_estimate(
     is N = n_stop + margin; the margin keeps the top-window error bound
     small relative to mu(A).
     """
-    if n_start > n_stop or n_start < 0:
+    if not 0 <= _integer("n_start", n_start) <= _integer("n_stop", n_stop):
         raise ValueError("need 0 <= n_start <= n_stop")
-    if j_max < 0:
+    if _integer("j_max", j_max) < 0:
         raise ValueError("j_max must be nonnegative")
-    if margin < 1:  # the shifts h_n + j need a tower above stage n_stop
+    if _integer("margin", margin) < 1:  # the shifts h_n + j need a tower above stage n_stop
         raise ValueError(f"margin must be at least 1, got {margin}")
     hs = spec.stage_heights
     N = n_stop + margin

@@ -41,13 +41,12 @@ to an integer (0 below level 4); no table of atoms is built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .rankone import BoundedValue, _integer
+from . import BoundedValue, _integer, _real
 
 
 class SkewError(Exception):
@@ -129,11 +128,9 @@ class DyadicStep:
     __slots__ = ("level", "values", "_tower", "_denominator")
 
     def __init__(self, level: int, values: Sequence[float]):
-        if len(values) != 2**level:
+        if len(values) != 2 ** _integer("level", level):
             raise ValueError("need one value per level atom")
-        values = tuple(float(v) for v in values)
-        if not all(map(math.isfinite, values)):
-            raise ValueError("step values must be finite")
+        values = tuple(_real("step value", v) for v in values)
         ratios = [values[_bit_reverse(r, level)].as_integer_ratio() for r in range(2**level)]
         Q = max(q for _, q in ratios)
         self.level, self.values = level, values
@@ -282,6 +279,7 @@ def spectral_coefficient(
     |n| >= 2^(level(g) - 1), so g (x) chi has a trigonometric-polynomial
     spectral density, and for `one:chi` it is exactly Lebesgue measure.
     """
+    n = _integer("index", n)
     _check_coefficient(g, fiber, n, sys)
     # g(r) g(r + m) over the tower classes r, in units of 1/Q^2 for g = tower/Q
     tower, shift = g._tower, abs(n) % 2**g.level
@@ -314,7 +312,7 @@ def spectral_window(
     the calls n = 0..window would meet them.
     """
     _check_coefficient(g, fiber, 0, sys)
-    _check_coefficient(g, fiber, window, sys)
+    _check_coefficient(g, fiber, _integer("window", window), sys)
     G = 1 << g.level
     if fiber == "one":
         distinct = G

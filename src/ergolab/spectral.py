@@ -21,6 +21,8 @@ import math
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
+from . import _integer, _integers, _real
+
 STABILIZATION_SPREAD = 1e-3  # spread over the last three times counted as stable
 
 
@@ -46,15 +48,16 @@ class CorrelationSequence:
     __slots__ = ("values", "source")
 
     def __init__(self, values: dict[int, tuple[float, float]], source: str = ""):
-        self.values = {int(n): (float(v), float(e)) for n, (v, e) in values.items()}
+        # values take float() in bulk, not _real: a skew spectrum report builds one sequence per query
+        self.values = {n: (float(v), float(e)) for n, (v, e) in zip(_integers("index", values), values.values())}
         self.source = source
         if 0 not in self.values:
             raise ValueError("sequence must include n = 0")
         if self.values[0][0] <= 0:
             raise ValueError("sigma_hat(0) must be positive")
-        missing = next((n for n in range(min(self.values), max(self.values))
-                        if n not in self.values), None)
-        if missing is not None:
+        lo, hi = min(self.values), max(self.values)
+        if hi - lo + 1 != len(self.values):  # distinct integer keys: a gap is a missing count
+            missing = next(n for n in range(lo, hi) if n not in self.values)
             raise IndexGap(f"no value for index n = {missing}")
 
     @property
@@ -74,10 +77,8 @@ class CorrelationSequence:
                 if not row or first.startswith("#") or line == 1 and first.startswith("n"):
                     continue
                 try:
-                    n, v = int(row[0]), float(row[1])
-                    e = float(row[2]) if len(row) > 2 else 0.0
-                    if not (math.isfinite(v) and math.isfinite(e)):
-                        raise ValueError("values must be finite")
+                    n, v = int(row[0]), _real("value", float(row[1]))
+                    e = _real("error bound", float(row[2])) if len(row) > 2 else 0.0
                     if n in vals:
                         raise ValueError(f"repeated index n = {n}")
                 except (ValueError, IndexError) as exc:
@@ -92,8 +93,7 @@ def wiener_discrete_mass(corr: CorrelationSequence, N: int | None = None) -> flo
     Converges to the sum of squared atom masses of the measure; use the
     half-window value as a convergence indicator.
     """
-    if N is None:
-        N = corr.window
+    N = corr.window if N is None else _integer("N", N)
     if N < 32:
         raise WindowTooSmall("need a window of at least 32 coefficients")
     if N > corr.window:
@@ -150,6 +150,7 @@ def translation_probe(
     least three times are needed.  The times must strictly increase, so
     the limit is read at the largest.
     """
+    times, j_window = [_integer("time", t) for t in times], _integer("j_window", j_window)
     if len(times) < 3:
         raise ValueError(f"need at least three times to measure a spread, got {len(times)}")
     if any(s >= t for s, t in zip(times, times[1:])):
@@ -209,8 +210,8 @@ class TailDescriptor:
             raise InvalidTail(f"unknown tail kind {kind!r}")
         values = {"c": c, "q": q, "gamma": gamma, "s": s}
         for name, value in values.items():
-            if value is not None and (isinstance(value, (bool, str)) or not math.isfinite(value)):
-                raise InvalidTail(f"tail field {name!r} must be a finite number, got {value!r}")
+            if value is not None:
+                _real(f"tail field {name!r}", value, InvalidTail)
         for name, value in values.items():
             if name not in TAIL_FIELDS[kind] and value is not None and (name != "c" or value != 0):
                 takes = ", ".join(TAIL_FIELDS[kind]) or "no field"
@@ -256,17 +257,12 @@ class WeakLimitCoefficients:
 
     def __init__(self, support: dict[int, float], tail: TailDescriptor = TailDescriptor()):
         self.support = {}
-        for key, a in support.items():
-            i = int(key)
+        for i, a in zip(_integers("support index", support), support.values()):
             if i in self.support:  # "0" and "00" from a file, say
                 raise ValueError(f"repeated support index {i}")
-            if isinstance(a, (bool, str)):  # float() would read True as 1.0 and "0.5" as 0.5
-                raise ValueError(f"support coefficient at index {i} must be a number, got {a!r}")
-            self.support[i] = float(a)
+            self.support[i] = _real(f"support coefficient at index {i}", a)
         if not self.support:
             raise ValueError("finite support must be nonempty")
-        if not all(map(math.isfinite, self.support.values())):
-            raise ValueError(f"support coefficients must be finite, got {self.support}")
         self.tail = tail
         self.restricted = any(a > 0 for a in self.support.values())
 
@@ -276,7 +272,6 @@ class WeakLimitCoefficients:
 
     @classmethod
     def from_json(cls, text: str) -> "WeakLimitCoefficients":
-        """Only a JSON number is read as a number, not true or "0.5"."""
         try:
             payload = json.loads(text, object_pairs_hook=_distinct_keys)
             tail_raw = payload.get("tail", {"kind": "none"})
@@ -286,17 +281,8 @@ class WeakLimitCoefficients:
                     continue
                 if not any(name in fields for fields in TAIL_FIELDS.values()):
                     raise InvalidTail(f"unknown tail field {name!r}")
-                if type(value) not in (int, float):
-                    raise SpectralError(f"malformed coefficient file: tail field {name!r} "
-                                        f"must be a finite number, got {value!r}")
-                params[name] = float(value)
-            tail = TailDescriptor(kind=tail_raw.get("kind", "none"), **params)
-            support = payload["support"]
-            for key, a in support.items():
-                if type(a) not in (int, float):
-                    raise SpectralError(f"malformed coefficient file: support index {key!r} "
-                                        f"must be a number, got {a!r}")
-            return cls(support=support, tail=tail)
+                params[name] = _real(f"tail field {name!r}", value, InvalidTail)  # JSON null: refused, not unset
+            return cls(tail=TailDescriptor(kind=tail_raw.get("kind", "none"), **params), support=payload["support"])
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise SpectralError(f"malformed coefficient file: {type(exc).__name__}: {exc}") from None
 
@@ -385,7 +371,7 @@ def _log_tails(coeffs: WeakLimitCoefficients, n_max: int) -> list[float]:
 
 def check_n_max(n_max: int) -> None:
     """The one range check on n_max, shared by beurling_check and the certify report."""
-    if not 1 <= n_max <= 2**16:
+    if not 1 <= _integer("n_max", n_max) <= 2**16:
         raise ValueError(f"n_max must lie in 1..{2**16}, got {n_max}")
 
 

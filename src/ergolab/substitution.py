@@ -33,8 +33,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from math import fsum, ulp
-from operator import index, mul, truediv
+from operator import mul, truediv
 from typing import Iterable, NamedTuple, Sequence
+
+from . import _integer, _real
 
 Word = tuple[int, ...]
 
@@ -61,15 +63,7 @@ class PrefixTooShort(SubstitutionError):
 
 
 def _as_word(w: Iterable[int]) -> Word:
-    """The letters of `w` as a tuple; a letter that is no integer (a float,
-    a string) raises ValueError naming it rather than being truncated."""
-    word = []
-    for s in w:
-        try:
-            word.append(index(s))
-        except TypeError:
-            raise ValueError(f"letter {s!r} is not an integer") from None
-    return tuple(word)
+    return tuple(_integer("letter", s) for s in w)
 
 
 class Substitution:
@@ -78,7 +72,7 @@ class Substitution:
     __slots__ = ("alphabet_size", "images", "name")
 
     def __init__(self, alphabet_size: int, images: Sequence[Iterable[int]], name: str | None = None):
-        k = alphabet_size
+        k = _integer("alphabet size", alphabet_size)
         if k < 1:
             raise ValueError("alphabet_size must be positive")
         if len(images) != k:
@@ -187,6 +181,7 @@ class Vector(tuple):
 
     def __mul__(self, c: float) -> "Vector":
         return Vector(x * c for x in self)
+    __rmul__ = __mul__
 
     def __sub__(self, c: float) -> "Vector":
         return Vector(x - c for x in self)
@@ -201,31 +196,22 @@ class PerronData:
 
 
 def _square_rows(M: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The rows of M as lists of ints; ValueError for a non-square M or an
-    entry that is no nonnegative integer."""
+    """The rows of M as lists of ints, for a square M of nonnegative integers."""
     k = len(M)
     if not k:
         raise ValueError("matrix must have at least one row")
-    rows = []
+    rows = [[-1] * k for _ in range(k)]  # an entry that is no integer stays -1
     for i, row in enumerate(M):
         if len(row) != k:
             raise ValueError(f"matrix must be square, row {i} has {len(row)} entries for {k} rows")
-        try:
-            ints = list(map(index, row))
-        except TypeError:
-            ints = []
-        if len(ints) < k or min(ints) < 0:
-            j, x = next((j, x) for j, x in enumerate(row) if not _is_count(x))
-            raise ValueError(f"entry ({i}, {j}) = {x!r} is not a nonnegative integer")
-        rows.append(ints)
+        for j, x in enumerate(row):
+            try:
+                rows[i][j] = _integer("entry", x)
+            except ValueError:
+                pass
+            if rows[i][j] < 0:
+                raise ValueError(f"entry ({i}, {j}) = {x!r} is not a nonnegative integer")
     return rows
-
-
-def _is_count(x) -> bool:
-    try:
-        return index(x) >= 0
-    except TypeError:
-        return False
 
 
 def _solve(rows: list[list[float]]) -> list[float] | None:
@@ -316,8 +302,11 @@ def perron(M: Sequence[Sequence[int]], tol: float = 1e-12) -> PerronData:
     ||M right - theta right||_inf exceeds tol * max(1, theta) or a vector is
     not strictly positive.
     """
-    if not 0 <= tol < float("inf"):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    try:
+        if _real("tol", tol) < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}") from None
     rows = _square_rows(M)
     if not _matrix_is_primitive(rows):
         raise NotPrimitive("matrix has no entrywise-positive power")
@@ -368,7 +357,7 @@ _POWER_LETTERS = 4096
 
 
 def _check_fixed_point(sub: Substitution, length: int) -> None:
-    if length < 1:
+    if _integer("prefix length", length) < 1:
         raise ValueError("length must be positive")
     if not sub.is_fixed_point_capable:
         raise NotFixedPointCapable("image of 0 must start with 0 and grow")
@@ -585,7 +574,7 @@ def prefix_correlation(prefix: memoryview, block: Iterable[int], shift: int) -> 
     Occurrences ANDed with their own shift by 8 * width * shift are counted
     by `int.bit_count`.
     """
-    block = _as_word(block)
+    block, shift = _as_word(block), _integer("shift", shift)
     if not block:
         raise ValueError("block must be nonempty")
     if shift < 0:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ergolab
-from ergolab import cli, rankone
+from ergolab import cli, rankone, skew, spectral, substitution
 from ergolab.cli import (
     main,
     report_rankone_correlate,
@@ -744,6 +744,95 @@ def test_cli_only_formats_what_the_library_computes():
     assert private == []
 
 
+def test_library_reads_numbers_through_the_package_rules():
+    # the integer and real rules and BoundedValue live once, in ergolab/__init__; no library
+    # module writes its own copy, and skew borrows nothing from rankone
+    import ast
+
+    src = Path(ergolab.__file__).parent
+    home = ast.parse((src / "__init__.py").read_text())
+    shared = ("_integer", "_real", "BoundedValue")
+    defined = [node.name for node in ast.walk(home) if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert [defined.count(name) for name in shared] == [1, 1, 1]
+    for module in ("rankone", "skew", "substitution", "spectral"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        copies = [node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in shared]
+        finite = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Attribute) and node.func.attr == "isfinite"
+                       or isinstance(node.func, ast.Name) and node.func.id == "isfinite")]
+        bool_str = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2
+                    and isinstance(node.args[1], ast.Tuple)
+                    and {getattr(e, "id", None) for e in node.args[1].elts} >= {"bool", "str"}]
+        assert (module, copies, finite, bool_str) == (module, [], [], [])
+        if module == "skew":
+            sources = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+            assert [name for name in sources if name and name.split(".")[-1] == "rankone"] == []
+
+
+# (public call with one integer argument x, the argument's name in the error, a valid x)
+INTEGER_ARGUMENTS = [
+    (lambda x: rankone.RankOneSpec([(x, (0, 1, 0))]), "cutting parameter", 3),
+    (lambda x: rankone.LevelSet(x, (0,)), "set stage", 1),
+    (lambda x: rankone.LevelSet(1, (x,)), "level", 0),
+    (lambda x: rankone.chacon_spec(x), "stage count", 5),
+    (lambda x: rankone.level_width(rankone.chacon_spec(8), x), "stage", 5),
+    (lambda x: rankone.level_measure(rankone.chacon_spec(8), x, rankone.LevelSet(1, (0,))), "stage", 5),
+    (lambda x: rankone.level_correlation(rankone.chacon_spec(8), x, rankone.LevelSet(1, (0,)), 3), "stage", 8),
+    (lambda x: rankone.level_correlation(rankone.chacon_spec(8), 8, rankone.LevelSet(1, (0,)), x), "shift", 3),
+    (lambda x: rankone.correlation_count(rankone.chacon_spec(8), 8, rankone.LevelSet(1, (0,)),
+                                         rankone.LevelSet(1, (0,)), x), "shift", 3),
+    (lambda x: rankone.rigidity_scan(rankone.chacon_spec(8), [x], [rankone.LevelSet(1, (0,))]), "shift", 3),
+    (lambda x: rankone.rigidity_scan(rankone.chacon_spec(8), [3], [rankone.LevelSet(1, (0,))], N=x), "stage", 8),
+    (lambda x: rankone.weak_limit_estimate(rankone.chacon_spec(20), rankone.LevelSet(3, (0,)), x, 4, 2),
+     "n_start", 2),
+    (lambda x: rankone.weak_limit_estimate(rankone.chacon_spec(20), rankone.LevelSet(3, (0,)), 2, x, 2),
+     "n_stop", 4),
+    (lambda x: rankone.weak_limit_estimate(rankone.chacon_spec(20), rankone.LevelSet(3, (0,)), 2, 4, x),
+     "j_max", 2),
+    (lambda x: rankone.weak_limit_estimate(rankone.chacon_spec(20), rankone.LevelSet(3, (0,)), 2, 4, 2, margin=x),
+     "margin", 12),
+    (lambda x: DyadicInterval(x, 1), "numerator", 1),
+    (lambda x: DyadicInterval(0, x), "level", 1),
+    (lambda x: DyadicStep(x, (1.0, -1.0)), "level", 1),
+    (lambda x: SkewSystem(x, 8), "atom level", 12),
+    (lambda x: SkewSystem(12, x), "cutoff", 8),
+    (lambda x: skew.skew_correlation(DyadicInterval(0, 1), 0, 0, x, SkewSystem(12, 8)), "shift", 2),
+    (lambda x: skew.spectral_coefficient(skew.FIRST_DIGIT_SIGN, "chi", x, SkewSystem(12, 8)), "index", 1),
+    (lambda x: skew.spectral_window(skew.FIRST_DIGIT_SIGN, "one", x, SkewSystem(12, 8)), "window", 4),
+    (lambda x: Substitution(x, ((0, 1), (1, 0))), "alphabet size", 2),
+    (lambda x: Substitution(2, ((0, x), (1, 0))), "letter", 1),
+    (lambda x: substitution.fixed_point_prefix(RUDIN_SHAPIRO, x), "prefix length", 10),
+    (lambda x: substitution.prefix_block_frequencies(RUDIN_SHAPIRO, x), "prefix length", 100),
+    (lambda x: substitution.prefix_correlation(substitution.fixed_point_prefix(RUDIN_SHAPIRO, 100), (0,), x),
+     "shift", 2),
+    (lambda x: substitution.prefix_correlation(substitution.fixed_point_prefix(RUDIN_SHAPIRO, 100), (x,), 1),
+     "letter", 0),
+    (lambda x: empirical_correlation(RUDIN_SHAPIRO, (0,), x, 100), "shift", 1),
+    (lambda x: empirical_correlation(RUDIN_SHAPIRO, (0,), 1, x), "prefix length", 100),
+    (lambda x: spectral.wiener_discrete_mass(_delta_sequence(64), x), "N", 40),
+    (lambda x: spectral.translation_probe(_delta_sequence(64), [x, 2, 3], 1), "time", 1),
+    (lambda x: spectral.translation_probe(_delta_sequence(64), [1, 2, 3], x), "j_window", 1),
+    (lambda x: spectral.beurling_check(spectral.WeakLimitCoefficients({0: 0.5}), x), "n_max", 600),
+]
+
+
+def _delta_sequence(window):
+    return spectral.CorrelationSequence({n: (float(n == 0), 0.0) for n in range(window + 1)})
+
+
+@pytest.mark.parametrize("call, name, x", INTEGER_ARGUMENTS,
+                         ids=[f"{i}-{name}" for i, (_, name, _) in enumerate(INTEGER_ARGUMENTS)])
+def test_integer_arguments_refuse_what_is_no_integer(call, name, x):
+    call(x)  # the valid value runs
+    # a fraction, its text and even the float of the same integer are named, never truncated
+    for bad in (float(x) + 0.5, str(x), float(x)):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} {bad!r} is not an integer"
+
+
 def test_each_process_loads_only_the_library_module_it_reads(tmp_path):
     geometric = tmp_path / "geometric.json"
     geometric.write_text(json.dumps({"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 0.5, "q": 0.5}}))
@@ -754,7 +843,7 @@ def test_each_process_loads_only_the_library_module_it_reads(tmp_path):
         ("rankone", "heights", "--system", "chacon", "--stages", "5"): ["ergolab.rankone", "fractions"],
         ("spectral", "certify", "--coeffs", str(geometric)): ["ergolab.spectral"],
         ("skew", "correlate", "--atom-level", "14", "--cutoff", "12", "--shift", "5"):
-            ["ergolab.rankone", "ergolab.skew", "fractions", "dataclasses", "inspect"],
+            ["ergolab.skew", "fractions", "dataclasses", "inspect"],
         ("subst", "analyze", "--system", "rudin-shapiro"):
             ["ergolab.substitution", "dataclasses", "inspect"],
     }

@@ -690,6 +690,17 @@ def test_rigidity_scan_translation_invariance_of_singletons():
     (lambda: correlation_count(chacon_spec(5), 5, LevelSet(1, (0,)), LevelSet(1, (0,)), 3.0),
      "shift 3.0 is not an integer"),
     (lambda: rigidity_scan(chacon_spec(5), [3.0], [LevelSet(1, (0,))]), "shift 3.0 is not an integer"),
+    # every count, stage and window takes the same rule, never left to fail deeper as a TypeError
+    (lambda: weak_limit_estimate(chacon_spec(20), LevelSet(3, (0,)), 2.0, 4, 2), "n_start 2.0 is not an integer"),
+    (lambda: weak_limit_estimate(chacon_spec(20), LevelSet(3, (0,)), 2, 4, 2, margin=1.5),
+     "margin 1.5 is not an integer"),
+    (lambda: level_width(chacon_spec(6), 5.0), "stage 5.0 is not an integer"),
+    (lambda: level_correlation(chacon_spec(6), 5.0, LevelSet(1, (0,)), 1), "stage 5.0 is not an integer"),
+    (lambda: correlation_count(chacon_spec(6), 5.0, LevelSet(1, (0,)), LevelSet(1, (0,)), 1),
+     "stage 5.0 is not an integer"),
+    (lambda: rigidity_scan(chacon_spec(6), [3], [LevelSet(1, (0,))], N=5.0), "stage 5.0 is not an integer"),
+    # level_measure used to accept the float stage the other calls refused
+    (lambda: level_measure(chacon_spec(6), 5.0, LevelSet(1, (0,))), "stage 5.0 is not an integer"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as info:

@@ -513,8 +513,8 @@ def test_custom_cocycle_zero_gives_product_behaviour():
     (lambda: DyadicInterval(0, -1), "level must be nonnegative"),
     (lambda: DyadicInterval(4, 2), "numerator outside [0, 2^level)"),
     (lambda: DyadicStep(1, (1.0,)), "need one value per level atom"),
-    (lambda: DyadicStep(1, (1.0, float("nan"))), "step values must be finite"),
-    (lambda: DyadicStep(1, (1.0, float("inf"))), "step values must be finite"),
+    (lambda: DyadicStep(1, (1.0, float("nan"))), "step value must be a finite number, got nan"),
+    (lambda: DyadicStep(1, (1.0, float("inf"))), "step value must be a finite number, got inf"),
     (lambda: SkewSystem(8, 6, DyadicStep(9, (0.0,) * 2**9)), "cocycle breakpoints finer than the atoms"),
     (lambda: SkewSystem(8, 6, DyadicStep(1, (0.0, 0.5))), "cocycle values must lie in {0, 1}"),
     (lambda: skew_correlation(DyadicInterval(0, 0), 2, 0, 1, SkewSystem(8, 6)), "fiber points must be 0 or 1"),
@@ -534,6 +534,14 @@ def test_custom_cocycle_zero_gives_product_behaviour():
     (lambda: SkewSystem(20.0, 16), "atom level 20.0 is not an integer"),
     (lambda: SkewSystem(20, 16.0), "cutoff 16.0 is not an integer"),
     (lambda: skew_correlation(DyadicInterval(0, 1), 0, 0, 2.0, SkewSystem(12, 8)), "shift 2.0 is not an integer"),
+    # a step value is a finite number, not a string or a bool that float() would read
+    (lambda: DyadicStep(1, ("0.5", True)), "step value must be a finite number, got '0.5'"),
+    (lambda: DyadicStep(1, (0.5, True)), "step value must be a finite number, got True"),
+    pytest.param(lambda: DyadicStep(1.0, (1.0, -1.0)), "level 1.0 is not an integer", id="DyadicStep-level-1.0"),
+    (lambda: spectral_coefficient(FIRST_DIGIT_SIGN, "one", 1.0, SkewSystem(12, 8)), "index 1.0 is not an integer"),
+    (lambda: spectral_coefficient(FIRST_DIGIT_SIGN, "chi", 1.0, SkewSystem(12, 8)), "index 1.0 is not an integer"),
+    (lambda: spectral_coefficient(FIRST_DIGIT_SIGN, "chi", 2.5, SkewSystem(12, 8)), "index 2.5 is not an integer"),
+    (lambda: spectral_window(FIRST_DIGIT_SIGN, "one", 4.0, SkewSystem(12, 8)), "window 4.0 is not an integer"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as info:

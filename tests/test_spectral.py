@@ -170,7 +170,7 @@ def test_tail_validation():
         TailDescriptor("nonsense")
     with pytest.raises(SpectralError, match="'support'"):
         WeakLimitCoefficients.from_json('{"tail": {"kind": "none"}}')
-    with pytest.raises(SpectralError, match="malformed"):
+    with pytest.raises(InvalidTail, match="^tail field 'q' must be a finite number, got 'x'$"):
         WeakLimitCoefficients.from_json('{"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 1, "q": "x"}}')
     with pytest.raises(SpectralError, match="finite"):
         WeakLimitCoefficients.from_json('{"support": {"0": NaN}}')
@@ -182,18 +182,18 @@ def test_tail_validation():
             WeakLimitCoefficients.from_json(json.dumps({"support": {"0": 0.5}, "tail": tail}))
 
 
-def assert_coefficient_file_error(text, message, path, tmp_path, capsys):
-    """from_json raises, and `spectral certify` or `beurling` prints, SpectralError(message)."""
+def assert_coefficient_file_error(text, message, path, tmp_path, capsys, error=SpectralError):
+    """from_json raises, and `spectral certify` or `beurling` prints, error(message)."""
     from ergolab import cli
 
     if path == "from_json":
-        with pytest.raises(SpectralError) as info:
+        with pytest.raises(error) as info:
             WeakLimitCoefficients.from_json(text)
-        assert str(info.value) == message
+        assert (type(info.value), str(info.value)) == (error, message)
         return
     (tmp_path / "coeffs.json").write_text(text)
     assert cli.main(["spectral", path, "--coeffs", str(tmp_path / "coeffs.json")]) == 1
-    assert json.loads(capsys.readouterr().out)["error"] == {"type": "SpectralError", "message": message}
+    assert json.loads(capsys.readouterr().out)["error"] == {"type": error.__name__, "message": message}
 
 
 @pytest.mark.parametrize("text, message", [
@@ -206,26 +206,31 @@ def test_repeated_support_index_is_an_error_not_an_overwrite(text, message, path
                                   tmp_path, capsys)
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"support": {"0": true}}', "support index '0' must be a number, got True"),
-    ('{"support": {"0": "0.5"}}', "support index '0' must be a number, got '0.5'"),
-    ('{"support": {"0": null}}', "support index '0' must be a number, got None"),
-    ('{"support": {"0": true}, "tail": {"kind": "geometric", "c": true, "q": "0.5"}}',
+@pytest.mark.parametrize("text, error, message", [
+    ('{"support": {"0": true}}', SpectralError,
+     "malformed coefficient file: ValueError: support coefficient at index 0 must be a finite number, got True"),
+    ('{"support": {"0": "0.5"}}', SpectralError,
+     "malformed coefficient file: ValueError: support coefficient at index 0 must be a finite number, got '0.5'"),
+    ('{"support": {"0": null}}', SpectralError,
+     "malformed coefficient file: ValueError: support coefficient at index 0 must be a finite number, got None"),
+    # the tail is read first, and its fault is the InvalidTail that TailDescriptor raises
+    ('{"support": {"0": true}, "tail": {"kind": "geometric", "c": true, "q": "0.5"}}', InvalidTail,
      "tail field 'c' must be a finite number, got True"),
-    ('{"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 0.5, "q": "0.5"}}',
+    ('{"support": {"0": 0.5}, "tail": {"kind": "geometric", "c": 0.5, "q": "0.5"}}', InvalidTail,
      "tail field 'q' must be a finite number, got '0.5'"),
     # an int is a JSON number, but this one has no float
-    ('{"support": {"0": 1' + "0" * 400 + "}}", "OverflowError: int too large to convert to float"),
+    ('{"support": {"0": 1' + "0" * 400 + "}}", SpectralError,
+     "malformed coefficient file: OverflowError: int too large to convert to float"),
 ], ids=["bool-support", "str-support", "null-support", "bool-tail", "str-tail", "huge-int"])
 @pytest.mark.parametrize("path", ["from_json", "certify", "beurling"])
-def test_only_json_numbers_are_read_as_numbers(text, message, path, tmp_path, capsys):
+def test_only_json_numbers_are_read_as_numbers(text, error, message, path, tmp_path, capsys):
     # float() would read true as 1.0 and "0.5" as 0.5
-    assert_coefficient_file_error(text, f"malformed coefficient file: {message}", path, tmp_path, capsys)
+    assert_coefficient_file_error(text, message, path, tmp_path, capsys, error)
 
 
 @pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "str"])
 def test_constructors_refuse_booleans_and_strings(bad):
-    with pytest.raises(ValueError, match=f"^support coefficient at index 0 must be a number, got {bad!r}$"):
+    with pytest.raises(ValueError, match=f"^support coefficient at index 0 must be a finite number, got {bad!r}$"):
         WeakLimitCoefficients({0: bad})
     for name in ("c", "q"):
         with pytest.raises(InvalidTail, match=f"^tail field '{name}' must be a finite number, got {bad!r}$"):
@@ -239,7 +244,7 @@ def test_constructors_refuse_booleans_and_strings(bad):
 @pytest.mark.parametrize("name", ["support", "c", "q", "gamma", "s"])
 def test_non_finite_coefficients_raise_at_construction(name, bad):
     if name == "support":
-        with pytest.raises(ValueError, match="support coefficients must be finite"):
+        with pytest.raises(ValueError, match=f"^support coefficient at index 0 must be a finite number, got {bad!r}$"):
             WeakLimitCoefficients({-1: 0.25, 0: bad})
         return
     kind = {"gamma": "stretched_exponential", "s": "polynomial"}.get(name, "geometric")
@@ -634,6 +639,14 @@ def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
     (lambda: TailDescriptor("nonsense"), InvalidTail, "unknown tail kind 'nonsense'"),
     (lambda: TailDescriptor("geometric", c=1.0, q=1.5), InvalidTail, "geometric tail needs 0 < q < 1"),
     (lambda: TailDescriptor("polynomial", c=1.0, s=0.5), InvalidTail, "polynomial tail needs s > 1"),
+    # an index that is no integer is named, not truncated onto another index
+    (lambda: CorrelationSequence({0: (1.0, 0), 0.5: (2, 0)}), ValueError, "index 0.5 is not an integer"),
+    (lambda: WeakLimitCoefficients({0.7: 0.5}), ValueError, "support index 0.7 is not an integer"),
+    (lambda: beurling_check(WeakLimitCoefficients({0: 0.5}), 2.5), ValueError, "n_max 2.5 is not an integer"),
+    (lambda: wiener_discrete_mass(CorrelationSequence({n: (float(n == 0), 0.0) for n in range(65)}), 40.0),
+     ValueError, "N 40.0 is not an integer"),
+    (lambda: translation_probe(CorrelationSequence({n: (float(n == 0), 0.0) for n in range(65)}), [1.5, 2, 3], 1),
+     ValueError, "time 1.5 is not an integer"),
 ])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error) as info:

@@ -311,6 +311,14 @@ def test_perron_takes_the_null_vector_where_a_shift_lands_on_theta(monkeypatch):
     assert data.left_vec == pytest.approx([2 / 3, 4 / 3, 2 / 3, 4 / 3], rel=1e-15, abs=0)
 
 
+def test_perron_vector_scales_from_either_side():
+    # a tuple's own left product would repeat the vector, or refuse a float factor
+    v = perron(composition_matrix(RUDIN_SHAPIRO)).letter_freq
+    assert 2 * v == v * 2 == (0.5, 0.5, 0.5, 0.5)
+    assert 2.0 * v == v * 2.0 == (0.5, 0.5, 0.5, 0.5)
+    assert type(2.0 * v) is type(v)
+
+
 def test_perron_constant_length_limit_norms_are_one():
     for sub in (RUDIN_SHAPIRO, THREE_LETTER):
         data = perron(composition_matrix(sub))
@@ -1040,6 +1048,15 @@ NO_FIXED_POINT = Substitution(2, ((1, 0), (0,)), name="no-fixed-point-at-0")  # 
     (lambda: prefix_correlation(memoryview(bytes(8)), (0,), -1), ValueError, "shift must be nonnegative"),
     # every position carries the empty word, so no count of it is a correlation
     (lambda: prefix_correlation(fixed_point_prefix(RUDIN_SHAPIRO, 100), (), 0), ValueError, "block must be nonempty"),
+    # every count and length takes the integer rule, never left to fail deeper or be accepted
+    (lambda: Substitution(2.0, ((0, 1), (1, 0))), ValueError, r"alphabet size 2\.0 is not an integer"),
+    (lambda: fixed_point_prefix(RUDIN_SHAPIRO, 10.0), ValueError, r"prefix length 10\.0 is not an integer"),
+    (lambda: prefix_correlation(fixed_point_prefix(RUDIN_SHAPIRO, 100), (0,), 2.0), ValueError,
+     r"shift 2\.0 is not an integer"),
+    (lambda: empirical_correlation(RUDIN_SHAPIRO, (0,), 1, 100.5), ValueError, r"prefix length 100\.5 is not an integer"),
+    (lambda: prefix_block_frequencies(RUDIN_SHAPIRO, 100.0), ValueError, r"prefix length 100\.0 is not an integer"),
+    # a str tol gets the tol message, like a nan one
+    (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol="x"), ValueError, "tol must be a finite number >= 0, got x"),
 ])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
