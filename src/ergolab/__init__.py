@@ -41,10 +41,16 @@ def _integers(what: str, xs) -> list[int]:
 
 
 def _real(what: str, x, error: type[Exception] = ValueError) -> float:
-    """x as a finite float; a bool, str, None or non-finite x raises `error` naming it."""
-    if x is None or isinstance(x, (bool, str)) or not isfinite(x):
-        raise error(f"{what} must be a finite number, got {x!r}")
-    return float(x)
+    """x as a finite float; a bool, str, None, non-number, non-finite x or one
+    with no float raises `error` naming it."""
+    try:
+        if x is not None and not isinstance(x, (bool, str)) and isfinite(x):
+            return float(x)
+    except TypeError:
+        pass
+    except OverflowError:  # no repr: str() of an int past 4,300 digits raises
+        raise error(f"{what} must be a finite number, got a number too large for a float") from None
+    raise error(f"{what} must be a finite number, got {x!r}")
 
 
 class BoundedValue(NamedTuple):

@@ -260,17 +260,20 @@ def _pair_counts(
     per shift, so nearby shifts of a batch share their arithmetic.  At
     stage k the slots are dotted with R(k, d).
 
-    No lane carries into its neighbour.  c_j(delta) counts pairs of
-    stage-j copies in the stage-N word, so every lane the sweep forms, a
-    partial sum of some c_j(delta), is at most prod_{i=j}^{N-1} p_i^2; a
-    lane of the dot is a partial sum of R(N, m) = sum c_k(d) R(k, d), at
-    most |A| * |B| * prod_{i=k}^{N-1} p_i^2 since R(k, d) <= |A| * |B|.
-    That product is below 2^B, and B is rounded up to whole bytes.
+    No lane carries into its neighbour, since every lane stays at most
+    min(|A|, |B|) * p_k ... p_{N-1} < 2^B, B rounded up to whole bytes.
+    Weights: c_j(delta) counts pairs of stage-j copies at one fixed offset
+    difference, at most one pair per copy, so c_j(delta) <= p_j ... p_{N-1};
+    a lane that a multiply by a multiplicity or a merge forms is a partial
+    sum of those nonnegative terms, so it obeys the same bound.
+    Final dot: its lanes are partial sums of R(N, m), and R(N, m) <=
+    min(|A|, |B|) * p_k ... p_{N-1} since x -> x + m is injective on the
+    stage-N word, which holds |A| * p_k ... p_{N-1} positions over A.
     """
     hs = spec.stage_heights
-    bound = len(levels_a) * len(levels_b)
+    bound = min(len(levels_a), len(levels_b))
     for p, _ in spec.stages[k:N]:
-        bound *= p * p
+        bound *= p
     lane = (bound.bit_length() + 7) & ~7
     slot = lane * len(shifts)
     runs = _merged([(m, 1, 1 << (t * lane)) for t, m in enumerate(shifts) if -hs[N] < m < hs[N]], slot)
@@ -449,7 +452,8 @@ def rigidity_scan(
     bounds: dict[tuple[int, tuple[int, ...]], float] = {}
     for A in sets:
         _check_level_set(spec, A, N)
-        key = (A.stage, tuple(l - A.levels[0] for l in A.levels))
+        first = A.levels[0]
+        key = (A.stage, (0,) if len(A.levels) == 1 else tuple(map(first.__rsub__, A.levels)))
         if key not in bounds:
             mu = float(level_measure(spec, N, A))
             bvs = _level_correlations(spec, N, A, shifts)

@@ -53,7 +53,7 @@ class CorrelationSequence:
         self.source = source
         if 0 not in self.values:
             raise ValueError("sequence must include n = 0")
-        if self.values[0][0] <= 0:
+        if not self.values[0][0] > 0:  # a NaN is refused too
             raise ValueError("sigma_hat(0) must be positive")
         lo, hi = min(self.values), max(self.values)
         if hi - lo + 1 != len(self.values):  # distinct integer keys: a gap is a missing count

@@ -388,6 +388,18 @@ def test_full_stage_sets_without_spacers_count_every_pair(k, N):
     assert _pair_counts(spec, k, full, full, N, shifts) == [max(hs[N] - abs(m), 0) for m in shifts]
 
 
+def test_lanes_hold_the_largest_count_at_a_byte_edge():
+    # p = 2 and no spacers for 8 stages: R(8, 0) = 256 is one more than a byte
+    # holds, so a lane sized by prod p - 1, or without its factor min(|A|, |B|)
+    # = 2 at k = 1, is one byte short and carries into its neighbour
+    spec = RankOneSpec(((2, (0, 0)),) * 8)
+    assert _pair_counts(spec, 0, (0,), (0,), 8, [0, 0, 1, 255, -255, 256]) == [256, 256, 255, 1, 1, 0]
+    assert _pair_counts(spec, 1, (0, 1), (0, 1), 8, [0, 0, 1, 255]) == [256, 256, 255, 1]
+    # p = (3, 5, 17): R(3, 0) = 255 fills 8-bit lanes exactly
+    spec = RankOneSpec(((3, (0,) * 3), (5, (0,) * 5), (17, (0,) * 17)))
+    assert _pair_counts(spec, 0, (0,), (0,), 3, [0, 0, 1, 254, -254, 255]) == [255, 255, 254, 1, 1, 0]
+
+
 def test_base_counts_dense_product_matches_pair_count():
     for h in (1, 2, 7, 300):  # full sets: h - |d| pairs at lag d
         lags = list(range(1 - h, h))

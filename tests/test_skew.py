@@ -537,6 +537,8 @@ def test_custom_cocycle_zero_gives_product_behaviour():
     # a step value is a finite number, not a string or a bool that float() would read
     (lambda: DyadicStep(1, ("0.5", True)), "step value must be a finite number, got '0.5'"),
     (lambda: DyadicStep(1, (0.5, True)), "step value must be a finite number, got True"),
+    (lambda: DyadicStep(0, ([1],)), "step value must be a finite number, got [1]"),
+    (lambda: DyadicStep(0, (10**400,)), "step value must be a finite number, got a number too large for a float"),
     pytest.param(lambda: DyadicStep(1.0, (1.0, -1.0)), "level 1.0 is not an integer", id="DyadicStep-level-1.0"),
     (lambda: spectral_coefficient(FIRST_DIGIT_SIGN, "one", 1.0, SkewSystem(12, 8)), "index 1.0 is not an integer"),
     (lambda: spectral_coefficient(FIRST_DIGIT_SIGN, "chi", 1.0, SkewSystem(12, 8)), "index 1.0 is not an integer"),

@@ -220,7 +220,8 @@ def test_repeated_support_index_is_an_error_not_an_overwrite(text, message, path
      "tail field 'q' must be a finite number, got '0.5'"),
     # an int is a JSON number, but this one has no float
     ('{"support": {"0": 1' + "0" * 400 + "}}", SpectralError,
-     "malformed coefficient file: OverflowError: int too large to convert to float"),
+     "malformed coefficient file: ValueError: support coefficient at index 0 must be a finite number, "
+     "got a number too large for a float"),
 ], ids=["bool-support", "str-support", "null-support", "bool-tail", "str-tail", "huge-int"])
 @pytest.mark.parametrize("path", ["from_json", "certify", "beurling"])
 def test_only_json_numbers_are_read_as_numbers(text, error, message, path, tmp_path, capsys):
@@ -630,6 +631,7 @@ def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: CorrelationSequence({1: (0.5, 0.0)}), ValueError, "sequence must include n = 0"),
     (lambda: CorrelationSequence({0: (0.0, 0.0)}), ValueError, "sigma_hat(0) must be positive"),
+    (lambda: CorrelationSequence({0: (float("nan"), 0.0)}), ValueError, "sigma_hat(0) must be positive"),
     (lambda: TailDescriptor("geometric", c=0.0, q=0.5), InvalidTail, "tail amplitude c must be positive"),
     (lambda: TailDescriptor("stretched_exponential", c=1.0, gamma=-0.5), InvalidTail,
      "stretched tail needs gamma > 0"),
@@ -642,6 +644,10 @@ def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
     # an index that is no integer is named, not truncated onto another index
     (lambda: CorrelationSequence({0: (1.0, 0), 0.5: (2, 0)}), ValueError, "index 0.5 is not an integer"),
     (lambda: WeakLimitCoefficients({0.7: 0.5}), ValueError, "support index 0.7 is not an integer"),
+    # a coefficient that is no number, or an int with no float, is named too
+    (lambda: WeakLimitCoefficients({0: [1]}), ValueError, "support coefficient at index 0 must be a finite number, got [1]"),
+    (lambda: WeakLimitCoefficients({0: 10**400}), ValueError,
+     "support coefficient at index 0 must be a finite number, got a number too large for a float"),
     (lambda: beurling_check(WeakLimitCoefficients({0: 0.5}), 2.5), ValueError, "n_max 2.5 is not an integer"),
     (lambda: wiener_discrete_mass(CorrelationSequence({n: (float(n == 0), 0.0) for n in range(65)}), 40.0),
      ValueError, "N 40.0 is not an integer"),

@@ -1057,6 +1057,8 @@ NO_FIXED_POINT = Substitution(2, ((1, 0), (0,)), name="no-fixed-point-at-0")  # 
     (lambda: prefix_block_frequencies(RUDIN_SHAPIRO, 100.0), ValueError, r"prefix length 100\.0 is not an integer"),
     # a str tol gets the tol message, like a nan one
     (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol="x"), ValueError, "tol must be a finite number >= 0, got x"),
+    (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol=[1]), ValueError, r"tol must be a finite number >= 0, got \[1\]"),
+    (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol=10**400), ValueError, "tol must be a finite number >= 0, got 10{400}"),
 ])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
