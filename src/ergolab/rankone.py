@@ -27,7 +27,11 @@ over the stage-j word obey a recursion across one cutting stage (copies
 of the stage-(j-1) word sit at known offsets, spacer runs carry no
 occurrences), which this module evaluates with exact integers,
 visiting only the copy-offset differences D that keep |delta - D| inside
-the stage-(j-1) word; no column word is ever materialized.
+the stage-(j-1) word; no column word is ever materialized.  s equal
+stages compose into one (a rank-one column is an S-adic word; Ferenczi,
+"Systems of finite rank", 1997): the stage-j copies inside stage j+s
+start at C h_j + E with (C, E) independent of h_j, so a sweep jumps
+over each run of equal stages with one difference pattern per (stage, s).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from . import BoundedValue, _integer
@@ -52,6 +56,16 @@ class StageOutOfRange(RankOneError):
 
 class ShiftOutOfRange(RankOneError):
     pass
+
+
+# most stage-j copies one jump of `_pair_counts` spans, and the largest E it
+# lets a copy have: a multiplicity (at most the copy count) fits a kernel's
+# byte, and a kernel spans at most 2 * 81 + 1 slots
+_COPY_CAP = 81
+# widest shift batch whose sweep jumps: a kernel product grows with the
+# square of the slot (lane bits * batch width), a per-stage step linearly,
+# and each new slot width packs its kernels afresh
+_JUMP_BATCH = 5
 
 
 def _checked_stage(p: int, spacers: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -74,6 +88,8 @@ class RankOneSpec:
         self.stages = tuple(_checked_stage(p, spacers) for p, spacers in stages)
         self.name = name
         self._stage_diffs: dict[int, tuple[list[int], list[int]]] = {}
+        self._patterns: dict[tuple, _Pattern | None] = {}
+        self._plans: dict[tuple[int, int, bool], list[tuple]] = {}
 
     @property
     def num_stages(self) -> int:
@@ -104,6 +120,49 @@ class RankOneSpec:
             ds, mults = _differences(offsets, offsets, self.stage_heights[j + 1])
             diffs = self._stage_diffs[j] = ds, [mults[d] for d in ds]
         return diffs
+
+    def jump_pattern(self, j: int, s: int) -> _Pattern | None:
+        """The copy-offset differences of s stages equal to stage j (a
+        `_Pattern`), or None where a copy's E exceeds `_COPY_CAP`, built on
+        the first call for that stage and s and kept."""
+        key = self.stages[j], s
+        if key not in self._patterns:
+            self._patterns[key] = _copy_pattern(*key)
+        return self._patterns[key]
+
+    def jump_plan(self, k: int, N: int, compose: bool) -> list[tuple]:
+        """The jumps (j, s, firsts, lasts, kernels) of a sweep from stage N
+        down to k, top first, built once per (k, N, compose) and kept.  s is
+        the most equal stages j .. j+s-1 with p^s <= `_COPY_CAP` whose
+        pattern exists and has disjoint clusters at h_j, or 1 (always 1
+        unless `compose`).  The jump's differences D lie in the sorted
+        clusters firsts[i] <= D <= lasts[i]; at s = 1 these are
+        `stage_differences(j)`, firsts = lasts, with kernels the
+        multiplicities, and at s > 1 kernels is the `_Pattern`."""
+        plan = self._plans.get((k, N, compose))
+        if plan is None:
+            plan, J = [], N
+            while J > k:
+                s = 1
+                if compose:
+                    stage = self.stages[J - 1]
+                    while J - s > k and self.stages[J - s - 1] == stage and stage[0] ** (s + 1) <= _COPY_CAP:
+                        s += 1
+                    while s > 1:
+                        pattern = self.jump_pattern(J - s, s)
+                        if pattern is not None and pattern.gap <= self.stage_heights[J - s]:
+                            break
+                        s -= 1
+                J -= s
+                if s == 1:
+                    ds, mults = self.stage_differences(J)
+                    plan.append((J, 1, ds, ds, mults))
+                else:
+                    h = self.stage_heights[J]
+                    cs = range(pattern.cs.start * h, pattern.cs.stop * h, h)
+                    plan.append((J, s, list(map(add, cs, pattern.los)), list(map(add, cs, pattern.his)), pattern))
+            self._plans[k, N, compose] = plan
+        return plan
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], name: str | None = None) -> "RankOneSpec":
@@ -224,6 +283,73 @@ def _differences(xs: Sequence[int], ys: Sequence[int], h: int) -> tuple[list[int
     return list(counts), counts  # keys in increasing order
 
 
+class _Pattern:
+    """The differences between the p^s stage-j copies inside stage j+s, for
+    s equal stages (p, spacers).  With h_{j+t} = P_t h_j + Q_t, the copy
+    with indices i_0, ..., i_{s-1} starts at C h_j + E, C = sum i_t P_t (a
+    mixed-radix numeral: one copy per C) and E = sum (i_t Q_t + S_{i_t}),
+    S_i = a_1 + ... + a_i; neither depends on h_j.  Cluster i holds the
+    differences dC h_j + dE with dC = cs[i], los[i] <= dE <= his[i], and
+    byte e of dense[i] the multiplicity at dE = his[i] - e: a count of
+    copy pairs, at most one per copy, so at most p^s <= `_COPY_CAP` < 256.
+    The clusters are disjoint iff gap <= h_j.  `kernels(slot)` packs each
+    cluster's bytes one per slot on first use of that slot and keeps them."""
+
+    __slots__ = ("cs", "los", "his", "dense", "gap", "_kernels")
+
+    def __init__(self, cs: range, los: list[int], his: list[int], dense: list[bytes]):
+        self.cs, self.los, self.his, self.dense = cs, los, his, dense
+        self.gap = max(map(sub, his, los[1:])) + 1
+        self._kernels: dict[int, list[int]] = {}
+
+    def kernels(self, slot: int) -> list[int]:
+        kernels = self._kernels.get(slot)
+        if kernels is None:
+            n = slot // 8
+            buf = bytearray(sum(map(len, self.dense)) * n)
+            buf[::n] = b"".join(self.dense)
+            ends = list(accumulate((len(d) * n for d in self.dense), initial=0))
+            kernels = self._kernels[slot] = [int.from_bytes(buf[a:b], "little") for a, b in zip(ends, ends[1:])]
+        return kernels
+
+
+def _copy_pattern(stage: tuple[int, tuple[int, ...]], s: int) -> _Pattern | None:
+    """The `_Pattern` of s stages equal to `stage`, or None if a copy's E
+    exceeds `_COPY_CAP`.  The multiplicities are the coefficients of the
+    product over t < s of the sums over index pairs (i, i') of
+    x^((i' - i) P_t) y^((i' - i) Q_t + S_i' - S_i), kept in one int with
+    x^dC y^dE in byte (P - 1 + dC) W + E' + dE (P = p^s, E' = max E,
+    W = 2 E' + 1): p^2 shift-and-adds per factor, and no byte carries,
+    since every partial coefficient counts copy pairs, < 256."""
+    p, spacers = stage
+    starts = list(accumulate(spacers[:-1], initial=0))
+    Ps, Qs = [1], [0]
+    for _ in range(s - 1):
+        Ps.append(p * Ps[-1])
+        Qs.append(p * Qs[-1] + sum(spacers))
+    top = sum((p - 1) * Q + starts[-1] for Q in Qs)
+    if top > _COPY_CAP:
+        return None
+    P, W = p * Ps[-1], 2 * top + 1
+    acc = 1  # x^(P - 1) y^top times the polynomial, so every shift is >= 0
+    for Pt, Qt in zip(Ps, Qs):
+        terms: dict[int, int] = {}
+        for i in range(p):
+            for i2 in range(p):
+                b = 8 * ((i2 - i + p - 1) * (Pt * W + Qt) + starts[i2] - starts[i] + starts[-1])
+                terms[b] = terms.get(b, 0) + 1
+        acc = sum(m * (acc << b) for b, m in terms.items())
+    prod = acc.to_bytes((2 * P - 1) * W, "little")
+    cs, los, his, dense = range(1 - P, P), [], [], []
+    for r in range(0, len(prod), W):
+        row = prod[r : r + W].rstrip(b"\0")
+        lo = len(row) - len(row.lstrip(b"\0"))
+        los.append(lo - top)
+        his.append(len(row) - 1 - top)
+        dense.append(row[lo:][::-1])
+    return _Pattern(cs, los, his, dense)
+
+
 def _merged(runs: list[tuple[int, int, int]], slot: int) -> list[tuple[int, int, int]]:
     """Runs (first lag, width, P) sorted by first lag, with the runs that
     overlap or touch added up: one shift-and-add each."""
@@ -252,23 +378,35 @@ def _pair_counts(
     for the stage-k level sets A, B, by one sweep from stage N down to k.
 
     The sweep carries weights c_j(delta) with R(N, m) = sum over delta of
-    c_j(delta) * R(j, delta): c_N is 1 at delta = m, and one stage down
-    each delta passes its weight to delta - D, times D's multiplicity, for
-    every copy-offset difference D with |delta - D| < h_{j-1}.  The lags
-    with weight form sorted, disjoint runs (first lag, width, P): P packs
-    one slot per lag, first + s in slot s, and each slot one B-bit lane
-    per shift, so nearby shifts of a batch share their arithmetic.  At
-    stage k the slots are dotted with R(k, d).
+    c_j(delta) * R(j, delta): c_N is 1 at delta = m, and a jump from stage
+    j+s down to j passes each delta's weight to delta - D, times D's
+    multiplicity, for every difference D between the start offsets of two
+    stage-j copies inside stage j+s with |delta - D| < h_j.  The lags with
+    weight form sorted, disjoint runs (first lag, width, P): P packs one
+    slot per lag, first + t in slot t, and each slot one B-bit lane per
+    shift, so nearby shifts of a batch share their arithmetic.  At stage k
+    the slots are dotted with R(k, d).
+
+    Jumps (`RankOneSpec.jump_plan`): at s = 1 each run meets each
+    difference D with one product, clip and merge.  Over s equal stages
+    the differences fall in clusters dC h_j + [lo, hi] whose pattern does
+    not depend on h_j (`_Pattern`); where they are disjoint, one jump
+    takes the s stages, and a run meets a cluster with one big-int
+    product by its kernel (the multiplicities, one per slot).  A kernel
+    product grows with the square of the slot, s single stages linearly,
+    so only batches of at most `_JUMP_BATCH` shifts jump.
 
     No lane carries into its neighbour, since every lane stays at most
     min(|A|, |B|) * p_k ... p_{N-1} < 2^B, B rounded up to whole bytes.
     Weights: c_j(delta) counts pairs of stage-j copies at one fixed offset
-    difference, at most one pair per copy, so c_j(delta) <= p_j ... p_{N-1};
-    a lane that a multiply by a multiplicity or a merge forms is a partial
-    sum of those nonnegative terms, so it obeys the same bound.
-    Final dot: its lanes are partial sums of R(N, m), and R(N, m) <=
-    min(|A|, |B|) * p_k ... p_{N-1} since x -> x + m is injective on the
-    stage-N word, which holds |A| * p_k ... p_{N-1} positions over A.
+    difference, at most one pair per copy, so c_j(delta) <= p_j ... p_{N-1}.
+    A lane that a multiply by a multiplicity, a kernel product or a merge
+    forms, clipped or not, is a partial sum of nonnegative terms that
+    count pairs of stage-j copies at one offset difference, each pair at
+    most once, so it obeys the same bound.  Final dot: its lanes are partial sums of R(N, m), and
+    R(N, m) <= min(|A|, |B|) * p_k ... p_{N-1} since x -> x + m is
+    injective on the stage-N word, which holds |A| * p_k ... p_{N-1}
+    positions over A.
     """
     hs = spec.stage_heights
     bound = min(len(levels_a), len(levels_b))
@@ -277,25 +415,27 @@ def _pair_counts(
     lane = (bound.bit_length() + 7) & ~7
     slot = lane * len(shifts)
     runs = _merged([(m, 1, 1 << (t * lane)) for t, m in enumerate(shifts) if -hs[N] < m < hs[N]], slot)
-    for j in range(N - 1, k - 1, -1):
-        ds, mults = spec.stage_differences(j)
+    if not runs:
+        return [0] * len(shifts)
+    for j, s, firsts, lasts, kernels in spec.jump_plan(k, N, len(shifts) <= _JUMP_BATCH):
+        if s > 1:
+            kernels = kernels.kernels(slot)
         h = hs[j]
         out = []
         for first, width, P in runs:
-            # only differences with |delta - D| < h meet the stage-j word
-            lo = bisect_right(ds, first - h)
-            for i in range(lo, bisect_left(ds, first + width - 1 + h, lo)):
-                f = first - ds[i]
-                Q = P * mults[i]
-                w = width
+            end = first + width
+            # only clusters that reach some |delta - D| < h meet the stage-j word
+            lo = bisect_right(lasts, first - h)
+            for i in range(lo, bisect_left(firsts, end - 1 + h, lo)):
+                f, e = first - lasts[i], end - firsts[i]  # the product's lags are f .. e - 1
+                Q = P * kernels[i]
                 if f <= -h:
                     Q >>= (1 - h - f) * slot
-                    w += f + h - 1
                     f = 1 - h
-                if f + w > h:
-                    w = h - f
-                    Q &= (1 << (w * slot)) - 1
-                out.append((f, w, Q))
+                if e > h:
+                    e = h
+                    Q &= (1 << ((h - f) * slot)) - 1
+                out.append((f, e - f, Q))
         runs = _merged(out, slot)
     lags, counts = _differences(levels_a, levels_b, hs[k])
     nbytes = slot // 8

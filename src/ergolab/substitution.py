@@ -306,7 +306,13 @@ def perron(M: Sequence[Sequence[int]], tol: float = 1e-12) -> PerronData:
         if _real("tol", tol) < 0:
             raise ValueError
     except ValueError:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}") from None
+        got = tol
+        if isinstance(tol, int) and not isinstance(tol, bool):  # an int's digits are never formatted
+            try:
+                got = float(tol)
+            except OverflowError:
+                got = "a number too large for a float"
+        raise ValueError(f"tol must be a finite number >= 0, got {got}") from None
     rows = _square_rows(M)
     if not _matrix_is_primitive(rows):
         raise NotPrimitive("matrix has no entrywise-positive power")

@@ -946,14 +946,17 @@ def test_subst_analyze_counts_its_blocks_without_a_prefix(monkeypatch):
 
 
 def test_rankone_correlate_builds_no_stage_below_the_set_stage(monkeypatch):
-    # a sweep from stage N down to the set's stage k visits the offset
-    # differences of stages N-1 .. k only, each built once; the set's own lags
-    # take one more `_differences` call per count
-    calls = _count_calls(monkeypatch, rankone, ("_differences",))
+    # a sweep from stage N down to the set's stage k takes the tables of its
+    # jump plan only: chacon's stages 6 .. 8 are equal, so one jump (6, 3),
+    # whose copy pattern is built once and kept; no per-stage table is built,
+    # and the set's own lags take one `_differences` call per count
+    calls = _count_calls(monkeypatch, rankone, ("_differences", "_copy_pattern"))
     spec = rankone.chacon_spec(9)
     shifts = [1, 13, 40]
-    report_rankone_correlate(spec, 9, rankone.LevelSet(6, (0, 5)), shifts)
-    assert calls == {"_differences": (9 - 6) + len(shifts)}
+    for rounds in (1, 2):
+        report_rankone_correlate(spec, 9, rankone.LevelSet(6, (0, 5)), shifts)
+        assert calls == {"_differences": rounds * len(shifts), "_copy_pattern": 1}
+    assert [(j, s) for j, s, *_ in spec.jump_plan(6, 9, True)] == [(6, 3)] and not spec._stage_diffs
 
 
 def test_subst_analyze_rejects_a_missing_fixed_point_before_building_blocks(monkeypatch):

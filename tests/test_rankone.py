@@ -400,6 +400,107 @@ def test_lanes_hold_the_largest_count_at_a_byte_edge():
     assert _pair_counts(spec, 0, (0,), (0,), 3, [0, 0, 1, 254, -254, 255]) == [255, 255, 254, 1, 1, 0]
 
 
+@st.composite
+def run_schedules(draw):
+    """Schedules of 1-4 runs of 1-6 equal stages, p 2-4, spacer counts
+    0-12: a run jumps where its clusters are disjoint, and spacers above
+    h_j at the low stages make them overlap there."""
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = draw(st.integers(2, 4))
+        stage = (p, tuple(draw(st.lists(st.integers(0, 12), min_size=p, max_size=p))))
+        stages += [stage] * draw(st.integers(1, 6))
+    return RankOneSpec(stages)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_schedules(), st.data())
+def test_jumps_over_equal_stages_match_memo_oracle(spec, data):
+    hs = heights(spec)
+    N = data.draw(st.integers(1, spec.num_stages))
+    k = data.draw(st.integers(0, N - 1))
+    A, B = (data.draw(st.builds(tuple, st.sets(st.integers(0, hs[k] - 1), min_size=1, max_size=4)))
+            for _ in range(2))
+    n = data.draw(st.integers(k, N))
+    pool = [hs[n], hs[n] + 1, hs[N] - 1, hs[N], hs[N] + 5, 0, -hs[n], 1 - hs[N],
+            data.draw(st.integers(1 - hs[N], hs[N] - 1))]
+    shifts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    assert _pair_counts(spec, k, sorted(A), sorted(B), N, shifts) == \
+        memo_pair_counts(spec, k, sorted(A), sorted(B), N, shifts)
+
+
+def jump_steps(spec: RankOneSpec, k: int, N: int, compose: bool = True) -> list[tuple[int, int]]:
+    return [(j, s) for j, s, *_ in spec.jump_plan(k, N, compose)]
+
+
+def test_jump_plan_falls_back_to_single_stages_where_clusters_overlap():
+    # (3, (0, 4, 0)): a copy's E exceeds 81 at s = 4, and the s = 2 clusters
+    # (gap 5) overlap at h_0 = 1, so the bottom two stages go one at a time
+    spec = RankOneSpec(((3, (0, 4, 0)),) * 10)
+    assert spec.jump_pattern(0, 4) is None
+    assert spec.jump_pattern(0, 2).gap > heights(spec)[0]
+    assert jump_steps(spec, 0, 10) == [(7, 3), (4, 3), (2, 2), (1, 1), (0, 1)]
+    assert jump_steps(spec, 0, 10, compose=False) == [(j, 1) for j in range(9, -1, -1)]
+    shifts = [1, 7, 25, 79, -80, 1000, heights(spec)[10] - 1]
+    assert _pair_counts(spec, 0, (0,), (0,), 10, shifts) == memo_pair_counts(spec, 0, (0,), (0,), 10, shifts)
+
+
+def test_kernel_coefficient_at_the_copy_cap():
+    # p = 3 and no spacers: s = 4 stages hold 81 copies at E = 0, so the
+    # dC = 0 cluster's one coefficient is 81, the copy cap, and the dC = c
+    # cluster's is 81 - |c|; a stage-0 level is every position of the tower,
+    # so R(N, m) = 3^N - |m|: 81 fills an 8-bit lane at N = 4 and 6,561 two
+    # bytes at N = 8 after two jumps
+    spec = RankOneSpec(((3, (0, 0, 0)),) * 8)
+    pattern = spec.jump_pattern(0, 4)
+    assert list(pattern.cs) == list(range(-80, 81)) and pattern.los == pattern.his == [0] * 161
+    assert pattern.dense == [bytes([81 - abs(c)]) for c in range(-80, 81)]
+    assert jump_steps(spec, 0, 4) == [(0, 4)] and jump_steps(spec, 0, 8) == [(4, 4), (0, 4)]
+    for N, shifts in ((4, [0, 0, 1, 80, -80, 81]), (8, [0, 1, 81, 6560, -6560, 6561, 3280])):
+        assert _pair_counts(spec, 0, (0,), (0,), N, shifts) == [max(3**N - abs(m), 0) for m in shifts]
+
+
+def eager_copy_pattern(stage: tuple, s: int) -> dict:
+    """dC -> {dE: multiplicity} over every pair of the stage-j copies inside
+    stage j+s, their offsets taken in towers over h_j = 10^6 (test oracle)."""
+    h = 10**6
+    p, spacers = stage
+    offsets = [0]
+    for _ in range(s):
+        starts = [0]
+        for a in spacers[:-1]:
+            starts.append(starts[-1] + h + a)
+        offsets = [o + t for t in starts for o in offsets]
+        h = p * h + sum(spacers)
+    out: dict = {}
+    for D, n in Counter(y - x for x in offsets for y in offsets).items():
+        dC = round(D / 10**6)
+        out.setdefault(dC, {})[D - dC * 10**6] = n
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, 3), min_size=p, max_size=p).map(tuple))),
+    st.randoms(use_true_random=False))
+def test_copy_patterns_match_the_eager_pairs_and_are_built_once(stage, rnd):
+    spec = RankOneSpec((stage,) * 5)
+    sizes = [s for s in range(2, 5) if stage[0] ** s <= 81]
+    rnd.shuffle(sizes)
+    for s in sizes:
+        pattern = spec.jump_pattern(rnd.randrange(6 - s), s)
+        if pattern is None:  # a copy's E exceeds the cap
+            continue
+        want = eager_copy_pattern(stage, s)
+        assert list(pattern.cs) == sorted(want)
+        for c, lo, hi, dense in zip(pattern.cs, pattern.los, pattern.his, pattern.dense):
+            assert (lo, hi) == (min(want[c]), max(want[c]))
+            assert {hi - e: n for e, n in enumerate(dense) if n} == want[c]
+        # built once, then kept for every equal stage, whatever its height
+        assert all(spec.jump_pattern(j, s) is pattern for j in range(6 - s))
+        assert pattern.kernels(16) is pattern.kernels(16)
+
+
 def test_base_counts_dense_product_matches_pair_count():
     for h in (1, 2, 7, 300):  # full sets: h - |d| pairs at lag d
         lags = list(range(1 - h, h))

@@ -1058,7 +1058,15 @@ NO_FIXED_POINT = Substitution(2, ((1, 0), (0,)), name="no-fixed-point-at-0")  # 
     # a str tol gets the tol message, like a nan one
     (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol="x"), ValueError, "tol must be a finite number >= 0, got x"),
     (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol=[1]), ValueError, r"tol must be a finite number >= 0, got \[1\]"),
-    (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol=10**400), ValueError, "tol must be a finite number >= 0, got 10{400}"),
+    # an int with no float is worded as _real words it: 10**400 would print 401 digits, and str() of
+    # 10**5000 raises past CPython's 4,300-digit limit
+    (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol=10**400), ValueError,
+     "tol must be a finite number >= 0, got a number too large for a float"),
+    (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol=-10**5000), ValueError,
+     "tol must be a finite number >= 0, got a number too large for a float"),
+    (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol=10**5000), ValueError,
+     "tol must be a finite number >= 0, got a number too large for a float"),
+    (lambda: perron(composition_matrix(RUDIN_SHAPIRO), tol=-3), ValueError, r"tol must be a finite number >= 0, got -3\.0"),
 ])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
