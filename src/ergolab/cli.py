@@ -240,20 +240,22 @@ def report_skew_correlate(sys_: skew.SkewSystem, A, eps, eps2, m) -> dict:
 
 def report_skew_spectrum(sys_: skew.SkewSystem, g_name, fiber, window) -> dict:
     g = getattr(skew, _G_PRESETS[g_name])
+    # read on every call, so the lazy module loads on a process's first report whatever its window
+    wiener = spectral.wiener_discrete_mass
     # c(-n) = c(n) exactly, so each |n| is read once
     coeffs = skew.spectral_window(g, fiber, window, sys_)
     rows = [{"n": n, "value": coeffs[abs(n)][0], "error_bound": coeffs[abs(n)][1]}
             for n in range(-window, window + 1)]
-    corr = spectral.CorrelationSequence(dict(enumerate(coeffs)), source=f"{g_name}:{fiber}")
     report = {
         **_skew_header(sys_),
         "function": f"{g_name}:{fiber}",
         "window": window,
         "coefficients": rows,
     }
-    if window >= 32:
-        report["wiener_discrete_mass"] = spectral.wiener_discrete_mass(corr)
-        report["wiener_half_window"] = spectral.wiener_discrete_mass(corr, window // 2) if window >= 64 else None
+    if window >= 32:  # the smallest window wiener_discrete_mass takes
+        corr = spectral.CorrelationSequence(dict(enumerate(coeffs)), source=f"{g_name}:{fiber}")
+        report["wiener_discrete_mass"] = wiener(corr)
+        report["wiener_half_window"] = wiener(corr, window // 2) if window >= 64 else None
     return report
 
 

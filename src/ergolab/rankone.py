@@ -62,9 +62,9 @@ class ShiftOutOfRange(RankOneError):
 # lets a copy have: a multiplicity (at most the copy count) fits a kernel's
 # byte, and a kernel spans at most 2 * 81 + 1 slots
 _COPY_CAP = 81
-# widest shift batch whose sweep jumps: a kernel product grows with the
-# square of the slot (lane bits * batch width), a per-stage step linearly,
-# and each new slot width packs its kernels afresh
+# most lanes whose sweep jumps, a lane per run of consecutive shifts: a kernel
+# product grows with the square of the slot (lane bits * lanes), a per-stage
+# step linearly
 _JUMP_BATCH = 5
 
 
@@ -292,25 +292,48 @@ class _Pattern:
     differences dC h_j + dE with dC = cs[i], los[i] <= dE <= his[i], and
     byte e of dense[i] the multiplicity at dE = his[i] - e: a count of
     copy pairs, at most one per copy, so at most p^s <= `_COPY_CAP` < 256.
-    The clusters are disjoint iff gap <= h_j.  `kernels(slot)` packs each
-    cluster's bytes one per slot on first use of that slot and keeps them."""
+    The clusters are disjoint iff gap <= h_j.  `kernels(slot, whole)` holds
+    each cluster's kernel, its bytes packed one per slot, built on the first
+    call at that slot and kept: every cluster at once if `whole`, else each
+    cluster on its first read (`_Kernels`)."""
 
     __slots__ = ("cs", "los", "his", "dense", "gap", "_kernels")
 
     def __init__(self, cs: range, los: list[int], his: list[int], dense: list[bytes]):
         self.cs, self.los, self.his, self.dense = cs, los, his, dense
         self.gap = max(map(sub, his, los[1:])) + 1
-        self._kernels: dict[int, list[int]] = {}
+        self._kernels: dict[int, list[int] | _Kernels] = {}
 
-    def kernels(self, slot: int) -> list[int]:
+    def kernels(self, slot: int, whole: bool) -> list[int] | _Kernels:
         kernels = self._kernels.get(slot)
         if kernels is None:
-            n = slot // 8
-            buf = bytearray(sum(map(len, self.dense)) * n)
-            buf[::n] = b"".join(self.dense)
-            ends = list(accumulate((len(d) * n for d in self.dense), initial=0))
-            kernels = self._kernels[slot] = [int.from_bytes(buf[a:b], "little") for a, b in zip(ends, ends[1:])]
+            if whole:
+                n = slot // 8
+                buf = bytearray(sum(map(len, self.dense)) * n)
+                buf[::n] = b"".join(self.dense)
+                ends = list(accumulate((len(d) * n for d in self.dense), initial=0))
+                kernels = [int.from_bytes(buf[a:b], "little") for a, b in zip(ends, ends[1:])]
+            else:
+                kernels = _Kernels(self.dense, slot)
+            self._kernels[slot] = kernels
         return kernels
+
+
+class _Kernels(dict):
+    """Cluster index -> kernel at one slot width, each cluster packed on its
+    first read and kept."""
+
+    __slots__ = ("dense", "n")
+
+    def __init__(self, dense: list[bytes], slot: int):
+        self.dense, self.n = dense, slot // 8
+
+    def __missing__(self, i: int) -> int:
+        n, dense = self.n, self.dense[i]
+        buf = bytearray(len(dense) * n)
+        buf[::n] = dense
+        kernel = self[i] = int.from_bytes(buf, "little")
+        return kernel
 
 
 def _copy_pattern(stage: tuple[int, tuple[int, ...]], s: int) -> _Pattern | None:
@@ -384,8 +407,20 @@ def _pair_counts(
     stage-j copies inside stage j+s with |delta - D| < h_j.  The lags with
     weight form sorted, disjoint runs (first lag, width, P): P packs one
     slot per lag, first + t in slot t, and each slot one B-bit lane per
-    shift, so nearby shifts of a batch share their arithmetic.  At stage k
-    the slots are dotted with R(k, d).
+    lane base, so nearby shifts of a batch share their arithmetic.  At
+    stage k the slots are dotted with R(k, d).
+
+    Lanes: a run of consecutive shifts b, b + 1, ..., b + J shares the lane
+    of its base b, and shift b + o reads the stage-k dot at lag d + o for
+    the lane's weight at d.  Without the clip |delta - D| < h_j the sweep
+    commutes with translation (R(j+s, .) is R(j, .) convolved with the
+    multiplicities), so the weights of b + o are those of b moved up by o.
+    The clip is exact but optional: R(j, delta) = 0 for |delta| >= h_j,
+    and every term of the sum is nonnegative, so a term it drops is 0 and
+    one it keeps past h_j adds 0.  The lanes therefore keep -h_j - J' <
+    delta < h_j, J' the longest run of the batch, which covers the window
+    of every shift the lane carries.  A single shift is its own base, with
+    J' = 0 and the window |delta| < h_j.
 
     Jumps (`RankOneSpec.jump_plan`): at s = 1 each run meets each
     difference D with one product, clip and merge.  Over s equal stages
@@ -394,50 +429,69 @@ def _pair_counts(
     takes the s stages, and a run meets a cluster with one big-int
     product by its kernel (the multiplicities, one per slot).  A kernel
     product grows with the square of the slot, s single stages linearly,
-    so only batches of at most `_JUMP_BATCH` shifts jump.
+    so only batches of at most `_JUMP_BATCH` lanes jump.  A single-lane
+    sweep packs a pattern's kernels at a new slot width all at once (the
+    widths repeat from sweep to sweep), a wider one each cluster it meets
+    on first use.
 
     No lane carries into its neighbour, since every lane stays at most
     min(|A|, |B|) * p_k ... p_{N-1} < 2^B, B rounded up to whole bytes.
     Weights: c_j(delta) counts pairs of stage-j copies at one fixed offset
-    difference, at most one pair per copy, so c_j(delta) <= p_j ... p_{N-1}.
-    A lane that a multiply by a multiplicity, a kernel product or a merge
-    forms, clipped or not, is a partial sum of nonnegative terms that
-    count pairs of stage-j copies at one offset difference, each pair at
-    most once, so it obeys the same bound.  Final dot: its lanes are partial sums of R(N, m), and
-    R(N, m) <= min(|A|, |B|) * p_k ... p_{N-1} since x -> x + m is
-    injective on the stage-N word, which holds |A| * p_k ... p_{N-1}
-    positions over A.
+    difference, at most one pair per copy, so c_j(delta) <= p_j ... p_{N-1}
+    at every delta, inside the clip window or not.  A lane that a multiply
+    by a multiplicity, a kernel product or a merge forms, clipped or not,
+    is a partial sum of nonnegative terms that count pairs of stage-j
+    copies at one offset difference, each pair at most once, so it obeys
+    the same bound.  Final dot: for offset o, the lane of base b is a
+    partial sum of R(N, b + o), and R(N, m) <= min(|A|, |B|) * p_k ...
+    p_{N-1} since x -> x + m is injective on the stage-N word, which holds
+    |A| * p_k ... p_{N-1} positions over A.  Offset o's dot sits o slots
+    up, so the J' + 1 dots never carry into each other either.
     """
     hs = spec.stage_heights
     bound = min(len(levels_a), len(levels_b))
     for p, _ in spec.stages[k:N]:
         bound *= p
     lane = (bound.bit_length() + 7) & ~7
-    slot = lane * len(shifts)
-    runs = _merged([(m, 1, 1 << (t * lane)) for t, m in enumerate(shifts) if -hs[N] < m < hs[N]], slot)
+    bases, places, span = shifts, ((0, 0),), 0  # each shift's (lane, offset from the lane's base)
+    if len(shifts) > 1:
+        ms = sorted(set(shifts))
+        bases = [m for m, prev in zip(ms, [None, *ms]) if prev != m - 1]
+        places = [(t := bisect_right(bases, m) - 1, m - bases[t]) for m in shifts]
+        span = max(o for _, o in places)
+    slot = lane * len(bases)
+    runs = _merged([(b, 1, 1 << (t * lane)) for t, b in enumerate(bases) if -hs[N] - span < b < hs[N]], slot)
     if not runs:
         return [0] * len(shifts)
-    for j, s, firsts, lasts, kernels in spec.jump_plan(k, N, len(shifts) <= _JUMP_BATCH):
+    whole = len(bases) == 1
+    for j, s, firsts, lasts, kernels in spec.jump_plan(k, N, len(bases) <= _JUMP_BATCH):
         if s > 1:
-            kernels = kernels.kernels(slot)
+            kernels = kernels.kernels(slot, whole)
         h = hs[j]
+        low = -h - span  # the lags kept are low < delta < h
         out = []
         for first, width, P in runs:
             end = first + width
-            # only clusters that reach some |delta - D| < h meet the stage-j word
+            # only clusters that reach some low < delta - D < h meet the stage-j word
             lo = bisect_right(lasts, first - h)
-            for i in range(lo, bisect_left(firsts, end - 1 + h, lo)):
+            for i in range(lo, bisect_left(firsts, end - 1 - low, lo)):
                 f, e = first - lasts[i], end - firsts[i]  # the product's lags are f .. e - 1
                 Q = P * kernels[i]
-                if f <= -h:
-                    Q >>= (1 - h - f) * slot
-                    f = 1 - h
+                if f <= low:
+                    Q >>= (low + 1 - f) * slot
+                    f = low + 1
                 if e > h:
                     e = h
                     Q &= (1 << ((h - f) * slot)) - 1
                 out.append((f, e - f, Q))
         runs = _merged(out, slot)
     lags, counts = _differences(levels_a, levels_b, hs[k])
+    if span:  # offset o reads lag d at d - o: its counts move o slots up
+        moved: dict[int, int] = {}
+        for d, c in counts.items():
+            for o in range(span + 1):
+                moved[d - o] = moved.get(d - o, 0) + (c << (o * slot))
+        lags, counts = sorted(moved), moved
     nbytes = slot // 8
     acc = 0
     for first, width, P in runs:
@@ -449,7 +503,7 @@ def _pair_counts(
                 o = (d - first) * nbytes
                 acc += counts[d] * int.from_bytes(buf[o : o + nbytes], "little")
     ones = (1 << lane) - 1
-    return [acc >> (t * lane) & ones for t in range(len(shifts))]
+    return [acc >> (o * slot + t * lane) & ones for t, o in places]
 
 
 def _check_level_set(spec: RankOneSpec, A: LevelSet, N: int) -> None:
@@ -580,7 +634,9 @@ def rigidity_scan(
     every shift must be positive (m = 0 would trivially certify 1).  Both
     value and mu(A) are invariant under translating A's levels, so the
     bound is evaluated once per class (stage, levels - min(levels)); every
-    set is still checked against its tower.
+    set is still checked against its tower, in bulk: each stage's lowest
+    and highest level once, and set by set only where that fails, so the
+    first failing set names the error.
     """
     if N is None:
         N = spec.num_stages
@@ -589,9 +645,17 @@ def rigidity_scan(
         raise ValueError("need at least one shift and one set")
     if any(m <= 0 for m in shifts):
         raise ShiftOutOfRange("rigidity shifts must be positive")
+    try:
+        for stage in {A.stage for A in sets}:
+            levels = [A.levels for A in sets if A.stage == stage]
+            ends = min(l[0] for l in levels), max(l[-1] for l in levels)
+            _check_level_set(spec, LevelSet(stage, ends), N)
+    except (RankOneError, ValueError):
+        for A in sets:
+            _check_level_set(spec, A, N)
+        raise
     bounds: dict[tuple[int, tuple[int, ...]], float] = {}
     for A in sets:
-        _check_level_set(spec, A, N)
         first = A.levels[0]
         key = (A.stage, (0,) if len(A.levels) == 1 else tuple(map(first.__rsub__, A.levels)))
         if key not in bounds:

@@ -48,12 +48,24 @@ class CorrelationSequence:
     __slots__ = ("values", "source")
 
     def __init__(self, values: dict[int, tuple[float, float]], source: str = ""):
-        # values take float() in bulk, not _real: a skew spectrum report builds one sequence per query
-        self.values = {n: (float(v), float(e)) for n, (v, e) in zip(_integers("index", values), values.values())}
+        keys = _integers("index", values)
+        vs, es = zip(*values.values(), strict=True) if values else ((), ())
+        try:  # each value and bound by `_real`'s rule: in bulk when all are finite floats or ints
+            bulk = set(map(type, vs + es)) <= {float, int} and all(map(math.isfinite, vs + es))
+        except OverflowError:  # an int with no float
+            bulk = False
+        if bulk:
+            self.values = {n: (float(v), float(e)) for n, v, e in zip(keys, vs, es)}
+        else:
+            self.values = {n: (_real(f"value at index {n}", v), _real(f"error bound at index {n}", e))
+                           for n, v, e in zip(keys, vs, es)}
+        if len(self.values) < len(keys):  # "0" and "00", say: the first repeat is named, not overwritten
+            seen: set[int] = set()
+            raise ValueError(f"repeated index n = {next(n for n in keys if n in seen or seen.add(n))}")
         self.source = source
         if 0 not in self.values:
             raise ValueError("sequence must include n = 0")
-        if not self.values[0][0] > 0:  # a NaN is refused too
+        if self.values[0][0] <= 0:
             raise ValueError("sigma_hat(0) must be positive")
         lo, hi = min(self.values), max(self.values)
         if hi - lo + 1 != len(self.values):  # distinct integer keys: a gap is a missing count
@@ -98,9 +110,9 @@ def wiener_discrete_mass(corr: CorrelationSequence, N: int | None = None) -> flo
         raise WindowTooSmall("need a window of at least 32 coefficients")
     if N > corr.window:
         raise WindowTooSmall(f"N = {N} exceeds the window {corr.window}")
-    total = 0.0
+    values, total = corr.values, 0.0
     for n in range(1, N + 1):
-        total += corr.value(n) ** 2
+        total += values[n][0] ** 2
     return total / N
 
 

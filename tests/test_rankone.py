@@ -18,6 +18,7 @@ from ergolab.rankone import (
     StageOutOfRange,
     Tower,
     _differences,
+    _Kernels,
     _level_correlations,
     _pair_counts,
     build_tower,
@@ -429,6 +430,76 @@ def test_jumps_over_equal_stages_match_memo_oracle(spec, data):
         memo_pair_counts(spec, k, sorted(A), sorted(B), N, shifts)
 
 
+@st.composite
+def shift_run_batches(draw):
+    """A schedule with or without runs of equal stages, two stage-k sets and
+    a shuffled batch of 1-7 runs of 1-7 consecutive shifts with repeats; a
+    run starts anywhere in -h_N - 8 .. h_N + 8, at +-h_n, or just below h_N
+    or -h_N, so that it straddles it."""
+    spec = draw(st.one_of(schedules(), run_schedules()))
+    hs = heights(spec)
+    N = draw(st.integers(1, spec.num_stages))
+    k = draw(st.integers(0, N - 1))
+    A, B = (level_subsets(draw, hs[k]) for _ in range(2))
+    n = draw(st.integers(k, N))
+    starts = st.one_of(st.integers(-hs[N] - 8, hs[N] + 8),
+                       st.sampled_from([hs[n], -hs[n], 0, hs[N] - 3, -hs[N] - 3, hs[N], -hs[N] - 7]))
+    runs = draw(st.lists(st.tuples(starts, st.integers(1, 7)), min_size=1, max_size=7))
+    shifts = [b + o for b, J in runs for o in range(J)]
+    shifts += draw(st.lists(st.sampled_from(shifts), max_size=3))
+    return spec, k, N, (sorted(A), sorted(B)), draw(st.permutations(shifts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shift_run_batches())
+def test_consecutive_shifts_sharing_a_lane_match_memo_oracle(case):
+    # each run of consecutive shifts rides on the lane of its first shift
+    spec, k, N, (A, B), shifts = case
+    assert _pair_counts(spec, k, A, B, N, shifts) == memo_pair_counts(spec, k, A, B, N, shifts)
+
+
+def test_weaklimit_batches_take_one_lane_per_n_and_jump():
+    # weak_limit_estimate's shifts h_n + j, j <= 5, for n = 10, 11, 12 at N = 24:
+    # three runs of six, so three lanes of 24 bits ((1 * 2^20).bit_length() = 21,
+    # rounded up to bytes) in a 72-bit slot, few enough to jump
+    spec = historical_chacon_spec(24)
+    hs = heights(spec)
+    shifts = [hs[n] + j for j in range(6) for n in (10, 11, 12)]
+    assert _pair_counts(spec, 4, (0,), (0,), 24, shifts) == memo_pair_counts(spec, 4, (0,), (0,), 24, shifts)
+    spec = historical_chacon_spec(24)  # a fresh schedule keeps only what the estimate builds
+    weak_limit_estimate(spec, LevelSet(4, (0,)), 10, 12, 5, margin=12)
+    assert list(spec._plans) == [(4, 24, True)]
+    assert max(s for _, s, *_ in spec.jump_plan(4, 24, True)) == 6
+    assert {slot for pattern in spec._patterns.values() if pattern for slot in pattern._kernels} == {72}
+
+
+def test_wide_sweeps_pack_only_the_clusters_they_meet_once(monkeypatch):
+    # rigidity's shape: four shifts at tower heights are four lanes; each cluster
+    # a sweep meets is packed on its first read, once per slot width
+    packs = Counter()
+    pack = _Kernels.__missing__
+
+    def counted(kernels, i):
+        packs[id(kernels), i] += 1
+        return pack(kernels, i)
+
+    monkeypatch.setattr(_Kernels, "__missing__", counted)
+    spec = staircase_spec(3, 30)
+    hs = heights(spec)
+    shifts = hs[8:12]
+    for _ in range(2):
+        assert _pair_counts(spec, 4, (0,), (0,), 30, shifts) == memo_pair_counts(spec, 4, (0,), (0,), 30, shifts)
+    assert packs and set(packs.values()) == {1}
+    tables = [(pattern, kernels) for pattern in spec._patterns.values() if pattern
+              for kernels in pattern._kernels.values()]
+    assert all(isinstance(kernels, _Kernels) for _, kernels in tables)
+    assert sum(map(len, (kernels for _, kernels in tables))) == len(packs)
+    assert len(packs) < sum(len(pattern.dense) for pattern, _ in tables) // 4
+    for pattern, kernels in tables:
+        for i, kernel in kernels.items():  # byte e of the cluster in the low byte of slot e
+            assert kernel == sum(m << (8 * kernels.n * e) for e, m in enumerate(pattern.dense[i]))
+
+
 def jump_steps(spec: RankOneSpec, k: int, N: int, compose: bool = True) -> list[tuple[int, int]]:
     return [(j, s) for j, s, *_ in spec.jump_plan(k, N, compose)]
 
@@ -498,7 +569,16 @@ def test_copy_patterns_match_the_eager_pairs_and_are_built_once(stage, rnd):
             assert {hi - e: n for e, n in enumerate(dense) if n} == want[c]
         # built once, then kept for every equal stage, whatever its height
         assert all(spec.jump_pattern(j, s) is pattern for j in range(6 - s))
-        assert pattern.kernels(16) is pattern.kernels(16)
+        # kernels at a slot width: all clusters at once, or each on its first read,
+        # and either way each cluster packed at most once per width
+        whole = pattern.kernels(16, True)
+        assert pattern.kernels(16, True) is whole and pattern.kernels(16, False) is whole
+        lazy = pattern.kernels(24, False)
+        assert pattern.kernels(24, True) is lazy and not lazy
+        i = rnd.randrange(len(pattern.dense))
+        assert lazy[i] is lazy[i] and list(lazy) == [i]
+        for slot, kernel in ((16, whole[i]), (24, lazy[i])):  # byte e of the cluster in the low byte of slot e
+            assert kernel == sum(m << (slot * e) for e, m in enumerate(pattern.dense[i]))
 
 
 def test_base_counts_dense_product_matches_pair_count():
@@ -758,6 +838,18 @@ def test_rigidity_scan_checks_every_translate():
         rigidity_scan(spec, [hs[3]], sets)
 
 
+def test_rigidity_scan_names_the_first_failing_set():
+    # the bulk range check fails, and the set-by-set check names the first bad set
+    spec = chacon_spec(6)
+    hs = heights(spec)
+    good = [LevelSet(4, (l,)) for l in range(hs[4])]
+    high_stage, high_level = LevelSet(7, (0,)), LevelSet(4, (hs[4],))
+    with pytest.raises(StageOutOfRange):
+        rigidity_scan(spec, [hs[5]], good + [high_stage, high_level])
+    with pytest.raises(ValueError, match="level index outside the stage's tower"):
+        rigidity_scan(spec, [hs[5]], good + [high_level, high_stage])
+
+
 def test_rigidity_scan_rejects_zero_shift():
     spec = chacon_spec(6)
     with pytest.raises(ShiftOutOfRange):
@@ -814,6 +906,11 @@ def test_rigidity_scan_translation_invariance_of_singletons():
     (lambda: rigidity_scan(chacon_spec(6), [3], [LevelSet(1, (0,))], N=5.0), "stage 5.0 is not an integer"),
     # level_measure used to accept the float stage the other calls refused
     (lambda: level_measure(chacon_spec(6), 5.0, LevelSet(1, (0,))), "stage 5.0 is not an integer"),
+    # a bad set after all 364 good singletons of stage 5, at either end of the tower
+    (lambda: rigidity_scan(chacon_spec(6), [40], [LevelSet(5, (l,)) for l in range(364)] + [LevelSet(5, (364,))]),
+     "level index outside the stage's tower"),
+    (lambda: rigidity_scan(chacon_spec(6), [40], [LevelSet(5, (l,)) for l in range(364)] + [LevelSet(5, (-1, 3))]),
+     "level index outside the stage's tower"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as info:

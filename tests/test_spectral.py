@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,9 @@ def test_types_keep_their_fields_and_keywords():
     assert CertificateReport._fields == ("verdict", "alpha_lower_bound", "tail_verdict", "nonpower_asserted", "notes")
     corr = CorrelationSequence({"0": (1, 0)})
     assert (corr.values, corr.source) == ({0: (1.0, 0.0)}, "")
+    assert {type(x) for pair in corr.values.values() for x in pair} == {float}
+    halves = CorrelationSequence({0: (Fraction(1, 2), 0), 1: (0.25, Fraction(1, 8))})
+    assert halves.values == {0: (0.5, 0.0), 1: (0.25, 0.125)}
     assert CorrelationSequence(values={0: (1.0, 0.0)}, source="s").source == "s"
     none = TailDescriptor()
     assert (none.kind, none.c, none.q, none.gamma, none.s) == ("none", 0.0, None, None, None)
@@ -631,7 +635,8 @@ def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: CorrelationSequence({1: (0.5, 0.0)}), ValueError, "sequence must include n = 0"),
     (lambda: CorrelationSequence({0: (0.0, 0.0)}), ValueError, "sigma_hat(0) must be positive"),
-    (lambda: CorrelationSequence({0: (float("nan"), 0.0)}), ValueError, "sigma_hat(0) must be positive"),
+    (lambda: CorrelationSequence({0: (float("nan"), 0.0)}), ValueError,
+     "value at index 0 must be a finite number, got nan"),
     (lambda: TailDescriptor("geometric", c=0.0, q=0.5), InvalidTail, "tail amplitude c must be positive"),
     (lambda: TailDescriptor("stretched_exponential", c=1.0, gamma=-0.5), InvalidTail,
      "stretched tail needs gamma > 0"),
@@ -653,6 +658,23 @@ def test_certificate_reads_the_tail_descriptor_only(coeffs, monkeypatch):
      ValueError, "N 40.0 is not an integer"),
     (lambda: translation_probe(CorrelationSequence({n: (float(n == 0), 0.0) for n in range(65)}), [1.5, 2, 3], 1),
      ValueError, "time 1.5 is not an integer"),
+    # every value and error bound is read by the one rule, the first fault named by its index
+    (lambda: CorrelationSequence({0: (1.0, 0.0), 1: (True, 0.0), -1: (float("inf"), 0.0), 2: ("0.5", 0.0)}),
+     ValueError, "value at index 1 must be a finite number, got True"),
+    (lambda: CorrelationSequence({0: (1.0, 0.0), -1: (float("inf"), 0.0), 1: (0.5, 0.0)}), ValueError,
+     "value at index -1 must be a finite number, got inf"),
+    (lambda: CorrelationSequence({0: (1.0, 0.0), 2: ("0.5", 0.0), 1: (0.5, 0.0)}), ValueError,
+     "value at index 2 must be a finite number, got '0.5'"),
+    (lambda: CorrelationSequence({0: (1.0, 0.0), 1: (float("nan"), 0.0)}), ValueError,
+     "value at index 1 must be a finite number, got nan"),
+    (lambda: CorrelationSequence({0: (1.0, None)}), ValueError,
+     "error bound at index 0 must be a finite number, got None"),
+    (lambda: CorrelationSequence({0: (1.0, 0.0), 1: (0.5, False)}), ValueError,
+     "error bound at index 1 must be a finite number, got False"),
+    (lambda: CorrelationSequence({0: (10**400, 0)}), ValueError,
+     "value at index 0 must be a finite number, got a number too large for a float"),
+    (lambda: CorrelationSequence({0: (1.0, 0.0), 1: (0.5, 0.0), "00": (2.0, 0.0)}), ValueError,
+     "repeated index n = 0"),
 ])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error) as info:
