@@ -430,9 +430,11 @@ def _pair_counts(
     product by its kernel (the multiplicities, one per slot).  A kernel
     product grows with the square of the slot, s single stages linearly,
     so only batches of at most `_JUMP_BATCH` lanes jump.  A single-lane
-    sweep packs a pattern's kernels at a new slot width all at once (the
-    widths repeat from sweep to sweep), a wider one each cluster it meets
-    on first use.
+    sweep packs a pattern's kernels at a new slot width all at once: its
+    few widths recur from sweep to sweep and its shifts meet clusters all
+    over the pattern, so one bulk pack costs less than a pack per cluster
+    (`_Kernels`), which a wider sweep uses, meeting only a few clusters
+    at a width that may never recur.
 
     No lane carries into its neighbour, since every lane stays at most
     min(|A|, |B|) * p_k ... p_{N-1} < 2^B, B rounded up to whole bytes.
@@ -445,8 +447,8 @@ def _pair_counts(
     the same bound.  Final dot: for offset o, the lane of base b is a
     partial sum of R(N, b + o), and R(N, m) <= min(|A|, |B|) * p_k ...
     p_{N-1} since x -> x + m is injective on the stage-N word, which holds
-    |A| * p_k ... p_{N-1} positions over A.  Offset o's dot sits o slots
-    up, so the J' + 1 dots never carry into each other either.
+    |A| * p_k ... p_{N-1} positions over A.  Offset o's dot sits J' - o
+    slots up, so the J' + 1 dots never carry into each other either.
     """
     hs = spec.stage_heights
     bound = min(len(levels_a), len(levels_b))
@@ -486,24 +488,20 @@ def _pair_counts(
                 out.append((f, e - f, Q))
         runs = _merged(out, slot)
     lags, counts = _differences(levels_a, levels_b, hs[k])
-    if span:  # offset o reads lag d at d - o: its counts move o slots up
-        moved: dict[int, int] = {}
-        for d, c in counts.items():
-            for o in range(span + 1):
-                moved[d - o] = moved.get(d - o, 0) + (c << (o * slot))
-        lags, counts = sorted(moved), moved
     nbytes = slot // 8
+    window = (span + 1) * nbytes
     acc = 0
     for first, width, P in runs:
         lo = bisect_left(lags, first)
-        hi = bisect_left(lags, first + width, lo)
+        hi = bisect_left(lags, first + width + span, lo)
         if lo < hi:
-            buf = P.to_bytes(width * nbytes, "little")
+            # lag d meets the slots of lags d - span .. d, so offset o's dot sits span - o slots up
+            buf = (P << span * slot).to_bytes((width + span) * nbytes, "little")
             for d in lags[lo:hi]:
                 o = (d - first) * nbytes
-                acc += counts[d] * int.from_bytes(buf[o : o + nbytes], "little")
+                acc += counts[d] * int.from_bytes(buf[o : o + window], "little")
     ones = (1 << lane) - 1
-    return [acc >> (o * slot + t * lane) & ones for t, o in places]
+    return [acc >> ((span - o) * slot + t * lane) & ones for t, o in places]
 
 
 def _check_level_set(spec: RankOneSpec, A: LevelSet, N: int) -> None:
@@ -512,6 +510,12 @@ def _check_level_set(spec: RankOneSpec, A: LevelSet, N: int) -> None:
         raise StageOutOfRange(f"need 0 <= set stage {A.stage} <= N {N} <= {spec.num_stages}")
     if A.levels[0] < 0 or A.levels[-1] >= spec.stage_heights[A.stage]:
         raise ValueError("level index outside the stage's tower")
+
+
+def _check_shifts(spec: RankOneSpec, N: int, shifts: Sequence[int]) -> None:
+    hs = spec.stage_heights
+    if any(m < 0 or m >= hs[N] for m in shifts):
+        raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
 
 
 def level_measure(spec: RankOneSpec, N: int, A: LevelSet) -> Fraction:
@@ -552,9 +556,7 @@ def _level_correlations(spec: RankOneSpec, N: int, A: LevelSet, shifts: Sequence
     so the value is mu(A) to the bit); the set and every shift are checked
     before any count is made."""
     _check_level_set(spec, A, N)
-    hs = spec.stage_heights
-    if any(m < 0 or m >= hs[N] for m in shifts):
-        raise ShiftOutOfRange(f"need 0 <= m < h_N = {hs[N]}")
+    _check_shifts(spec, N, shifts)
     copies = spec.stage_copies[N]
     counts = _pair_counts(spec, A.stage, A.levels, A.levels, N, shifts)
     return [BoundedValue(value=c / copies, error_bound=m / copies) for m, c in zip(shifts, counts)]
@@ -635,8 +637,9 @@ def rigidity_scan(
     value and mu(A) are invariant under translating A's levels, so the
     bound is evaluated once per class (stage, levels - min(levels)); every
     set is still checked against its tower, in bulk: each stage's lowest
-    and highest level once, and set by set only where that fails, so the
-    first failing set names the error.
+    and highest level once, and set by set only where that fails.  The
+    errors come in a set-by-set scan's order: the first set's, the
+    shifts' against h_N, then the first failing set's.
     """
     if N is None:
         N = spec.num_stages
@@ -645,6 +648,8 @@ def rigidity_scan(
         raise ValueError("need at least one shift and one set")
     if any(m <= 0 for m in shifts):
         raise ShiftOutOfRange("rigidity shifts must be positive")
+    _check_level_set(spec, sets[0], N)
+    _check_shifts(spec, N, shifts)
     try:
         for stage in {A.stage for A in sets}:
             levels = [A.levels for A in sets if A.stage == stage]

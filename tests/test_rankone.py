@@ -458,6 +458,16 @@ def test_consecutive_shifts_sharing_a_lane_match_memo_oracle(case):
     assert _pair_counts(spec, k, A, B, N, shifts) == memo_pair_counts(spec, k, A, B, N, shifts)
 
 
+def test_dense_sets_on_shared_lanes_match_memo_oracle():
+    # every lag of a full set's stage-k table reads its lane's J' + 1 offsets at once
+    spec = chacon_spec(9)
+    hs = heights(spec)
+    A, B = tuple(range(hs[3])), tuple(range(0, hs[3], 3))
+    for shifts in (list(range(1, 61)), list(range(-hs[9] - 5, -hs[9] + 25)) + [hs[9] - 30 + o for o in range(40)],
+                   [hs[n] + j for j in range(8) for n in (5, 6, 7)]):
+        assert _pair_counts(spec, 3, A, B, 9, shifts) == memo_pair_counts(spec, 3, A, B, 9, shifts)
+
+
 def test_weaklimit_batches_take_one_lane_per_n_and_jump():
     # weak_limit_estimate's shifts h_n + j, j <= 5, for n = 10, 11, 12 at N = 24:
     # three runs of six, so three lanes of 24 bits ((1 * 2^20).bit_length() = 21,
@@ -848,6 +858,11 @@ def test_rigidity_scan_names_the_first_failing_set():
         rigidity_scan(spec, [hs[5]], good + [high_stage, high_level])
     with pytest.raises(ValueError, match="level index outside the stage's tower"):
         rigidity_scan(spec, [hs[5]], good + [high_level, high_stage])
+    # as set by set: the first set, then the shifts against h_N, then the other sets
+    with pytest.raises(ShiftOutOfRange, match=f"h_N = {hs[6]}"):
+        rigidity_scan(spec, [hs[6]], [LevelSet(4, (0,)), high_level])
+    with pytest.raises(ValueError, match="level index outside the stage's tower"):
+        rigidity_scan(spec, [hs[6]], [high_level, LevelSet(4, (0,))])
 
 
 def test_rigidity_scan_rejects_zero_shift():
